@@ -6,6 +6,13 @@ every (feature, midpoint-of-consecutive-distinct-values) split, and the
 shrinkage factor eta is folded into the stored leaf weights so prediction
 is just base_score plus leaf lookups.
 
+Each node searches in one pass over array operations: it drops the columns
+that are constant on its rows, sorts the rest with one stable axis-0 argsort,
+takes one axis-0 cumsum of the gradients and scores every (boundary, column)
+pair. Live columns go through in blocks of _COLUMN_BLOCK, which bounds the
+temporaries of a wide, dense node. Ties go to the highest gain, then the
+lowest feature index, then the lowest threshold.
+
 Trees are nested dicts: internal {"f": int, "t": float, "l": node,
 "r": node}, leaf {"w": float}. Ties at a threshold go left (x <= t).
 """
@@ -51,50 +58,65 @@ class GbtModel:
     num_features: int
 
 
+# Columns handled together by the live-column scan and the split search; it
+# bounds the (rows x block) temporaries of a wide, dense node.
+_COLUMN_BLOCK = 64
+
+
+def _live_columns(features, rows):
+    """Indices of the columns that are not constant on rows (-0.0 == 0.0)."""
+    live = np.zeros(features.shape[1], dtype=bool)
+    for start in range(0, live.size, _COLUMN_BLOCK):
+        block = features[rows, start:start + _COLUMN_BLOCK]
+        live[start:start + _COLUMN_BLOCK] = block.min(axis=0) != block.max(axis=0)
+    return np.flatnonzero(live)
+
+
 def _best_split(features, g, rows, cfg):
-    """Exact greedy search at one node.
+    """Exact greedy search at one node, over every column that varies there.
 
     Returns (gain, feature, threshold, left_rows, right_rows) or None.
-    Ties broken by (max gain, min feature index, min threshold); the
-    ascending scan order makes argmax pick exactly that.
+    Ties broken by (max gain, min feature index, min threshold): argmax
+    takes the first column, then the first boundary, holding a block's
+    maximum, and a later block wins only on a strictly greater gain.
     """
-    G = float(g[rows].sum())
+    g_node = g[rows]
+    G = float(g_node.sum())
     H = float(rows.size)
     lam = cfg.lambda_
     parent_term = G * G / (H + lam)
+    h_left = np.arange(1, rows.size, dtype=np.float64)[:, None]
+    h_right = H - h_left
+    weight_ok = (h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight)
+    live = _live_columns(features, rows)
     best = None
-    for f in range(features.shape[1]):
-        values = features[rows, f]
-        order = np.argsort(values, kind="mergesort")
-        sorted_vals = values[order]
-        boundaries = np.flatnonzero(sorted_vals[:-1] != sorted_vals[1:])
-        if boundaries.size == 0:
-            continue
-        cum_g = np.cumsum(g[rows][order])
-        g_left = cum_g[boundaries]
-        h_left = (boundaries + 1).astype(np.float64)
+    for start in range(0, live.size, _COLUMN_BLOCK):
+        cols = live[start:start + _COLUMN_BLOCK]
+        values = features[np.ix_(rows, cols)]
+        order = np.argsort(values, axis=0, kind="mergesort")
+        sorted_vals = np.take_along_axis(values, order, axis=0)
+        g_left = np.cumsum(g_node[order], axis=0)[:-1]
         g_right = G - g_left
-        h_right = H - h_left
         gains = 0.5 * (
             g_left**2 / (h_left + lam)
             + g_right**2 / (h_right + lam)
             - parent_term
         ) - cfg.gamma
-        ok = (gains > 0.0) & (h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight)
+        ok = (sorted_vals[:-1] != sorted_vals[1:]) & (gains > 0.0) & weight_ok
         if not ok.any():
             continue
         gains = np.where(ok, gains, -np.inf)
-        k = int(np.argmax(gains))
-        if best is not None and gains[k] <= best[0]:
+        c = int(np.argmax(gains.max(axis=0)))
+        b = int(np.argmax(gains[:, c]))
+        if best is not None and gains[b, c] <= best[0]:
             continue
-        b = boundaries[k]
-        lo, hi = sorted_vals[b], sorted_vals[b + 1]
+        lo, hi = sorted_vals[b, c], sorted_vals[b + 1, c]
         threshold = lo + (hi - lo) / 2.0
         if threshold >= hi:  # midpoint rounded up to the right value
             threshold = lo
-        left = rows[order[: b + 1]]
-        right = rows[order[b + 1:]]
-        best = (float(gains[k]), f, float(threshold), left, right)
+        left = rows[order[: b + 1, c]]
+        right = rows[order[b + 1:, c]]
+        best = (float(gains[b, c]), int(cols[c]), float(threshold), left, right)
     return best
 
 
@@ -166,15 +188,6 @@ def predict(model: GbtModel, features) -> np.ndarray:
     for tree in model.trees:
         _apply_tree(tree, X, rows, out)
     return out
-
-
-def walk_leaves(node, depth=0):
-    """Yield (leaf node, depth) pairs; test helper for structural invariants."""
-    if "w" in node:
-        yield node, depth
-    else:
-        yield from walk_leaves(node["l"], depth + 1)
-        yield from walk_leaves(node["r"], depth + 1)
 
 
 class GbtPredictor:

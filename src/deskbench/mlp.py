@@ -117,7 +117,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def _forward_cache(model: MlpModel, batch, mode, rng, freeze_bn):
+def _forward_cache(model: MlpModel, batch, mode, rng, freeze_bn, update_running=False):
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
     X = np.asarray(batch, dtype=np.float64)
@@ -140,10 +140,11 @@ def _forward_cache(model: MlpModel, batch, mode, rng, freeze_bn):
         if mode == "train" and not freeze_bn:
             mu = z.mean(axis=0)
             var = z.var(axis=0)  # biased, used for normalization
-            m = model.bn_momentum
-            block["run_mean"] = (1 - m) * block["run_mean"] + m * mu
-            unbiased = var * B / (B - 1)
-            block["run_var"] = (1 - m) * block["run_var"] + m * unbiased
+            if update_running:
+                m = model.bn_momentum
+                block["run_mean"] = (1 - m) * block["run_mean"] + m * mu
+                unbiased = var * B / (B - 1)
+                block["run_var"] = (1 - m) * block["run_var"] + m * unbiased
         else:
             mu = block["run_mean"]
             var = block["run_var"]
@@ -168,7 +169,11 @@ def _forward_cache(model: MlpModel, batch, mode, rng, freeze_bn):
 
 def forward(model: MlpModel, batch, mode=None, rng=None, freeze_bn=False) -> np.ndarray:
     """Logits for a batch. mode defaults to model.mode; freeze_bn makes
-    train mode use running statistics (dropout still active)."""
+    train mode use running statistics (dropout still active).
+
+    Never changes the model: train mode normalizes with the batch statistics
+    but leaves the running statistics as they are. Only the training step,
+    loss_and_gradients, updates them."""
     mode = model.mode if mode is None else mode
     logits, _, _ = _forward_cache(model, batch, mode, rng, freeze_bn)
     return logits
@@ -204,13 +209,15 @@ def loss_and_gradients(model: MlpModel, batch, labels, class_weights=None, rng=N
     """Weighted softmax CE and reverse-mode gradients for every parameter.
 
     Requires train mode: gradients flow through dropout masks and
-    batch-statistics BN. Returns (loss, grads) with grads mirroring the
-    parameter structure: {"blocks": [{w,b,gamma,beta}...], "out_w", "out_b"}.
+    batch-statistics BN, and the BN running statistics take one EMA step.
+    Returns (loss, grads) with grads mirroring the parameter structure:
+    {"blocks": [{w,b,gamma,beta}...], "out_w", "out_b"}.
     """
     if model.mode != "train":
         raise ConfigError("loss_and_gradients requires train mode")
     y = _check_labels(labels, model.arch.output_size)
-    logits, hidden, caches = _forward_cache(model, batch, "train", rng, False)
+    logits, hidden, caches = _forward_cache(model, batch, "train", rng, False,
+                                            update_running=True)
     loss, dlogits = _weighted_ce(logits, y, class_weights)
     grads = {"out_w": hidden.T @ dlogits, "out_b": dlogits.sum(axis=0), "blocks": []}
     dh = dlogits @ model.out_w.T

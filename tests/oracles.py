@@ -68,6 +68,54 @@ def brute_force_best_split(X, g, lambda_, gamma, min_child_weight):
     return best
 
 
+def exact_greedy_split_oracle(features, g, rows, cfg):
+    """Exact greedy search at one node, one feature at a time: the split
+    search gbt used before it evaluated every column of a node at once.
+
+    Returns (gain, feature, threshold, left_rows, right_rows) or None.
+    Ties broken by (max gain, min feature index, min threshold); the
+    ascending scan order makes argmax pick exactly that.
+    """
+    G = float(g[rows].sum())
+    H = float(rows.size)
+    lam = cfg.lambda_
+    parent_term = G * G / (H + lam)
+    best = None
+    for f in range(features.shape[1]):
+        values = features[rows, f]
+        order = np.argsort(values, kind="mergesort")
+        sorted_vals = values[order]
+        boundaries = np.flatnonzero(sorted_vals[:-1] != sorted_vals[1:])
+        if boundaries.size == 0:
+            continue
+        cum_g = np.cumsum(g[rows][order])
+        g_left = cum_g[boundaries]
+        h_left = (boundaries + 1).astype(np.float64)
+        g_right = G - g_left
+        h_right = H - h_left
+        gains = 0.5 * (
+            g_left**2 / (h_left + lam)
+            + g_right**2 / (h_right + lam)
+            - parent_term
+        ) - cfg.gamma
+        ok = (gains > 0.0) & (h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight)
+        if not ok.any():
+            continue
+        gains = np.where(ok, gains, -np.inf)
+        k = int(np.argmax(gains))
+        if best is not None and gains[k] <= best[0]:
+            continue
+        b = boundaries[k]
+        lo, hi = sorted_vals[b], sorted_vals[b + 1]
+        threshold = lo + (hi - lo) / 2.0
+        if threshold >= hi:  # midpoint rounded up to the right value
+            threshold = lo
+        left = rows[order[: b + 1]]
+        right = rows[order[b + 1:]]
+        best = (float(gains[k]), f, float(threshold), left, right)
+    return best
+
+
 def auc_pair_oracle(labels, scores):
     """O(n^2) pair counting: (concordant + half ties) / (n_pos * n_neg)."""
     labels = np.asarray(labels)

@@ -19,7 +19,7 @@ from deskbench.dataio import DenseDataset, TabularFrame, generate_synthetic
 from deskbench.distbench import bench, codec
 from deskbench.errors import ProtocolError
 
-from oracles import auc_pair_oracle, batch_pegasos_oracle, brute_force_best_split
+from oracles import auc_pair_oracle, brute_force_best_split
 from test_distbench import run_cluster
 
 
@@ -94,14 +94,12 @@ def test_criterion_02_mlp_gradient_check():
            1.0, elapsed, worst < 1e-4)
 
 
-def test_criterion_03_pegasos_near_convex_oracle():
+def test_criterion_03_pegasos_near_convex_oracle(pegasos_oracle_case):
+    ds, lam, oracle = pegasos_oracle_case
     start = time.perf_counter()
-    ds = generate_synthetic(500, 20, separation=2.0, seed=42)
-    lam = 1e-3
     model = linmodels.train_pegasos(
         ds, linmodels.SgdConfig(lambda_=lam, epochs_or_iters=100_000, seed=7))
     achieved = linmodels.svm_objective(model, ds, lam)
-    oracle = batch_pegasos_oracle(ds, lam, steps=50_000)
     elapsed = time.perf_counter() - start
     _check(3, f"primal objective {achieved:.5f} vs oracle {oracle:.5f} "
               f"({achieved / oracle - 1:+.2%})",

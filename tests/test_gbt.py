@@ -1,12 +1,23 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskbench import gbt
 from deskbench.errors import ConfigError, DataFormatError
 
-from oracles import brute_force_best_split
+from oracles import brute_force_best_split, exact_greedy_split_oracle
+
+
+def walk_leaves(node, depth=0):
+    """Yield (leaf node, depth) pairs."""
+    if "w" in node:
+        yield node, depth
+    else:
+        yield from walk_leaves(node["l"], depth + 1)
+        yield from walk_leaves(node["r"], depth + 1)
 
 
 def loose(**overrides):
@@ -115,7 +126,7 @@ class TestFit:
         rows = np.arange(300)
         for tree in model.trees:
             check(tree, rows)
-            for _, depth in gbt.walk_leaves(tree):
+            for _, depth in walk_leaves(tree):
                 assert depth <= cfg.max_depth
 
     def test_huge_gamma_degenerates_to_base(self):
@@ -214,3 +225,119 @@ class TestTrainerAdapter:
         predictor = gbt.make_trainer(cfg)(ds)
         direct = gbt.predict(gbt.fit(X, y, cfg), X)
         assert np.array_equal(predictor.predict(X), direct)
+
+
+# Small alphabets make repeated values and equal gains common; -0.0 and 0.0
+# compare equal, so they must never form a split boundary.
+VALUES = (-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, 3.0)
+GRADIENTS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+
+def fit_with_oracle(X, y, cfg):
+    with mock.patch.object(gbt, "_best_split", exact_greedy_split_oracle):
+        return gbt.fit(X, y, cfg)
+
+
+def assert_same_split(new, old):
+    if old is None:
+        assert new is None
+        return
+    # repr tells -0.0 from 0.0 and numpy scalars from Python numbers
+    assert repr(new[:3]) == repr(old[:3])
+    for got, want in zip(new[3:], old[3:]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def assert_same_model(new, old):
+    assert new.trees == old.trees and new.base_score == old.base_score
+    assert repr(new.trees) == repr(old.trees)
+
+
+@st.composite
+def node_cases(draw):
+    """(X, g, rows, cfg, column block size) for one node.
+
+    Hypothesis picks the shape and the edge cases; a seeded generator fills
+    the arrays, which keeps each example cheap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, f = draw(st.integers(2, 24)), draw(st.integers(1, 8))
+    X = rng.choice(draw(st.sampled_from([VALUES[:2], VALUES[:3], VALUES])), size=(n, f))
+    if draw(st.booleans()):
+        spread = rng.random((n, f)) < 0.5
+        X[spread] = rng.normal(size=int(spread.sum())) * 10.0
+    for _ in range(draw(st.integers(0, 3))):
+        X[:, rng.integers(f)] = X[:, rng.integers(f)]  # equal gains across features
+    g = rng.choice(GRADIENTS, size=n) if draw(st.booleans()) else rng.normal(size=n)
+    rows = rng.permutation(n)[: draw(st.integers(1, n))]
+    if draw(st.booleans()):  # constant on the node, not on the whole matrix
+        X[rows, rng.integers(f)] = rng.choice(VALUES)
+    cfg = gbt.GbtConfig(
+        max_depth=3, eta=0.3, num_round=1,
+        min_child_weight=float(draw(st.integers(0, rows.size))),
+        lambda_=draw(st.sampled_from([0.0, 1.0, 1.5])),
+        gamma=draw(st.sampled_from([0.0, 0.1, 1e9])),
+    )
+    return X, g, rows, cfg, draw(st.sampled_from([1, 2, 3, gbt._COLUMN_BLOCK]))
+
+
+class TestSplitSearchMatchesOracle:
+    """The array split search against the per-feature loop it replaced."""
+
+    @given(node_cases())
+    @example((  # mirrored gradients: equal gains at two boundaries of one column
+        np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1.0, -1.0, -1.0, 1.0]),
+        np.arange(4), loose(), gbt._COLUMN_BLOCK,
+    ))
+    @example((  # adjacent floats: the midpoint rounds up to the right value
+        np.array([[1.0 + 2**-52], [1.0 + 2**-51]]), np.array([1.0, -1.0]),
+        np.arange(2), loose(), gbt._COLUMN_BLOCK,
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_best_split_identical(self, case):
+        X, g, rows, cfg, block = case
+        with mock.patch.object(gbt, "_COLUMN_BLOCK", block):
+            new = gbt._best_split(X, g, rows, cfg)
+        assert_same_split(new, exact_greedy_split_oracle(X, g, rows, cfg))
+
+    @given(node_cases(), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_trees_identical(self, case, depth, rounds):
+        X, y, _, cfg, block = case
+        cfg = gbt.GbtConfig(max_depth=depth, eta=0.3, num_round=rounds,
+                            min_child_weight=cfg.min_child_weight,
+                            lambda_=cfg.lambda_, gamma=cfg.gamma)
+        with mock.patch.object(gbt, "_COLUMN_BLOCK", block):
+            new = gbt.fit(X, y, cfg)
+        assert_same_model(new, fit_with_oracle(X, y, cfg))
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_wide_sparse_features_csv_shape(self, seed):
+        # hashed text over a small vocabulary: mostly zeros, few live columns,
+        # then the two numeric columns (gross, normalized year)
+        rng = np.random.default_rng(seed)
+        n, dim = 60, 128
+        X = np.zeros((n, dim + 2))
+        for i in range(n):
+            slots = rng.choice(25, size=rng.integers(1, 6), replace=False) * 5
+            X[i, slots] = rng.choice([0.4054651081081644, 0.8109302162163288, 1.0986122886681098],
+                                     size=slots.size)
+        X[:, dim] = rng.integers(1, 300, size=n) * 100000.0
+        X[:, dim + 1] = rng.integers(0, 63, size=n) / 62.0
+        y = rng.normal(size=n) + X[:, 0]
+        cfg = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=3, min_child_weight=2.0)
+        assert_same_model(gbt.fit(X, y, cfg), fit_with_oracle(X, y, cfg))
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_dense_node_wider_than_one_block(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 6, size=(40, 2 * gbt._COLUMN_BLOCK + 5)).astype(np.float64)
+        X[:, 7] = X[:, 3]  # equal gains across features
+        g = rng.normal(size=40)
+        rows = rng.permutation(40)[:30]
+        cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=2, min_child_weight=1.0,
+                            lambda_=0.0, gamma=0.0)
+        assert_same_split(gbt._best_split(X, g, rows, cfg),
+                          exact_greedy_split_oracle(X, g, rows, cfg))
+        assert_same_model(gbt.fit(X, g, cfg), fit_with_oracle(X, g, cfg))

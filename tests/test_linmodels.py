@@ -6,8 +6,6 @@ from deskbench.dataio import DenseDataset, generate_synthetic
 from deskbench.errors import ConfigError, DataFormatError
 from deskbench.evaluation import auc_roc
 
-from oracles import batch_pegasos_oracle
-
 
 class TestSgdConfig:
     def test_valid(self):
@@ -66,12 +64,10 @@ class TestPegasos:
         b = lm.train_pegasos(ds, cfg)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
-    def test_objective_within_2pct_of_batch_oracle(self):
-        ds = generate_synthetic(500, 20, separation=2.0, seed=42)
-        lam = 1e-3
+    def test_objective_within_2pct_of_batch_oracle(self, pegasos_oracle_case):
+        ds, lam, oracle = pegasos_oracle_case
         model = lm.train_pegasos(ds, lm.SgdConfig(lambda_=lam, epochs_or_iters=100_000, seed=7))
         achieved = lm.svm_objective(model, ds, lam)
-        oracle = batch_pegasos_oracle(ds, lam, steps=50_000)
         assert achieved <= oracle * 1.02
 
     def test_non_binary_labels_error(self):

@@ -82,7 +82,7 @@ class TestForward:
         X = np.random.default_rng(6).normal(size=(8, 6))
         z = X @ model.blocks[0]["w"] + model.blocks[0]["b"]
         mu, var_biased = z.mean(axis=0), z.var(axis=0)
-        mlp.forward(model, X, mode="train")
+        mlp.loss_and_gradients(model, X, np.zeros(8, dtype=np.int64))
         expect_mean = 0.9 * 0.0 + 0.1 * mu
         expect_var = 0.9 * 1.0 + 0.1 * var_biased * 8 / 7  # unbiased into the EMA
         assert np.allclose(model.blocks[0]["run_mean"], expect_mean, atol=1e-12)
@@ -98,6 +98,18 @@ class TestForward:
         assert np.array_equal(a, b)
         for block, run_mean in zip(model.blocks, before):
             assert np.array_equal(block["run_mean"], run_mean)
+
+    def test_train_forward_leaves_running_stats(self):
+        model = mlp.init_model(tiny_arch(num_hidden_blocks=2), np.random.default_rng(5))
+        X = np.random.default_rng(6).normal(size=(8, 6))
+        before = [(block["run_mean"].copy(), block["run_var"].copy())
+                  for block in model.blocks]
+        a = mlp.forward(model, X, mode="train")
+        b = mlp.forward(model, X, mode="train")
+        assert np.array_equal(a, b)
+        for block, (run_mean, run_var) in zip(model.blocks, before):
+            assert np.array_equal(block["run_mean"], run_mean)
+            assert np.array_equal(block["run_var"], run_var)
 
     def test_train_batch_of_one_rejected(self):
         model = mlp.init_model(tiny_arch(), np.random.default_rng(9))

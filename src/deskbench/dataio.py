@@ -57,18 +57,6 @@ class DenseDataset:
         return DenseDataset(self.labels[idx].copy(), self.features[idx].copy())
 
 
-def concat_datasets(parts: list[DenseDataset]) -> DenseDataset:
-    if not parts:
-        raise ConfigError("cannot concatenate zero parts")
-    widths = {p.num_features for p in parts}
-    if len(widths) != 1:
-        raise ConfigError(f"feature widths differ across parts: {sorted(widths)}")
-    return DenseDataset(
-        np.concatenate([p.labels for p in parts]),
-        np.vstack([p.features for p in parts]),
-    )
-
-
 @dataclass
 class DatasetManifest:
     """Bookkeeping for a dataset persisted as ordered parts."""
@@ -202,12 +190,33 @@ def _parse_label(raw: str, label_map: str, line_no: int) -> float:
     return value
 
 
+def _field_error(fields: list[str], line_no: int) -> DataFormatError:
+    """The error for the first non-numeric or non-finite feature field of a
+    line whose conversion failed."""
+    for j, raw in enumerate(fields[1:], start=2):
+        try:
+            v = float(raw)
+        except ValueError:
+            return DataFormatError(
+                f"line {line_no}, column {j}: non-numeric field {raw!r}"
+            )
+        if not np.isfinite(v):
+            return DataFormatError(
+                f"line {line_no}, column {j}: non-finite field {raw!r}"
+            )
+    raise AssertionError(f"line {line_no} converted cleanly on the second scan")
+
+
 def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDataset:
     """Parse `label,f1,...,fF` lines. Streaming, with line-granular errors.
 
     num_features=None infers the width from the first line; every later line
     must match it. label_map: zero_one keeps {0,1}; plus_minus_one maps
     -1 -> 0 and +1 -> 1; raw accepts any finite target.
+
+    Each line's feature fields are converted in one pass by the builtin
+    `float` and checked for finiteness as one array. Only a line that fails
+    is scanned field by field, to name its first bad column.
     """
     if label_map not in LABEL_MAPS:
         raise ConfigError(f"label_map must be one of {LABEL_MAPS}")
@@ -231,19 +240,12 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
                 f"line {line_no}: expected {width + 1} fields, got {len(fields)}"
             )
         labels.append(_parse_label(fields[0], label_map, line_no))
-        vec = np.empty(width, dtype=np.float64)
-        for j, raw in enumerate(fields[1:], start=2):
-            try:
-                v = float(raw)
-            except ValueError:
-                raise DataFormatError(
-                    f"line {line_no}, column {j}: non-numeric field {raw!r}"
-                ) from None
-            if not np.isfinite(v):
-                raise DataFormatError(
-                    f"line {line_no}, column {j}: non-finite field {raw!r}"
-                )
-            vec[j - 2] = v
+        try:
+            vec = np.fromiter(map(float, fields[1:]), np.float64, width)
+        except ValueError:
+            raise _field_error(fields, line_no) from None
+        if not np.isfinite(vec).all():
+            raise _field_error(fields, line_no)
         rows.append(vec)
 
     if not rows:

@@ -135,11 +135,21 @@ def _reader(conn: _Conn, inbox: queue.Queue) -> None:
             return
 
 
-def _listen(address: str):
+def _split_address(address: str) -> tuple[str, int]:
+    """`host:port` or `[v6host]:port` -> (host, port); shared with the worker."""
     host, _, port = address.rpartition(":")
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    return host, int(port)
+
+
+def _listen(address: str):
+    host, port = _split_address(address)
+    host = host or "127.0.0.1"
+    family = socket.getaddrinfo(host, None, type=socket.SOCK_STREAM)[0][0]
+    server = socket.socket(family, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host or "127.0.0.1", int(port)))
+    server.bind((host, port))
     server.listen()
     return server
 

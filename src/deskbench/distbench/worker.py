@@ -17,6 +17,7 @@ from ..dataio import DenseDataset, load_dense
 from ..errors import DataFormatError, ProtocolError
 from ..linmodels import sigmoid
 from . import codec
+from .master import _split_address
 
 log = logging.getLogger(__name__)
 
@@ -83,11 +84,11 @@ def _split_params(values, num_features: int):
 
 
 def _connect(address: str, attempts: int, delay_s: float) -> socket.socket:
-    host, _, port = address.rpartition(":")
+    host, port = _split_address(address)
     last = None
     for attempt in range(attempts):
         try:
-            return socket.create_connection((host, int(port)), timeout=30.0)
+            return socket.create_connection((host, port), timeout=30.0)
         except OSError as exc:
             last = exc
             log.warning("connect attempt %d/%d to %s failed: %s",

@@ -101,9 +101,7 @@ def confusion_and_accuracy(labels, predictions) -> tuple[list[list[int]], float]
         raise ValueError("labels and predictions must be equal-length 1-d and non-empty")
     if not (np.isin(y, (0, 1)).all() and np.isin(p, (0, 1)).all()):
         raise ValueError("confusion_and_accuracy expects binary 0/1 inputs")
-    confusion = [[0, 0], [0, 0]]
-    for yi, pi in zip(y, p):
-        confusion[yi][pi] += 1
+    confusion = np.bincount(2 * y + p, minlength=4).reshape(2, 2).tolist()
     accuracy = (confusion[0][0] + confusion[1][1]) / y.size
     return confusion, accuracy
 
@@ -141,8 +139,7 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     boundaries = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
     ends = np.r_[boundaries[1:], n]
     ranks = np.empty(n, dtype=np.float64)
-    for start, end in zip(boundaries, ends):
-        ranks[order[start:end]] = (start + end + 1) / 2.0
+    ranks[order] = np.repeat((boundaries + ends + 1) / 2.0, ends - boundaries)
     return ranks
 
 
@@ -294,12 +291,13 @@ def run_plan(plan: AssignmentPlan, datasets, trainers, seed: int, k: int = 5) ->
     datasets = list(datasets)
     if len(datasets) != 5:
         raise ValueError("run_plan needs exactly five partition datasets")
+    unbound = sorted({algo for _, pair, _ in plan.instances for algo in pair} - set(trainers))
+    if unbound:
+        raise ValueError(f"no trainer bound to algorithm ids {unbound}")
     result = PlanResult()
     by_algo: dict[str, list[EvalReport]] = {}
     for instance_id, (algo_a, algo_b), part_index in plan.instances:
         for algo in (algo_a, algo_b):
-            if algo not in trainers:
-                raise ValueError(f"no trainer bound to algorithm id {algo!r}")
             _, avg = kfold_cv(datasets[part_index], k, trainers[algo], seed)
             result.per_instance.append((instance_id, algo, avg))
             by_algo.setdefault(algo, []).append(avg)

@@ -209,27 +209,6 @@ def load_stoplist(path) -> set[str]:
     return words
 
 
-def load_lexicon(path) -> dict[str, str]:
-    """Lines of `token,pos|neg`."""
-    lexicon = {}
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            token, polarity = line.rsplit(",", 1)
-        except ValueError:
-            raise DataFormatError(f"lexicon line {line_no}: expected token,pos|neg") from None
-        polarity = polarity.strip()
-        if polarity not in ("pos", "neg"):
-            raise DataFormatError(
-                f"lexicon line {line_no}: polarity must be pos or neg, got {polarity!r}"
-            )
-        lexicon[token.strip()] = polarity
-    return lexicon
-
-
 def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
                      dim: int = DEFAULT_HASH_DIM,
                      min_doc_freq: int = 3) -> tuple[list[SparseVector], IdfModel]:

@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from deskbench.dataio import LABEL_MAPS, DenseDataset, _parse_label, _text_lines
+from deskbench.errors import ConfigError, DataFormatError
+from deskbench.evaluation import _as_int_labels
+
 
 def batch_pegasos_oracle(ds, lambda_, steps=50_000):
     """Deterministic full-batch projected sub-gradient descent on the primal
@@ -125,3 +129,77 @@ def auc_pair_oracle(labels, scores):
     greater = (pos[:, None] > neg[None, :]).sum()
     equal = (pos[:, None] == neg[None, :]).sum()
     return (greater + 0.5 * equal) / (pos.size * neg.size)
+
+
+def parse_dense_oracle(stream, num_features, label_map):
+    """The dense parser before it converted each line in one call: one
+    float(), one finiteness check and one element store per field."""
+    if label_map not in LABEL_MAPS:
+        raise ConfigError(f"label_map must be one of {LABEL_MAPS}")
+    if num_features is not None and num_features < 1:
+        raise ConfigError("num_features must be >= 1")
+
+    labels: list[float] = []
+    rows: list[np.ndarray] = []
+    width = num_features
+    for line_no, line in enumerate(_text_lines(stream), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if line == "":
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields) - 1
+            if width < 1:
+                raise DataFormatError(f"line {line_no}: no feature fields")
+        if len(fields) != width + 1:
+            raise DataFormatError(
+                f"line {line_no}: expected {width + 1} fields, got {len(fields)}"
+            )
+        labels.append(_parse_label(fields[0], label_map, line_no))
+        vec = np.empty(width, dtype=np.float64)
+        for j, raw in enumerate(fields[1:], start=2):
+            try:
+                v = float(raw)
+            except ValueError:
+                raise DataFormatError(
+                    f"line {line_no}, column {j}: non-numeric field {raw!r}"
+                ) from None
+            if not np.isfinite(v):
+                raise DataFormatError(
+                    f"line {line_no}, column {j}: non-finite field {raw!r}"
+                )
+            vec[j - 2] = v
+        rows.append(vec)
+
+    if not rows:
+        raise DataFormatError("empty dense stream")
+    return DenseDataset(np.array(labels), np.vstack(rows))
+
+
+def average_ranks_oracle(scores):
+    """1-based ranks, ties averaged, one Python step per tie group: the
+    rank pass auc_roc used before it assigned all groups at once."""
+    n = scores.size
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    boundaries = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[boundaries[1:], n]
+    ranks = np.empty(n, dtype=np.float64)
+    for start, end in zip(boundaries, ends):
+        ranks[order[start:end]] = (start + end + 1) / 2.0
+    return ranks
+
+
+def confusion_and_accuracy_oracle(labels, predictions):
+    """Per-row confusion counting, as evaluation did before np.bincount."""
+    y = _as_int_labels(labels, "labels")
+    p = _as_int_labels(predictions, "predictions")
+    if y.shape != p.shape or y.ndim != 1 or y.size == 0:
+        raise ValueError("labels and predictions must be equal-length 1-d and non-empty")
+    if not (np.isin(y, (0, 1)).all() and np.isin(p, (0, 1)).all()):
+        raise ValueError("confusion_and_accuracy expects binary 0/1 inputs")
+    confusion = [[0, 0], [0, 0]]
+    for yi, pi in zip(y, p):
+        confusion[yi][pi] += 1
+    accuracy = (confusion[0][0] + confusion[1][1]) / y.size
+    return confusion, accuracy

@@ -8,9 +8,18 @@ from hypothesis import strategies as st
 from deskbench import dataio
 from deskbench.errors import ConfigError, DataFormatError
 
+from oracles import parse_dense_oracle
+
 
 def as_stream(text: str) -> io.BytesIO:
     return io.BytesIO(text.encode("utf-8"))
+
+
+def concat_datasets(parts: list[dataio.DenseDataset]) -> dataio.DenseDataset:
+    return dataio.DenseDataset(
+        np.concatenate([p.labels for p in parts]),
+        np.vstack([p.features for p in parts]),
+    )
 
 
 class TestParseDense:
@@ -67,6 +76,102 @@ class TestParseDense:
         np.testing.assert_array_equal(back.features, ds.features)
 
 
+STREAMS = {
+    "bytes": as_stream,
+    "text": io.StringIO,
+    "text-universal": lambda text: io.StringIO(text, newline=""),
+}
+GOOD_LABELS = {
+    "zero_one": ["0", "1", "1.0", " 1 ", "-0.0", "0e5"],
+    "plus_minus_one": ["-1", "+1", "1.0", " -1", "-1e0"],
+    "raw": ["0", "-3.5", "1_0", "1e308", "-0.0"],
+}
+BAD_LABELS = ["2", "0.5", "1e999", "-inf", "nan", "x", ""]
+GOOD_FIELDS = ["0", "1.5", "-2.25e-3", " 3 ", "\t4\t", "1_0", "-0.0", "1e308",
+               "-1e308", "1e-320", "+.5", "\u0663"]
+BAD_FIELDS = ["1e999", "-1e999", "inf", "-Infinity", "nan", "NaN", "", " ",
+              "abc", "1e", "_1", "1__0", "0x10", "1.2.3", "1\x00"]
+
+
+def rarely(draw, rate: int) -> bool:
+    return draw(st.integers(0, rate - 1)) == 0
+
+
+@st.composite
+def dense_streams(draw):
+    """(text, num_features, label_map): mostly valid rows, with rare bad
+    labels, bad fields, wrong widths and blank lines mixed in."""
+    label_map = draw(st.sampled_from(dataio.LABEL_MAPS))
+    width = draw(st.integers(1, 4))
+    good_field = st.one_of(
+        st.sampled_from(GOOD_FIELDS),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+    bad_field = st.one_of(
+        st.sampled_from(BAD_FIELDS),
+        st.text("0123456789.eE+-_ naif", max_size=6),
+    )
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rarely(draw, 6):
+            line = ""
+        else:
+            n = width + (draw(st.sampled_from([-1, 1])) if rarely(draw, 15) else 0)
+            labels = BAD_LABELS if rarely(draw, 15) else GOOD_LABELS[label_map]
+            fields = [draw(st.sampled_from(labels))]
+            fields += [draw(bad_field if rarely(draw, 25) else good_field)
+                       for _ in range(max(n, 0))]
+            line = ",".join(fields)
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    num_features = None if draw(st.booleans()) else width + rarely(draw, 8)
+    return "".join(lines), num_features, label_map
+
+
+def parse_outcome(parse, make_stream, text, num_features, label_map):
+    """(labels, features, shape) bytes of a parse, or (type, message) of its error."""
+    try:
+        ds = parse(make_stream(text), num_features, label_map)
+    except Exception as exc:  # both parsers must fail the same way
+        return type(exc), str(exc)
+    return ds.labels.tobytes(), ds.features.tobytes(), ds.features.shape
+
+
+def assert_same_as_oracle(text, num_features, label_map, stream_kind):
+    make_stream = STREAMS[stream_kind]
+    assert parse_outcome(dataio.parse_dense, make_stream, text, num_features, label_map) \
+        == parse_outcome(parse_dense_oracle, make_stream, text, num_features, label_map)
+
+
+class TestParseDenseMatchesOracle:
+    @given(dense_streams(), st.sampled_from(sorted(STREAMS)))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_streams(self, case, stream_kind):
+        assert_same_as_oracle(*case, stream_kind)
+
+    @pytest.mark.parametrize("text,num_features", [
+        ("1,0.5,-0.0\r\n0, 1_0 ,1e308\r\n", 2),
+        ("1,0.5\r\r0,2\r", None),
+        ("\n\n1,1,2\n\n", None),
+        ("1,inf,abc\n", 2),
+        ("1,abc,inf\n", 2),
+        ("1,1,nan,x\n", None),
+        ("1,2,1\x00\n", 2),
+        ("1,1e999,1\n", 2),
+        ("1,1,\n", 2),
+        ("1,1,2\n0,1\n", None),
+        ("1,1,2\n", 3),
+        ("1\n", None),
+        ("", None),
+        ("-1,2,3\n+1,-4,5\n", 2),
+    ])
+    def test_hand_written_cases(self, text, num_features):
+        for label_map in dataio.LABEL_MAPS:
+            for stream_kind in STREAMS:
+                assert_same_as_oracle(text, num_features, label_map, stream_kind)
+
+
 class TestGenerateSynthetic:
     def test_deterministic(self):
         a = dataio.generate_synthetic(100, 5, 0.0, seed=7)
@@ -108,7 +213,7 @@ class TestSplitParts:
     def test_conserves_rows(self, k, seed):
         ds = dataio.generate_synthetic(53, 3, 1.0, seed=11)
         parts, _ = dataio.split_parts(ds, k, shuffle_seed=seed)
-        merged = dataio.concat_datasets(parts)
+        merged = concat_datasets(parts)
         all_in = np.column_stack([ds.labels, ds.features])
         all_out = np.column_stack([merged.labels, merged.features])
         in_sorted = all_in[np.lexsort(all_in.T[::-1])]
@@ -121,7 +226,7 @@ class TestSplitParts:
         path = dataio.save_parts(parts, manifest, tmp_path)
         loaded_manifest, loaded_parts = dataio.load_parts(path)
         assert loaded_manifest == manifest
-        merged = dataio.concat_datasets(loaded_parts)
+        merged = concat_datasets(loaded_parts)
         assert merged.num_rows == 30
 
     def test_manifest_json_keys(self):

@@ -17,7 +17,13 @@ from deskbench.distbench.bench import (
     render_comparison_csv,
     run_local_bench,
 )
-from deskbench.distbench.master import BenchRecord, ClusterSpec, _aggregate, run_master
+from deskbench.distbench.master import (
+    BenchRecord,
+    ClusterSpec,
+    _aggregate,
+    _split_address,
+    run_master,
+)
 from deskbench.distbench.worker import epoch_rng, local_epoch, run_worker
 from deskbench.errors import ConfigError, DataFormatError, ProtocolError
 from deskbench.linmodels import SgdConfig
@@ -49,11 +55,11 @@ def start_master(spec, algo, cfg, rounds, holdout=None, manifest=""):
     return thread, result, ready
 
 
-def start_worker(port, part_path, worker_id):
+def start_worker(port, part_path, worker_id, host="127.0.0.1"):
     result = {}
 
     def target():
-        result["status"] = run_worker(f"127.0.0.1:{port}", part_path, worker_id,
+        result["status"] = run_worker(f"{host}:{port}", part_path, worker_id,
                                       reconnect_attempts=3, reconnect_delay_s=0.05)
 
     thread = threading.Thread(target=target, daemon=True)
@@ -62,14 +68,14 @@ def start_worker(port, part_path, worker_id):
 
 
 def run_cluster(tmp_path, parts, algo, cfg, rounds, timeout_s=20.0,
-                holdout=None, manifest=""):
+                holdout=None, manifest="", host="127.0.0.1"):
     """Full loopback session; returns (model, record, worker statuses)."""
     paths = []
     for i, part in enumerate(parts):
         path = tmp_path / f"part{i}.csv"
         save_dense(part, path)
         paths.append(path)
-    spec = ClusterSpec("127.0.0.1:0",
+    spec = ClusterSpec(f"{host}:0",
                        [(i + 1, 4, str(p)) for i, p in enumerate(paths)],
                        round_timeout_s=timeout_s, max_rounds=max(rounds, 1))
     thread, result, ready = start_master(spec, algo, cfg, rounds,
@@ -77,7 +83,7 @@ def run_cluster(tmp_path, parts, algo, cfg, rounds, timeout_s=20.0,
     assert ready.wait(5.0)
     if "error" in result:
         raise result["error"]
-    workers = [start_worker(result["port"], paths[i], i + 1)
+    workers = [start_worker(result["port"], paths[i], i + 1, host)
                for i in range(len(parts))]
     thread.join(timeout_s + 10.0)
     for wt, _ in workers:
@@ -98,6 +104,36 @@ class TestSingleWorkerEquivalence:
         assert abs(model.bias - oracle.bias) < 1e-9
         assert model.kind == algo
         assert len(record.round_wall_clock_s) == 5
+
+
+def ipv6_loopback_available() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_STREAM) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+class TestAddresses:
+    def test_split_address(self):
+        assert _split_address("127.0.0.1:7077") == ("127.0.0.1", 7077)
+        assert _split_address(":0") == ("", 0)
+        assert _split_address("[::1]:0") == ("::1", 0)
+        assert _split_address("[fe80::1%eth0]:9") == ("fe80::1%eth0", 9)
+        with pytest.raises(ValueError):
+            _split_address("127.0.0.1:http")
+
+    def test_ipv6_loopback_cluster(self, tmp_path):
+        if not ipv6_loopback_available():
+            pytest.skip("cannot bind an IPv6 socket to ::1")
+        ds = generate_synthetic(200, 6, 2.0, seed=5)
+        model, _, statuses = run_cluster(tmp_path, [ds], "logistic", CFG,
+                                         rounds=3, host="[::1]")
+        assert statuses == [0]
+        oracle = local_train_rounds(ds, "logistic", CFG, rounds=3, worker_id=1)
+        assert np.max(np.abs(model.weights - oracle.weights)) < 1e-9
+        assert abs(model.bias - oracle.bias) < 1e-9
 
 
 class TestThreeWorkers:

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskbench import evaluation as ev
 from deskbench.dataio import DenseDataset, generate_synthetic
+
+from oracles import average_ranks_oracle, confusion_and_accuracy_oracle
 
 
 class NearestCentroid:
@@ -174,6 +178,43 @@ class TestAucRoc:
         )
 
 
+SCORE_KINDS = {
+    "distinct": lambda rng, n: rng.permutation(n) + rng.random(n),
+    "heavy ties": lambda rng, n: rng.integers(0, 3, size=n).astype(np.float64),
+    "signed zeros": lambda rng, n: rng.choice([-0.0, 0.0, 1.0], size=n),
+    "all equal": lambda rng, n: np.full(n, 0.25),
+}
+
+
+class TestMetricsMatchOracles:
+    @given(st.sampled_from(sorted(SCORE_KINDS)), st.integers(2, 300),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=120, deadline=None)
+    @example("distinct", 2, 0)
+    @example("heavy ties", 2, 0)
+    @example("all equal", 2, 0)
+    def test_ranks_and_auc_bit_identical(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        scores = SCORE_KINDS[kind](rng, n)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        assert ev._average_ranks(scores).tobytes() == average_ranks_oracle(scores).tobytes()
+        auc = ev.auc_roc(labels, scores)
+        with mock.patch.object(ev, "_average_ranks", average_ranks_oracle):
+            assert repr(auc) == repr(ev.auc_roc(labels, scores))
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_confusion_matches_oracle(self, pairs):
+        labels = [a for a, _ in pairs]
+        preds = [b for _, b in pairs]
+        confusion, acc = ev.confusion_and_accuracy(labels, preds)
+        expected_confusion, expected_acc = confusion_and_accuracy_oracle(labels, preds)
+        assert confusion == expected_confusion and repr(acc) == repr(expected_acc)
+        assert all(type(v) is int for row in confusion for v in row)
+        assert type(acc) is float
+
+
 class TestRegressionMetrics:
     def test_perfect(self):
         assert ev.regression_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (0.0, 0.0, 1.0)
@@ -295,6 +336,15 @@ class TestAssignmentPlan:
         assert len(result.per_instance) == 10
         for _, report in result.per_algorithm.items():
             assert report.accuracy is not None
+
+    def test_unbound_algorithms_fail_before_training(self):
+        plan = ev.build_assignment_plan(self.ALGOS, self.PARTS)
+        calls = []
+        trainers = {algo: (lambda ds: calls.append(ds) or ConstantPredictor(1))
+                    for algo in ("lr", "mlp", "svm")}
+        with pytest.raises(ValueError, match=r"\['rf', 'xgb'\]"):
+            ev.run_plan(plan, self.make_datasets(), trainers, seed=0)
+        assert calls == []
 
     def test_partition_swap_locality(self):
         plan = ev.build_assignment_plan(self.ALGOS, self.PARTS)

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import DataFormatError
-from .gbt import GbtConfig, GbtModel
+from .gbt import GbtModel
 from .linmodels import LinearModel
 from .mlp import MlpArchitecture, MlpModel
 
@@ -183,11 +183,3 @@ def load_artifact(path) -> dict:
     if not isinstance(artifact, dict) or artifact.get("kind") not in ARTIFACT_KINDS:
         raise DataFormatError("artifact missing a recognized kind tag")
     return artifact
-
-
-def gbt_config_from(artifact: dict) -> GbtConfig:
-    """Recover the stored GbtConfig, if the artifact carries one."""
-    cfg = artifact.get("config")
-    if not cfg:
-        raise DataFormatError("artifact has no stored config")
-    return GbtConfig(**cfg)

@@ -189,8 +189,15 @@ def _trainer_for(algo: str, params: dict, ds: dataio.DenseDataset):
     return gbt.make_trainer(cfg), cfg
 
 
-def _report_payload(report: evaluation.EvalReport) -> dict:
-    return json.loads(report.to_json())
+def _round_sgd_config(params: dict) -> linmodels.SgdConfig:
+    """The bench commands' config: one local epoch per round, so the
+    epoch count is unused and fixed at 1."""
+    return linmodels.SgdConfig(
+        lambda_=_first(params.get("lambda"), 1e-4),
+        epochs_or_iters=1,
+        learning_rate=_first(params.get("lr"), 0.1),
+        seed=params["seed"],
+    )
 
 
 def _parse_endpoint(value: str) -> tuple:
@@ -277,19 +284,13 @@ def _cmd_split(params, outdir):
 def _cmd_train(params, outdir):
     algo = _normalize_algo(params["algo"])
     ds = _load_for_algo(params["data"], algo, params["label_map"])
-    if algo in linmodels.MODEL_KINDS:
-        cfg = _sgd_config(params, algo, ds.num_rows)
-        if algo == "logistic":
-            model = linmodels.train_logistic(ds, cfg)
-        else:
-            model = linmodels.train_pegasos(ds, cfg)
-    elif algo == "mlp":
+    if algo == "mlp":
         arch, cfg = _mlp_configs(params, ds.num_features)
         model, curve = mlp.train(ds, arch, cfg)
         mlp.save_learning_curve(outdir / "learning-curve.csv", curve)
     else:
-        cfg = _gbt_config(params)
-        model = gbt.fit(ds.features, ds.labels, cfg)
+        trainer, cfg = _trainer_for(algo, params, ds)
+        model = trainer(ds).model
     path = outdir / "model.json"
     artifacts.save_artifact(path, artifacts.model_artifact(model, config=cfg))
     print(f"wrote {path}")
@@ -310,8 +311,8 @@ def _cmd_cv(params, outdir):
         "algo": algo,
         "k": params["k"],
         "seed": params["seed"],
-        "folds": [_report_payload(r) for r in reports],
-        "average": _report_payload(average),
+        "folds": [dataclasses.asdict(r) for r in reports],
+        "average": dataclasses.asdict(average),
     }
     write_json(outdir / "report.json", payload)
     rows = [(f"fold-{i}", algo, i, report) for i, report in enumerate(reports)]
@@ -385,7 +386,7 @@ def _cmd_gridsearch(params, outdir):
         "best": best,
         "points": [
             {"params": point.params, "score": point.score,
-             "report": _report_payload(point.report)}
+             "report": dataclasses.asdict(point.report)}
             for point in points
         ],
     }
@@ -554,15 +555,10 @@ def _cmd_bench_local(params, outdir):
     holdout = None
     if params["holdout"]:
         holdout = dataio.load_dense(params["holdout"], label_map="zero_one")
-    cfg = linmodels.SgdConfig(
-        lambda_=_first(params.get("lambda"), 1e-4),
-        epochs_or_iters=1,
-        learning_rate=_first(params.get("lr"), 0.1),
-        seed=params["seed"],
-    )
+    cfg = _round_sgd_config(params)
     model, result = distbench.run_local_bench(
         ds, algo, cfg, params["rounds"], holdout, _first(params["manifest"], ""))
-    write_json(outdir / "local-bench.json", result.to_json())
+    write_json(outdir / "local-bench.json", dataclasses.asdict(result))
     artifacts.save_artifact(outdir / "model.json", artifacts.model_artifact(model, config=cfg))
     auc = "n/a" if result.auc_roc is None else f"{result.auc_roc:.4f}"
     print(f"wrote {outdir / 'local-bench.json'} "
@@ -596,15 +592,10 @@ def _cmd_bench_master(params, outdir):
     holdout = None
     if params["holdout"]:
         holdout = dataio.load_dense(params["holdout"], label_map="zero_one")
-    cfg = linmodels.SgdConfig(
-        lambda_=_first(params.get("lambda"), 1e-4),
-        epochs_or_iters=1,
-        learning_rate=_first(params.get("lr"), 0.1),
-        seed=params["seed"],
-    )
+    cfg = _round_sgd_config(params)
     model, record = distbench.run_master(
         spec, algo, cfg, params["rounds"], holdout, _first(params["manifest"], ""))
-    write_json(outdir / "dist-bench.json", record.to_json())
+    write_json(outdir / "dist-bench.json", dataclasses.asdict(record))
     artifacts.save_artifact(outdir / "model.json", artifacts.model_artifact(model, config=cfg))
     auc = "n/a" if record.holdout_auc is None else f"{record.holdout_auc:.4f}"
     print(f"wrote {outdir / 'dist-bench.json'} "
@@ -631,9 +622,9 @@ def _cmd_bench_worker(params, outdir):
 ))
 def _cmd_report(params, outdir):
     with open(params["local"], "r", encoding="utf-8") as handle:
-        local = distbench.LocalBenchResult.from_json(json.load(handle))
+        local = distbench.LocalBenchResult(**json.load(handle))
     with open(params["dist"], "r", encoding="utf-8") as handle:
-        dist = distbench.BenchRecord.from_json(json.load(handle))
+        dist = distbench.BenchRecord(**json.load(handle))
     rows = distbench.bench_compare(local, dist)
     out_path = outdir / params["out"]
     out_path.write_text(distbench.render_comparison_csv(rows), encoding="utf-8")

@@ -1,9 +1,9 @@
 """Local-vs-distributed benchmark runs and the comparison table.
 
 The local benchmark replays the exact distributed schedule on one
-process: the same per-round generators and the same local-epoch step,
-so a single-worker cluster and the local run are the same computation
-and serve as each other's oracle.
+process: the same per-round generators and the worker's local_epoch,
+one linmodels.sgd_epoch pass per round, so a single-worker cluster and
+the local run are the same computation and serve as each other's oracle.
 """
 
 import time
@@ -14,7 +14,7 @@ import numpy as np
 from ..dataio import DenseDataset
 from ..errors import ConfigError, DataFormatError
 from ..evaluation import auc_roc
-from ..linmodels import LinearModel, SgdConfig, decision_scores
+from ..linmodels import LinearModel, SgdConfig, _require_binary, decision_scores
 from .codec import ALGO_CODES
 from .master import BenchRecord
 from .worker import epoch_rng, local_epoch
@@ -34,26 +34,20 @@ class LocalBenchResult:
     wall_clock_s: float
     auc_roc: float | None = None
 
-    def to_json(self) -> dict:
-        return {"algo": self.algo, "manifest": self.manifest, "rounds": self.rounds,
-                "wall_clock_s": self.wall_clock_s, "auc_roc": self.auc_roc}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LocalBenchResult":
-        return cls(**data)
-
 
 def local_train_rounds(ds: DenseDataset, algo: str, cfg: SgdConfig, rounds: int,
                        worker_id: int = 1) -> LinearModel:
     """Train locally with the distributed round schedule.
 
     Round r runs one local epoch seeded by (cfg.seed, worker_id, r),
-    exactly what a lone worker with that id would compute.
+    exactly what a lone worker with that id would compute. Labels must
+    be 0/1, as a worker requires of its part.
     """
     if algo not in ALGO_CODES:
         raise ConfigError(f"algo must be one of {sorted(ALGO_CODES)}")
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
+    _require_binary(ds)
     w = np.zeros(ds.num_features, dtype=np.float64)
     b = 0.0
     for round_ in range(rounds):

@@ -79,23 +79,6 @@ class BenchRecord:
     def bytes_received(self) -> int:
         return self.handshake_bytes_received + sum(self.round_bytes_received)
 
-    def to_json(self) -> dict:
-        return {
-            "algo": self.algo, "manifest": self.manifest,
-            "num_workers": self.num_workers,
-            "round_wall_clock_s": list(self.round_wall_clock_s),
-            "round_bytes_sent": list(self.round_bytes_sent),
-            "round_bytes_received": list(self.round_bytes_received),
-            "handshake_bytes_sent": self.handshake_bytes_sent,
-            "handshake_bytes_received": self.handshake_bytes_received,
-            "wall_clock_s": self.wall_clock_s,
-            "holdout_auc": self.holdout_auc,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BenchRecord":
-        return cls(**data)
-
 
 def _hard_close(sock, stream=None):
     """Force a FIN now: makefile() keeps the fd alive past sock.close()."""
@@ -136,8 +119,13 @@ def _reader(conn: _Conn, inbox: queue.Queue) -> None:
 
 
 def _split_address(address: str) -> tuple[str, int]:
-    """`host:port` or `[v6host]:port` -> (host, port); shared with the worker."""
-    host, _, port = address.rpartition(":")
+    """`host:port` or `[v6host]:port` -> (host, port); shared with the worker.
+
+    Raises ValueError when the colon or a numeric port is missing.
+    """
+    host, sep, port = address.rpartition(":")
+    if not sep:
+        raise ValueError(f"address must look like host:port, got {address!r}")
     if host.startswith("[") and host.endswith("]"):
         host = host[1:-1]
     return host, int(port)

@@ -2,9 +2,9 @@
 
 A worker preloads its data part, greets the master with HELLO, then
 answers each PARAMS broadcast with one local epoch and an UPDATE. The
-local epoch is a plain mini-batch subgradient pass with a constant
-learning rate, seeded by (global seed, worker id, round) so any run can
-be replayed exactly, including by a single-node oracle.
+local epoch is one linmodels.sgd_epoch pass at LOCAL_EPOCH_BATCH, seeded
+by (global seed, worker id, round) so any run can be replayed exactly,
+including by a single-node oracle.
 """
 
 import logging
@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dataio import DenseDataset, load_dense
 from ..errors import DataFormatError, ProtocolError
-from ..linmodels import sigmoid
+from ..linmodels import sgd_epoch
 from . import codec
 from .master import _split_address
 
@@ -38,36 +38,12 @@ def epoch_rng(seed: int, worker_id: int, round_: int) -> np.random.Generator:
 
 def local_epoch(algo: str, weights, bias: float, features, y01, lambda_: float,
                 lr: float, rng, batch_size: int = LOCAL_EPOCH_BATCH):
-    """One constant-rate mini-batch epoch from the given parameters.
+    """One local epoch from the given parameters: sgd_epoch on a copy.
 
-    logistic: regularized cross-entropy gradient steps. svm: hinge
-    subgradient steps on +-1 labels. The trailing partial batch is
-    included. Returns (weights, bias) as new arrays.
+    Returns (weights, bias) as new arrays; the inputs are not changed.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(y01, dtype=np.float64)
     w = np.array(weights, dtype=np.float64)
-    b = float(bias)
-    n = X.shape[0]
-    pm = 2.0 * y - 1.0  # {0,1} -> {-1,+1} for the hinge branch
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        idx = perm[start:start + batch_size]
-        if algo == "logistic":
-            z = X[idx] @ w + b
-            residual = sigmoid(z) - y[idx]
-            grad_w = X[idx].T @ residual / idx.size + lambda_ * w
-            grad_b = float(np.mean(residual))
-        elif algo == "svm":
-            margins = pm[idx] * (X[idx] @ w + b)
-            viol = margins < 1.0
-            signed = pm[idx] * viol
-            grad_w = lambda_ * w - X[idx].T @ signed / idx.size
-            grad_b = -float(np.mean(signed))
-        else:
-            raise ProtocolError(f"unknown algorithm {algo!r}")
-        w -= lr * grad_w
-        b -= lr * grad_b
+    b = sgd_epoch(algo, w, float(bias), features, y01, lambda_, lr, batch_size, rng)
     return w, b
 
 
@@ -132,10 +108,17 @@ def run_worker(connect: str, part_path, worker_id: int,
                reconnect_attempts: int = 3, reconnect_delay_s: float = 0.2) -> int:
     """Serve one data part. Returns a process exit status (0/2/3).
 
-    An unparseable part is reported to the master as an ERROR frame in
-    place of HELLO, then the worker exits with a data-error status. A
-    lost connection is retried from HELLO a bounded number of times.
+    A malformed master address is a protocol error, reported before the
+    part is read. An unparseable part is reported to the master as an
+    ERROR frame in place of HELLO, then the worker exits with a
+    data-error status. A lost connection is retried from HELLO a bounded
+    number of times.
     """
+    try:
+        _split_address(connect)
+    except ValueError as exc:
+        log.error("bad master address %r: %s", connect, exc)
+        return EXIT_PROTOCOL
     try:
         ds = load_dense(part_path)
         _check_part(ds)

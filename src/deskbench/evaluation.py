@@ -9,9 +9,8 @@ when absent the hard predictions are used for AUC ranking.
 from __future__ import annotations
 
 import itertools
-import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,15 +55,6 @@ class EvalReport:
     mae: float | None = None
     r2: float | None = None
     wall_clock_s: float = 0.0
-
-    def to_json(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(payload, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        payload = json.loads(text)
-        return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
 
 
 @dataclass

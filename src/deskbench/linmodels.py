@@ -4,6 +4,10 @@ Two trainers on the primal objective: an L2-regularized logistic
 regression fit by seeded mini-batch gradient descent, and a Pegasos-style
 SVM fit by single-example sub-gradient steps with the 1/(lambda*t)
 schedule. Both support optional per-class loss multipliers.
+
+sgd_epoch is the one constant-rate mini-batch pass: logistic training
+runs it once per epoch, and the distributed worker and the local bench
+run it once per round, for the logistic and the hinge loss alike.
 """
 
 from __future__ import annotations
@@ -95,11 +99,27 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _batch_gradient(kind, Xb, yb, cb, w, b, lambda_):
+    """Regularized mini-batch gradient (grad_w, grad_b) at (w, b).
+
+    logistic: weighted cross-entropy on 0/1 labels yb with per-example
+    weights cb (None means 1). svm: hinge sub-gradient on +-1 labels yb.
+    """
+    if kind == "logistic":
+        residual = sigmoid(Xb @ w + b) - yb
+        if cb is not None:
+            residual = cb * residual
+        return Xb.T @ residual / yb.size + lambda_ * w, float(np.mean(residual))
+    signed = yb * (yb * (Xb @ w + b) < 1.0)
+    return lambda_ * w - Xb.T @ signed / yb.size, -float(np.mean(signed))
+
+
 def logistic_loss_and_grad(w, b, features, y01, lambda_, example_weights=None):
     """Weighted mean cross-entropy plus (lambda/2)||w||^2; bias unregularized.
 
-    Returns (loss, grad_w, grad_b). Exposed so tests can check the gradient
-    against central finite differences.
+    Returns (loss, grad_w, grad_b); the gradient is the one sgd_epoch
+    steps along. Exposed so tests can check it against central finite
+    differences.
     """
     w = np.asarray(w, dtype=np.float64)
     X = np.asarray(features, dtype=np.float64)
@@ -109,30 +129,45 @@ def logistic_loss_and_grad(w, b, features, y01, lambda_, example_weights=None):
     # stable softplus(z) - y*z
     ce = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
     loss = float(np.mean(c * ce) + 0.5 * lambda_ * np.dot(w, w))
-    residual = c * (sigmoid(z) - y)
-    grad_w = X.T @ residual / y.size + lambda_ * w
-    grad_b = float(np.mean(residual))
+    grad_w, grad_b = _batch_gradient("logistic", X, y, c, w, b, lambda_)
     return loss, grad_w, grad_b
+
+
+def sgd_epoch(kind: str, w: np.ndarray, b: float, features, y01, lambda_: float,
+              lr: float, batch_size: int, rng, example_weights=None) -> float:
+    """One constant-rate mini-batch pass over rng.permutation(n).
+
+    kind "logistic" takes the cross-entropy step on 0/1 labels, weighted
+    by example_weights when given; "svm" takes the unweighted hinge
+    sub-gradient step on the same labels mapped to +-1. The trailing
+    partial batch is included. Updates the float64 vector w in place and
+    returns the new bias.
+    """
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"kind must be one of {MODEL_KINDS}")
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(y01, dtype=np.float64)
+    if kind == "svm":
+        y = 2.0 * y - 1.0
+    perm = rng.permutation(X.shape[0])
+    for start in range(0, X.shape[0], batch_size):
+        idx = perm[start:start + batch_size]
+        cb = None if example_weights is None else example_weights[idx]
+        grad_w, grad_b = _batch_gradient(kind, X[idx], y[idx], cb, w, b, lambda_)
+        w -= lr * grad_w
+        b -= lr * grad_b
+    return b
 
 
 def train_logistic(ds: DenseDataset, cfg: SgdConfig) -> LinearModel:
     y01, X = _require_binary(ds)
     c = _example_weights(y01, cfg.class_weights)
-    n, f = X.shape
-    w = np.zeros(f, dtype=np.float64)
+    w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
-    y = y01.astype(np.float64)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs_or_iters):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            z = X[idx] @ w + b
-            residual = c[idx] * (sigmoid(z) - y[idx])
-            grad_w = X[idx].T @ residual / idx.size + cfg.lambda_ * w
-            grad_b = float(np.mean(residual))
-            w -= cfg.learning_rate * grad_w
-            b -= cfg.learning_rate * grad_b
+        b = sgd_epoch("logistic", w, b, X, y01, cfg.lambda_, cfg.learning_rate,
+                      cfg.batch_size, rng, c)
     return LinearModel(weights=w, bias=b, kind="logistic")
 
 

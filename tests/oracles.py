@@ -5,6 +5,7 @@ import numpy as np
 from deskbench.dataio import LABEL_MAPS, DenseDataset, _parse_label, _text_lines
 from deskbench.errors import ConfigError, DataFormatError
 from deskbench.evaluation import _as_int_labels
+from deskbench.linmodels import sigmoid
 
 
 def batch_pegasos_oracle(ds, lambda_, steps=50_000):
@@ -203,3 +204,60 @@ def confusion_and_accuracy_oracle(labels, predictions):
         confusion[yi][pi] += 1
     accuracy = (confusion[0][0] + confusion[1][1]) / y.size
     return confusion, accuracy
+
+
+def train_logistic_oracle(ds, cfg):
+    """Single-node logistic training as it was before sgd_epoch: its own
+    mini-batch loop, gathering each batch's rows twice."""
+    y01 = ds.labels.astype(np.int64)
+    X = ds.features
+    if cfg.class_weights is None:
+        c = np.ones(y01.size, dtype=np.float64)
+    else:
+        w0, w1 = cfg.class_weights
+        c = np.where(y01 == 1, float(w1), float(w0))
+    n, f = X.shape
+    w = np.zeros(f, dtype=np.float64)
+    b = 0.0
+    y = y01.astype(np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs_or_iters):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            z = X[idx] @ w + b
+            residual = c[idx] * (sigmoid(z) - y[idx])
+            grad_w = X[idx].T @ residual / idx.size + cfg.lambda_ * w
+            grad_b = float(np.mean(residual))
+            w -= cfg.learning_rate * grad_w
+            b -= cfg.learning_rate * grad_b
+    return w, b
+
+
+def local_epoch_oracle(algo, weights, bias, features, y01, lambda_, lr, rng,
+                       batch_size=64):
+    """The worker's local epoch as it was before sgd_epoch: a separate
+    logistic step and a hinge step on labels mapped to +-1."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(y01, dtype=np.float64)
+    w = np.array(weights, dtype=np.float64)
+    b = float(bias)
+    n = X.shape[0]
+    pm = 2.0 * y - 1.0
+    perm = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        idx = perm[start:start + batch_size]
+        if algo == "logistic":
+            z = X[idx] @ w + b
+            residual = sigmoid(z) - y[idx]
+            grad_w = X[idx].T @ residual / idx.size + lambda_ * w
+            grad_b = float(np.mean(residual))
+        else:
+            margins = pm[idx] * (X[idx] @ w + b)
+            viol = margins < 1.0
+            signed = pm[idx] * viol
+            grad_w = lambda_ * w - X[idx].T @ signed / idx.size
+            grad_b = -float(np.mean(signed))
+        w -= lr * grad_w
+        b -= lr * grad_b
+    return w, b

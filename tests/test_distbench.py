@@ -1,14 +1,16 @@
 """Master-worker integration tests over loopback sockets."""
 
+import json
 import socket
 import struct
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from deskbench.dataio import generate_synthetic, save_dense, split_parts
+from deskbench.dataio import DenseDataset, generate_synthetic, save_dense, split_parts
 from deskbench.distbench import codec
 from deskbench.distbench.bench import (
     LocalBenchResult,
@@ -121,8 +123,9 @@ class TestAddresses:
         assert _split_address(":0") == ("", 0)
         assert _split_address("[::1]:0") == ("::1", 0)
         assert _split_address("[fe80::1%eth0]:9") == ("fe80::1%eth0", 9)
-        with pytest.raises(ValueError):
-            _split_address("127.0.0.1:http")
+        for bad in ("127.0.0.1:http", "127.0.0.1", "7077"):
+            with pytest.raises(ValueError):
+                _split_address(bad)
 
     def test_ipv6_loopback_cluster(self, tmp_path):
         if not ipv6_loopback_available():
@@ -385,6 +388,12 @@ class TestWorker:
         assert status == 3
         assert time.perf_counter() - t0 < 5.0
 
+    @pytest.mark.parametrize("address", ["127.0.0.1:http", "127.0.0.1"])
+    def test_malformed_address_exits_3_before_loading(self, tmp_path, address, caplog):
+        status = run_worker(address, tmp_path / "never-read.csv", 1)
+        assert status == 3
+        assert "bad master address" in caplog.text
+
 
 class TestLocalEpoch:
     def test_deterministic(self):
@@ -472,10 +481,10 @@ class TestBenchCompare:
         record.round_wall_clock_s = [0.1, 0.2]
         record.round_bytes_sent = [10, 10]
         record.round_bytes_received = [20, 20]
-        back = BenchRecord.from_json(record.to_json())
+        back = BenchRecord(**json.loads(json.dumps(asdict(record))))
         assert back == record
         local = self.local()
-        assert LocalBenchResult.from_json(local.to_json()) == local
+        assert LocalBenchResult(**json.loads(json.dumps(asdict(local)))) == local
 
 
 class TestClusterSpecValidation:
@@ -506,3 +515,11 @@ class TestClusterSpecValidation:
             local_train_rounds(ds, "gbt", CFG, rounds=1)
         with pytest.raises(ConfigError):
             local_train_rounds(ds, "svm", CFG, rounds=0)
+
+    def test_local_rounds_reject_plus_minus_labels(self):
+        ds = generate_synthetic(20, 3, 2.0, seed=0)
+        plus_minus = DenseDataset(2.0 * ds.labels - 1.0, ds.features)
+        with pytest.raises(DataFormatError, match="0/1"):
+            local_train_rounds(plus_minus, "logistic", CFG, rounds=1)
+        with pytest.raises(DataFormatError, match="0/1"):
+            run_local_bench(plus_minus, "svm", CFG, rounds=1)

@@ -1,3 +1,5 @@
+import json
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -445,7 +447,7 @@ class TestReportSerialization:
             confusion=[[40, 5], [3, 52]],
             wall_clock_s=2.0,
         )
-        assert ev.EvalReport.from_json(report.to_json()) == report
+        assert ev.EvalReport(**json.loads(json.dumps(asdict(report)))) == report
 
     def test_save_csv(self, tmp_path):
         path = tmp_path / "report.csv"

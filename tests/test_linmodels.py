@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskbench import linmodels as lm
 from deskbench.dataio import DenseDataset, generate_synthetic
+from deskbench.distbench.bench import local_train_rounds
+from deskbench.distbench.worker import LOCAL_EPOCH_BATCH, epoch_rng, local_epoch
 from deskbench.errors import ConfigError, DataFormatError
 from deskbench.evaluation import auc_roc
+from oracles import local_epoch_oracle, train_logistic_oracle
 
 
 class TestSgdConfig:
@@ -225,3 +230,68 @@ class TestTrainerAdapter:
             predictor.predict(np.ones((2, 7)))
         with pytest.raises(DataFormatError):
             predictor.predict(np.ones(4))
+
+
+@st.composite
+def sgd_cases(draw):
+    """(dataset, config): up to a few LOCAL_EPOCH_BATCH batches of rows,
+    feature scales 1e-3..1e3, batch sizes of 1, n, above n or between,
+    1-3 epochs, and class weights absent or unequal."""
+    n = draw(st.integers(1, 2 * LOCAL_EPOCH_BATCH + 20))
+    f = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    features = rng.normal(size=(n, f)) * scale
+    labels = rng.integers(0, 2, size=n).astype(np.float64)
+    batch = draw(st.one_of(st.just(1), st.just(n), st.integers(n + 1, n + 5),
+                           st.integers(1, n)))
+    weights = draw(st.one_of(st.none(), st.tuples(st.floats(0.1, 10.0),
+                                                  st.floats(0.1, 10.0))))
+    cfg = lm.SgdConfig(lambda_=draw(st.sampled_from([1e-4, 1e-2, 0.5])),
+                       epochs_or_iters=draw(st.integers(1, 3)), batch_size=batch,
+                       learning_rate=draw(st.sampled_from([0.01, 0.1, 0.5])),
+                       seed=draw(st.integers(0, 1000)), class_weights=weights)
+    return DenseDataset(labels, features), cfg
+
+
+def bits(w, b):
+    return w.tobytes(), repr(b)
+
+
+class TestSgdEpochMatchesOracles:
+    """train_logistic, local_epoch and local_train_rounds all run
+    sgd_epoch; each must reproduce the loop it replaced bit for bit."""
+
+    @given(sgd_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical(self, case):
+        ds, cfg = case
+        model = lm.train_logistic(ds, cfg)
+        assert bits(model.weights, model.bias) == bits(*train_logistic_oracle(ds, cfg))
+
+        # a random start, and one that puts every positive row's margin
+        # exactly at the hinge
+        starts = [(np.random.default_rng(cfg.seed).normal(size=ds.num_features), 0.25),
+                  (np.zeros(ds.num_features), 1.0)]
+        for algo in lm.MODEL_KINDS:
+            for w0, b0 in starts:
+                epoch = (algo, w0, b0, ds.features, ds.labels, cfg.lambda_,
+                         cfg.learning_rate)
+                got = local_epoch(*epoch, epoch_rng(cfg.seed, 1, 0), cfg.batch_size)
+                want = local_epoch_oracle(*epoch, epoch_rng(cfg.seed, 1, 0),
+                                          cfg.batch_size)
+                assert bits(*got) == bits(*want)
+
+            rounds = cfg.epochs_or_iters
+            w, b = np.zeros(ds.num_features), 0.0
+            for round_ in range(rounds):
+                w, b = local_epoch_oracle(algo, w, b, ds.features, ds.labels,
+                                          cfg.lambda_, cfg.learning_rate,
+                                          epoch_rng(cfg.seed, 2, round_))
+            local = local_train_rounds(ds, algo, cfg, rounds, worker_id=2)
+            assert bits(local.weights, local.bias) == bits(w, b)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError):
+            lm.sgd_epoch("gbt", np.zeros(2), 0.0, np.ones((3, 2)), np.ones(3),
+                         0.1, 0.1, 2, np.random.default_rng(0))

@@ -75,12 +75,14 @@ def csv_names(raw) -> tuple:
     return tuple(part for part in parts if part)
 
 
+def _opts_by_key(opts) -> dict:
+    """Each Opt under its dashed flag name and its underscored dest."""
+    return {key: opt for opt in opts for key in (opt.name, opt.dest)}
+
+
 def merge_params(opts, args, config_data: dict, config_dir: Path) -> dict:
     """Flags override config values override Opt defaults."""
-    known = {}
-    for opt in opts:
-        known[opt.name] = opt
-        known[opt.dest] = opt
+    known = _opts_by_key(opts)
     for key in config_data:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
@@ -189,25 +191,14 @@ def _trainer_for(algo: str, params: dict, ds: dataio.DenseDataset):
     return gbt.make_trainer(cfg), cfg
 
 
-def _round_sgd_config(params: dict) -> linmodels.SgdConfig:
-    """The bench commands' config: one local epoch per round, so the
-    epoch count is unused and fixed at 1."""
-    return linmodels.SgdConfig(
-        lambda_=_first(params.get("lambda"), 1e-4),
-        epochs_or_iters=1,
-        learning_rate=_first(params.get("lr"), 0.1),
-        seed=params["seed"],
-    )
-
-
-def _parse_endpoint(value: str) -> tuple:
-    host, sep, port = str(value).rpartition(":")
-    if not sep or not host:
-        raise ConfigError(f"endpoint must look like host:port, got {value!r}")
+def _check_endpoint(value: str) -> None:
+    """host:port or [v6host]:port, parsed as the master and worker parse it."""
     try:
-        return host, int(port)
+        host, _ = distbench.master._split_address(value)
     except ValueError as exc:
-        raise ConfigError(f"bad port in endpoint {value!r}") from exc
+        raise ConfigError(f"bad endpoint {value!r}: {exc}") from exc
+    if not host:
+        raise ConfigError(f"endpoint must name a host, got {value!r}")
 
 
 COMMANDS: dict = {}
@@ -339,45 +330,39 @@ def _cmd_plan(params, outdir):
     print(f"wrote {outdir / 'plan.json'}")
 
 
-GRID_KEY_ALIASES = {
-    "lambda": "lambda_",
-    "lr": "learning_rate",
-    "epochs": "epochs_or_iters",
-    "batch-size": "batch_size",
-}
-
-
 @_command("gridsearch", "cartesian hyperparameter sweep with k-fold CV",
           COMMON_OPTS + HYPER_OPTS + (
     Opt("algo", required=True, help="logistic|logreg|svm|mlp|gbt"),
     Opt("data", required=True, is_path=True, help="dense CSV dataset"),
     Opt("k", int, default=3, help="folds per grid point"),
     Opt("grid", json_value, required=True,
-        help='JSON object of parameter -> list of values, e.g. {"lambda": [0.1, 0.01]}'),
+        help="JSON object of hyperparameter flag -> list of values, "
+             'e.g. {"lambda": [0.1, 0.01], "batch-size": [16, 64]}'),
 ))
 def _cmd_gridsearch(params, outdir):
     algo = _normalize_algo(params["algo"])
-    ds = _load_for_algo(params["data"], algo, params.get("label_map"))
     grid = params["grid"]
-    if not isinstance(grid, dict):
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError("--grid must be a JSON object of parameter lists")
-    _, base_cfg = _trainer_for(algo, params, ds)
+    hyper = _opts_by_key(HYPER_OPTS)
+    unknown = sorted(set(grid) - set(hyper))
+    if unknown:
+        raise ConfigError(f"unknown --grid keys {unknown}; grid keys are the "
+                          f"hyperparameter flags {[opt.name for opt in HYPER_OPTS]}")
 
-    if algo == "mlp":
-        arch, _ = _mlp_configs(params, ds.num_features)
-        arch_fields = {f.name for f in dataclasses.fields(mlp.MlpArchitecture)}
+    def flag_values(point: dict) -> dict:
+        """A grid point as params overrides, each value through its flag's converter."""
+        try:
+            return {hyper[key].dest: hyper[key].convert(value) for key, value in point.items()}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad --grid value in {point}: {exc}") from exc
+
+    for point in ({key: value} for key, values in grid.items() for value in values):
+        flag_values(point)  # a bad value fails before any training
+    ds = _load_for_algo(params["data"], algo, params.get("label_map"))
 
     def factory(**point):
-        fields = {GRID_KEY_ALIASES.get(k, k.replace("-", "_")): v
-                  for k, v in point.items()}
-        if algo in linmodels.MODEL_KINDS:
-            return linmodels.make_trainer(algo, dataclasses.replace(base_cfg, **fields))
-        if algo == "gbt":
-            return gbt.make_trainer(dataclasses.replace(base_cfg, **fields))
-        arch_over = {k: v for k, v in fields.items() if k in arch_fields}
-        cfg_over = {k: v for k, v in fields.items() if k not in arch_fields}
-        return mlp.make_trainer(dataclasses.replace(arch, **arch_over),
-                                dataclasses.replace(base_cfg, **cfg_over))
+        return _trainer_for(algo, {**params, **flag_values(point)}, ds)[0]
 
     best, points = evaluation.grid_search(grid, params["k"], ds, factory, params["seed"])
     payload = {
@@ -555,7 +540,8 @@ def _cmd_bench_local(params, outdir):
     holdout = None
     if params["holdout"]:
         holdout = dataio.load_dense(params["holdout"], label_map="zero_one")
-    cfg = _round_sgd_config(params)
+    # one local epoch per round
+    cfg = _sgd_config({**params, "epochs": 1}, algo, ds.num_rows)
     model, result = distbench.run_local_bench(
         ds, algo, cfg, params["rounds"], holdout, _first(params["manifest"], ""))
     write_json(outdir / "local-bench.json", dataclasses.asdict(result))
@@ -582,7 +568,7 @@ def _cmd_bench_master(params, outdir):
         ids = list(range(1, params["workers"] + 1))
     else:
         raise ConfigError("--workers or --worker-ids is required")
-    _parse_endpoint(params["listen"])
+    _check_endpoint(params["listen"])
     spec = distbench.ClusterSpec(
         master_address=params["listen"],
         workers=[(wid, 1, "") for wid in ids],
@@ -592,7 +578,8 @@ def _cmd_bench_master(params, outdir):
     holdout = None
     if params["holdout"]:
         holdout = dataio.load_dense(params["holdout"], label_map="zero_one")
-    cfg = _round_sgd_config(params)
+    # one local epoch per round; with epochs set the row count is unused
+    cfg = _sgd_config({**params, "epochs": 1}, algo, 0)
     model, record = distbench.run_master(
         spec, algo, cfg, params["rounds"], holdout, _first(params["manifest"], ""))
     write_json(outdir / "dist-bench.json", dataclasses.asdict(record))
@@ -609,10 +596,20 @@ def _cmd_bench_master(params, outdir):
     Opt("reconnect-attempts", int, default=3),
 ))
 def _cmd_bench_worker(params, outdir):
-    _parse_endpoint(params["connect"])
+    _check_endpoint(params["connect"])
     return distbench.run_worker(
         params["connect"], params["part"], params["worker_id"],
         reconnect_attempts=params["reconnect_attempts"])
+
+
+def _load_record(cls, path: str):
+    """One bench result written as dataclasses.asdict(cls(...))."""
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise DataFormatError(f"{path} is not a {cls.__name__} record: {exc}") from exc
 
 
 @_command("report", "render the local-vs-distributed comparison CSV", COMMON_OPTS + (
@@ -621,10 +618,8 @@ def _cmd_bench_worker(params, outdir):
     Opt("out", default="comparison.csv", help="output name inside --outdir"),
 ))
 def _cmd_report(params, outdir):
-    with open(params["local"], "r", encoding="utf-8") as handle:
-        local = distbench.LocalBenchResult(**json.load(handle))
-    with open(params["dist"], "r", encoding="utf-8") as handle:
-        dist = distbench.BenchRecord(**json.load(handle))
+    local = _load_record(distbench.LocalBenchResult, params["local"])
+    dist = _load_record(distbench.BenchRecord, params["dist"])
     rows = distbench.bench_compare(local, dist)
     out_path = outdir / params["out"]
     out_path.write_text(distbench.render_comparison_csv(rows), encoding="utf-8")

@@ -4,6 +4,10 @@ Trainers are callables ``trainer(train_ds) -> predictor`` where the predictor
 exposes ``predict(features) -> np.ndarray``.  Classification predictors may
 additionally expose ``score(features)`` returning real-valued ranking scores;
 when absent the hard predictions are used for AUC ranking.
+
+_evaluate_fold alone decides the task: a fold is a classification when its
+labels are 0/1 and ``predict`` returns integer (or bool) class ids, and a
+regression otherwise, so a float-valued regressor on 0/1 targets gets RMSE.
 """
 
 from __future__ import annotations
@@ -197,7 +201,7 @@ def _evaluate_fold(train_ds: DenseDataset, test_ds: DenseDataset, trainer) -> Ev
     predictions = np.asarray(predictor.predict(test_ds.features))
     elapsed = time.perf_counter() - start
     report = EvalReport(wall_clock_s=elapsed)
-    if train_ds.is_binary():
+    if predictions.dtype.kind in "biu" and train_ds.is_binary():
         report.confusion, report.accuracy = confusion_and_accuracy(
             test_ds.labels.astype(np.int64), predictions
         )
@@ -300,8 +304,9 @@ def grid_search(grid: dict, k: int, ds: DenseDataset, trainer_factory, seed: int
     """Full cartesian sweep; returns (best params, all GridPoints).
 
     Combination order is lexicographic in (sorted param name, value position).
-    Classification scores by mean AUC (max wins), regression by mean RMSE
-    (min wins); ties go to the earliest combination.
+    A point whose folds were scored as regression ranks by mean RMSE (min
+    wins), a classification point by mean AUC (max wins); ties go to the
+    earliest combination.
     """
     if not grid:
         raise ValueError("grid must not be empty")
@@ -309,23 +314,21 @@ def grid_search(grid: dict, k: int, ds: DenseDataset, trainer_factory, seed: int
     for name in names:
         if not list(grid[name]):
             raise ValueError(f"grid parameter {name!r} has an empty value list")
-    classification = ds.is_binary()
     points: list[GridPoint] = []
-    best_index = -1
+    best_index = 0
     for combo in itertools.product(*(list(grid[name]) for name in names)):
         params = dict(zip(names, combo))
         trainer = trainer_factory(**params)
         _, avg = kfold_cv(ds, k, trainer, seed)
-        score = avg.auc_roc if classification else avg.rmse
+        regression = avg.rmse is not None
+        score = avg.rmse if regression else avg.auc_roc
         if score is None:
             raise ValueError(f"grid point {params} produced no usable score")
-        points.append(GridPoint(params=params, score=float(score), report=avg))
-        if best_index < 0:
-            best_index = 0
-        else:
+        if points:
             best = points[best_index].score
-            if (classification and score > best) or (not classification and score < best):
-                best_index = len(points) - 1
+            if score < best if regression else score > best:
+                best_index = len(points)
+        points.append(GridPoint(params=params, score=float(score), report=avg))
     return dict(points[best_index].params), points
 
 

@@ -161,7 +161,7 @@ def sgd_epoch(kind: str, w: np.ndarray, b: float, features, y01, lambda_: float,
 
 def train_logistic(ds: DenseDataset, cfg: SgdConfig) -> LinearModel:
     y01, X = _require_binary(ds)
-    c = _example_weights(y01, cfg.class_weights)
+    c = None if cfg.class_weights is None else _example_weights(y01, cfg.class_weights)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
     rng = np.random.default_rng(cfg.seed)

@@ -74,11 +74,6 @@ class SparseVector:
             separators=(",", ":"),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SparseVector":
-        obj = json.loads(text)
-        return cls(obj["dim"], tuple(obj["idx"]), tuple(float(v) for v in obj["val"]))
-
 
 def fnv1a_64(data: bytes) -> int:
     h = _FNV_OFFSET

@@ -6,6 +6,7 @@ exercised exactly as a shell user would hit them.
 """
 
 import csv
+import dataclasses
 import json
 import socket
 import threading
@@ -13,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from deskbench import artifacts, cli, dataio
+from deskbench import artifacts, cli, dataio, distbench, gbt, linmodels, mlp
 from deskbench.errors import ConfigError
 
 
@@ -38,6 +39,35 @@ def regression_csv(tmp_path):
     path = tmp_path / "reg.csv"
     dataio.save_dense(dataio.DenseDataset(labels, features), path)
     return path
+
+
+@pytest.fixture()
+def gen_csv(tmp_path):
+    """A small `deskbench gen` dataset: 0/1 labels."""
+    path = tmp_path / "gen.csv"
+    assert run_cli("gen", "--rows", 60, "--features", 4, "--seed", 1,
+                   "--out", path, "--outdir", tmp_path / "gen") == 0
+    return path
+
+
+@pytest.fixture()
+def built_configs(monkeypatch):
+    """Record the fields of the configs each make_trainer call receives."""
+    calls = []
+
+    def recording(make_trainer):
+        def wrapped(*args):
+            fields = {}
+            for arg in args:
+                if dataclasses.is_dataclass(arg):
+                    fields.update(dataclasses.asdict(arg))
+            calls.append(fields)
+            return make_trainer(*args)
+        return wrapped
+
+    for module in (linmodels, mlp, gbt):
+        monkeypatch.setattr(module, "make_trainer", recording(module.make_trainer))
+    return calls
 
 
 class TestGen:
@@ -82,6 +112,16 @@ class TestCv:
         report = json.loads((tmp_path / "report.json").read_text())
         assert len(report["folds"]) == 3
         assert report["average"]["rmse"] is not None
+
+
+    def test_gbt_on_zero_one_labels_is_regression(self, tmp_path, gen_csv):
+        rc = run_cli("cv", "--algo", "gbt", "--k", 2, "--num-round", 3, "--max-depth", 2,
+                     "--data", gen_csv, "--outdir", tmp_path)
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for fold in report["folds"] + [report["average"]]:
+            assert fold["rmse"] is not None
+            assert fold["accuracy"] is None
 
 
 class TestSplit:
@@ -178,6 +218,82 @@ class TestGridsearch:
         assert rc == 0
         result = json.loads((tmp_path / "gridsearch.json").read_text())
         assert len(result["points"]) == 2
+
+    # every hyperparameter flag each family reads, with the field it sets
+    FAMILY_FLAGS = [
+        ("logreg", "lambda", [1e-3, 1e-2], "lambda_"),
+        ("logreg", "lr", [0.05, 0.2], "learning_rate"),
+        ("logreg", "epochs", [1, 2], "epochs_or_iters"),
+        ("logreg", "batch-size", [16, 32], "batch_size"),
+        ("mlp", "lr", [1e-3, 3e-3], "learning_rate"),
+        ("mlp", "epochs", [1, 2], "epochs"),
+        ("mlp", "batch-size", [8, 16], "batch_size"),
+        ("mlp", "hidden-size", [4, 8], "hidden_size"),
+        ("mlp", "num-blocks", [1, 2], "num_hidden_blocks"),
+        ("mlp", "dropout", [0.1, 0.2], "dropout_p"),
+        ("mlp", "weight-decay", [1e-4, 1e-3], "weight_decay"),
+        ("gbt", "lambda", [1.0, 1.5], "lambda_"),
+        ("gbt", "max-depth", [1, 2], "max_depth"),
+        ("gbt", "eta", [0.1, 0.3], "eta"),
+        ("gbt", "num-round", [2, 3], "num_round"),
+        ("gbt", "min-child-weight", [1.0, 2.0], "min_child_weight"),
+        ("gbt", "gamma", [0.0, 0.1], "gamma"),
+    ]
+
+    @pytest.mark.parametrize("algo, flag, values, field", FAMILY_FLAGS,
+                             ids=[f"{a}-{f}" for a, f, _, _ in FAMILY_FLAGS])
+    def test_every_hyperparameter_flag_is_a_grid_key(self, tmp_path, gen_csv, built_configs,
+                                                     algo, flag, values, field):
+        rc = run_cli("gridsearch", "--algo", algo, "--data", gen_csv, "--k", 2,
+                     "--epochs", 1, "--batch-size", 16, "--hidden-size", 4,
+                     "--num-round", 2, "--max-depth", 1,
+                     "--grid", json.dumps({flag: values}), "--outdir", tmp_path)
+        assert rc == 0
+        result = json.loads((tmp_path / "gridsearch.json").read_text())
+        assert [p["params"] for p in result["points"]] == [{flag: v} for v in values]
+        assert [c[field] for c in built_configs] == values
+        first, second = built_configs
+        assert {k for k in first if first[k] != second[k]} == {field}
+
+    def test_underscored_key_accepted(self, tmp_path, gen_csv, built_configs):
+        rc = run_cli("gridsearch", "--algo", "logreg", "--data", gen_csv, "--k", 2,
+                     "--grid", json.dumps({"batch_size": [8, 16]}), "--outdir", tmp_path)
+        assert rc == 0
+        assert [c["batch_size"] for c in built_configs] == [8, 16]
+        result = json.loads((tmp_path / "gridsearch.json").read_text())
+        assert set(result["best"]) == {"batch_size"}
+
+    FLAG_NAMES = str([opt.name for opt in cli.HYPER_OPTS])
+
+    @pytest.mark.parametrize("grid, needles", [
+        ({"lambda_": [0.1]}, ["['lambda_']", FLAG_NAMES]),
+        ({"lambda": [0.1], "dropout_p": [0.1], "class_weights": [[1, 2]]},
+         ["['class_weights', 'dropout_p']", FLAG_NAMES]),
+        ({"lambda": 0.1}, ["parameter lists"]),
+        ({"lr": [0.1, "fast"]}, ["'fast'"]),
+        ([0.1], ["parameter lists"]),
+    ], ids=["dataclass-field", "several-unknown", "not-a-list", "bad-value", "not-an-object"])
+    def test_bad_grid_is_usage_error_before_training(self, tmp_path, gen_csv, built_configs,
+                                                     capsys, grid, needles):
+        rc = run_cli("gridsearch", "--algo", "logreg", "--data", gen_csv, "--k", 2,
+                     "--grid", json.dumps(grid), "--outdir", tmp_path)
+        assert rc == 1
+        assert built_configs == []
+        assert not (tmp_path / "gridsearch.json").exists()
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert all(needle in err for needle in needles)
+
+    def test_gbt_on_zero_one_labels_is_regression(self, tmp_path, gen_csv):
+        rc = run_cli("gridsearch", "--algo", "gbt", "--data", gen_csv, "--k", 2,
+                     "--num-round", 3, "--grid", json.dumps({"max-depth": [1, 2]}),
+                     "--outdir", tmp_path)
+        assert rc == 0
+        result = json.loads((tmp_path / "gridsearch.json").read_text())
+        for point in result["points"]:
+            assert point["report"]["rmse"] is not None
+            assert point["report"]["accuracy"] is None
+            assert point["score"] == point["report"]["rmse"]
 
 
 MOVIE_CSV = """title,rating,director,genre,year,gross,description
@@ -338,6 +454,38 @@ class TestExitCodes:
                      "--part", dense_csv, "--worker-id", 1,
                      "--reconnect-attempts", 1, "--outdir", tmp_path)
         assert rc == 3
+
+    @pytest.mark.parametrize("endpoint", ["7077", "h:x", ":7077"])
+    def test_bad_listen_endpoint(self, tmp_path, endpoint):
+        assert run_cli("bench-master", "--listen", endpoint, "--workers", 1,
+                       "--algo", "logistic", "--rounds", 1, "--outdir", tmp_path) == 1
+
+    @pytest.mark.parametrize("endpoint", ["7077", "h:x", ":7077"])
+    def test_bad_connect_endpoint(self, tmp_path, dense_csv, endpoint):
+        assert run_cli("bench-worker", "--connect", endpoint, "--part", dense_csv,
+                       "--worker-id", 1, "--outdir", tmp_path) == 1
+
+    @pytest.mark.parametrize("which", ["local", "dist"])
+    @pytest.mark.parametrize("change", ["extra-key", "missing-key"])
+    def test_report_rejects_bad_record(self, tmp_path, capsys, which, change):
+        records = {
+            "local": dataclasses.asdict(distbench.LocalBenchResult("logistic", "m", 2, 1.0)),
+            "dist": dataclasses.asdict(distbench.BenchRecord("logistic", "m", 1)),
+        }
+        if change == "extra-key":
+            records[which]["extra"] = 1
+        else:
+            del records[which]["algo"]
+        paths = {}
+        for name, record in records.items():
+            paths[name] = tmp_path / f"{name}-bench.json"
+            paths[name].write_text(json.dumps(record), encoding="utf-8")
+        rc = run_cli("report", "--local", paths["local"], "--dist", paths["dist"],
+                     "--outdir", tmp_path / "rep")
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(paths[which]) in err
 
     def test_interrupt_flushes_marker(self, tmp_path, monkeypatch):
         def boom(params, outdir):

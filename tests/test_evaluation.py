@@ -299,6 +299,19 @@ class TestKfoldCv:
         with pytest.raises(ValueError):
             ev.make_folds(self.binary_ds(), 1, seed=0)
 
+    @pytest.mark.parametrize("trainer, regression", [
+        (MeanRegressor, True),
+        (NearestCentroid, False),
+        (lambda ds: ConstantPredictor(True), False),
+    ], ids=["float-regressor", "int-class-ids", "bool-class-ids"])
+    def test_task_follows_predictions_on_binary_labels(self, trainer, regression):
+        reports, avg = ev.kfold_cv(self.binary_ds(), 5, trainer, seed=0)
+        for report in reports + [avg]:
+            assert (report.rmse is not None) == regression
+            assert (report.mae is not None) == regression
+            assert (report.accuracy is not None) != regression
+            assert (report.confusion is not None) != regression
+
 
 class TestAssignmentPlan:
     ALGOS = ["lr", "rf", "mlp", "xgb", "svm"]
@@ -416,6 +429,15 @@ class TestGridSearch:
             {"offset": [5.0, 0.0, 2.0]}, 2, ds, lambda offset: Biased(offset), seed=0
         )
         assert best == {"offset": 0.0}
+
+    def test_float_predictions_on_binary_labels_rank_by_rmse(self):
+        def factory(offset):
+            return lambda train_ds: ConstantPredictor(train_ds.labels.mean() + offset)
+
+        best, points = ev.grid_search({"offset": [0.9, 0.0, 0.6]}, 2, self.ds(), factory, seed=0)
+        assert best == {"offset": 0.0}
+        assert [p.score for p in points] == [p.report.rmse for p in points]
+        assert all(p.report.accuracy is None for p in points)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):

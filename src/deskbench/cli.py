@@ -344,6 +344,9 @@ def _cmd_gridsearch(params, outdir):
     grid = params["grid"]
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError("--grid must be a JSON object of parameter lists")
+    if not grid or not all(grid.values()):
+        raise ConfigError("--grid must name at least one parameter, each with at least "
+                          "one value")
     hyper = _opts_by_key(HYPER_OPTS)
     unknown = sorted(set(grid) - set(hyper))
     if unknown:

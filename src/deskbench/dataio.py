@@ -331,26 +331,6 @@ def save_parts(parts: list[DenseDataset], manifest: DatasetManifest,
     return manifest_path
 
 
-def load_manifest(path) -> DatasetManifest:
-    return DatasetManifest.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def load_parts(manifest_path) -> tuple[DatasetManifest, list[DenseDataset]]:
-    manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    label_map = "zero_one" if manifest.label_kind == "binary" else "raw"
-    parts = [
-        load_dense(manifest_path.parent / rel, manifest.num_features, label_map)
-        for rel in manifest.parts
-    ]
-    total = sum(p.num_rows for p in parts)
-    if total != manifest.num_rows:
-        raise DataFormatError(
-            f"manifest declares {manifest.num_rows} rows, parts hold {total}"
-        )
-    return manifest, parts
-
-
 def _is_missing(raw: str) -> bool:
     return raw.strip().lower() in _MISSING_SENTINELS
 

@@ -121,14 +121,18 @@ def _reader(conn: _Conn, inbox: queue.Queue) -> None:
 def _split_address(address: str) -> tuple[str, int]:
     """`host:port` or `[v6host]:port` -> (host, port); shared with the worker.
 
-    Raises ValueError when the colon or a numeric port is missing.
+    Raises ValueError when the colon or a numeric port is missing, or the
+    port is outside 0-65535.
     """
     host, sep, port = address.rpartition(":")
     if not sep:
         raise ValueError(f"address must look like host:port, got {address!r}")
     if host.startswith("[") and host.endswith("]"):
         host = host[1:-1]
-    return host, int(port)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port must be in 0-65535, got {number}")
+    return host, number
 
 
 def _listen(address: str):

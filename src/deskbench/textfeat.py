@@ -1,12 +1,20 @@
 """Text feature pipeline: tokenization, stopwords, hashed term frequencies,
 smoothed IDF with a document-frequency cutoff, vector assembly, and a
-lexicon polarity tagger."""
+lexicon polarity tagger.
+
+``vectorize_corpus`` weights a whole corpus in one array pass: tokens map to
+vocabulary ids as each document is tokenized, every distinct token is hashed
+once by a vectorized FNV-1a, and the per-(document, slot) counts and document
+frequencies come from ``np.unique`` and ``np.bincount``."""
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,12 +26,12 @@ from .errors import ConfigError, DataFormatError
 DEFAULT_HASH_DIM = 5000
 MIN_TOKEN_LEN = 2
 
-# letters/digits by Unicode class; underscore is a separator
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# maximal runs of at least MIN_TOKEN_LEN letters/digits by Unicode class;
+# underscore is a separator
+_TOKEN_RE = re.compile(rf"[^\W_]{{{MIN_TOKEN_LEN},}}", re.UNICODE)
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
 
 # Join order mirrors the source table's text metadata fields.
 DEFAULT_ALL_TEXT_COLUMNS = (
@@ -50,12 +58,10 @@ class SparseVector:
             raise ConfigError("dim must be >= 1")
         if len(self.indices) != len(self.values):
             raise ConfigError("indices and values must have equal length")
-        prev = -1
-        for i in self.indices:
-            if not prev < i < self.dim:
-                raise ConfigError("indices must be strictly increasing in [0, dim)")
-            prev = i
-        if any(v == 0.0 for v in self.values):
+        # the chain -1 < i0 < i1 < ... < dim
+        if not all(map(operator.lt, (-1, *self.indices), (*self.indices, self.dim))):
+            raise ConfigError("indices must be strictly increasing in [0, dim)")
+        if 0.0 in self.values:
             raise ConfigError("explicit zeros are not allowed")
 
     @property
@@ -75,33 +81,46 @@ class SparseVector:
         )
 
 
-def fnv1a_64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _U64
-    return h
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop tokens shorter than 2."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= MIN_TOKEN_LEN]
+    return _TOKEN_RE.findall(text.lower())
 
 
 def remove_stopwords(tokens: list[str], stoplist: set[str]) -> list[str]:
     return [t for t in tokens if t not in stoplist]
 
 
-def hashed_tf(tokens: list[str], dim: int = DEFAULT_HASH_DIM) -> SparseVector:
-    """Term counts bucketed by FNV-1a 64-bit hash mod dim; collisions sum."""
+def hash_tokens(tokens: list[str]) -> np.ndarray:
+    """64-bit FNV-1a of each token's UTF-8 bytes, as uint64 (wraparound is the
+    modulus). Tokens are sorted longest first, so the tokens still being read
+    at byte position p are a prefix; memory is O(total bytes)."""
+    encoded = [t.encode("utf-8") for t in tokens]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    # live[p]: number of tokens longer than p bytes
+    live = len(encoded) - np.cumsum(np.bincount(lengths))
+    h = np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64)
+    for pos, n in enumerate(live[:-1].tolist()):
+        h[:n] ^= data[starts[:n] + pos]
+        h[:n] *= _FNV_PRIME
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
+def _slots(tokens: list[str], dim: int) -> np.ndarray:
+    """Hash bucket in [0, dim) of each token."""
     if dim < 1:
         raise ConfigError("dim must be >= 1")
-    counts: dict[int, float] = {}
-    for token in tokens:
-        idx = fnv1a_64(token.encode("utf-8")) % dim
-        counts[idx] = counts.get(idx, 0.0) + 1.0
-    items = sorted(counts.items())
-    return SparseVector(dim, tuple(i for i, _ in items), tuple(v for _, v in items))
+    return (hash_tokens(tokens) % np.uint64(dim)).astype(np.int64)
+
+
+def hashed_tf(tokens: list[str], dim: int = DEFAULT_HASH_DIM) -> SparseVector:
+    """Term counts bucketed by FNV-1a 64-bit hash mod dim; collisions sum."""
+    slots, counts = np.unique(_slots(tokens, dim), return_counts=True)
+    return SparseVector(dim, tuple(slots.tolist()), tuple(counts.astype(float).tolist()))
 
 
 @dataclass(frozen=True)
@@ -126,12 +145,15 @@ def idf_fit(corpus: list[SparseVector], min_doc_freq: int) -> IdfModel:
             raise DataFormatError(f"dim mismatch: {vec.dim} != {dim}")
         for i in vec.indices:
             df[i] += 1
-    n = len(corpus)
-    idf = np.zeros(dim)
+    return _idf_model(df, len(corpus), min_doc_freq)
+
+
+def _idf_model(df: np.ndarray, n: int, min_doc_freq: int) -> IdfModel:
+    """The one idf formula, for idf_fit and vectorize_corpus alike."""
+    idf = np.zeros(len(df))
     kept = df >= min_doc_freq
     idf[kept] = np.log((n + 1) / (df[kept] + 1))
-    return IdfModel(dim, n, tuple(int(x) for x in df), min_doc_freq,
-                    tuple(float(x) for x in idf))
+    return IdfModel(len(df), n, tuple(df.tolist()), min_doc_freq, tuple(idf.tolist()))
 
 
 def idf_transform(model: IdfModel, vec: SparseVector) -> SparseVector:
@@ -207,8 +229,34 @@ def load_stoplist(path) -> set[str]:
 def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
                      dim: int = DEFAULT_HASH_DIM,
                      min_doc_freq: int = 3) -> tuple[list[SparseVector], IdfModel]:
-    """tokenize -> stopword filter -> hashed tf -> idf, over a whole corpus."""
-    stoplist = stoplist or set()
-    tf = [hashed_tf(remove_stopwords(tokenize(t), stoplist), dim) for t in texts]
-    model = idf_fit(tf, min_doc_freq)
-    return [idf_transform(model, v) for v in tf], model
+    """tokenize -> stopword filter -> hashed tf -> idf, over a whole corpus.
+
+    Same vectors and model as ``idf_transform(idf_fit(tf), v)`` over each
+    document's ``hashed_tf``, computed as one CSR pass."""
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__  # a new token gets the next id
+    ids = array("q")
+    doc_lengths = array("q")
+    for text in texts:
+        tokens = tokenize(text)
+        if stoplist:
+            tokens = remove_stopwords(tokens, stoplist)
+        ids.extend(map(vocab.__getitem__, tokens))
+        doc_lengths.append(len(tokens))
+    n = len(doc_lengths)
+    if not n:
+        raise ConfigError("empty corpus")
+    slot_of_id = _slots(list(vocab), dim)
+    docs = np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
+    # (doc, slot) keys sort doc-major, slot-minor: CSR order
+    keys, counts = np.unique(docs * dim + slot_of_id[np.frombuffer(ids, dtype=np.int64)],
+                             return_counts=True)
+    row, col = np.divmod(keys, dim)
+    model = _idf_model(np.bincount(col, minlength=dim), n, min_doc_freq)
+    weights = counts * np.array(model.idf)[col]
+    kept = weights != 0.0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row[kept], minlength=n))))
+    indices, values = col[kept].tolist(), weights[kept].tolist()
+    bounds = indptr.tolist()
+    return [SparseVector(dim, tuple(indices[a:b]), tuple(values[a:b]))
+            for a, b in zip(bounds[:-1], bounds[1:])], model

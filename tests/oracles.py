@@ -1,11 +1,14 @@
 """Independent reference implementations used only by the test suite."""
 
+import re
+
 import numpy as np
 
 from deskbench.dataio import LABEL_MAPS, DenseDataset, _parse_label, _text_lines
 from deskbench.errors import ConfigError, DataFormatError
 from deskbench.evaluation import _as_int_labels
 from deskbench.linmodels import sigmoid
+from deskbench.textfeat import IdfModel, SparseVector, remove_stopwords
 
 
 def batch_pegasos_oracle(ds, lambda_, steps=50_000):
@@ -261,3 +264,68 @@ def local_epoch_oracle(algo, weights, bias, features, y01, lambda_, lr, rng,
         w -= lr * grad_w
         b -= lr * grad_b
     return w, b
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    """Every maximal letter/digit run, then the runs shorter than 2 dropped."""
+    return [t for t in re.findall(r"[^\W_]+", text.lower()) if len(t) >= 2]
+
+
+def sparse_vector_check_oracle(dim, indices, values) -> None:
+    """SparseVector's validation as a per-element loop; raises ConfigError."""
+    if dim < 1:
+        raise ConfigError("dim must be >= 1")
+    if len(indices) != len(values):
+        raise ConfigError("indices and values must have equal length")
+    prev = -1
+    for i in indices:
+        if not prev < i < dim:
+            raise ConfigError("indices must be strictly increasing in [0, dim)")
+        prev = i
+    if any(v == 0.0 for v in values):
+        raise ConfigError("explicit zeros are not allowed")
+
+
+def fnv1a_64_oracle(data: bytes) -> int:
+    """Scalar 64-bit FNV-1a, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def vectorize_corpus_oracle(texts, stoplist=None, dim=5000, min_doc_freq=3):
+    """Hashed TF-IDF one document at a time, as textfeat did before the corpus
+    pass: a scalar hash per token occurrence, a tf vector per document, then
+    the idf fit and an elementwise transform of every tf vector."""
+    stoplist = stoplist or set()
+    tf = []
+    for text in texts:
+        tokens = remove_stopwords(tokenize_oracle(text), stoplist)
+        if dim < 1:
+            raise ConfigError("dim must be >= 1")
+        counts = {}
+        for token in tokens:
+            idx = fnv1a_64_oracle(token.encode("utf-8")) % dim
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+        items = sorted(counts.items())
+        tf.append(SparseVector(dim, tuple(i for i, _ in items), tuple(v for _, v in items)))
+    if not tf:
+        raise ConfigError("empty corpus")
+    df = np.zeros(dim, dtype=np.int64)
+    for vec in tf:
+        for i in vec.indices:
+            df[i] += 1
+    n = len(tf)
+    idf = np.zeros(dim)
+    kept = df >= min_doc_freq
+    idf[kept] = np.log((n + 1) / (df[kept] + 1))
+    model = IdfModel(dim, n, tuple(int(x) for x in df), min_doc_freq,
+                     tuple(float(x) for x in idf))
+    out = []
+    for vec in tf:
+        pairs = [(i, v * model.idf[i]) for i, v in zip(vec.indices, vec.values)]
+        pairs = [(i, w) for i, w in pairs if w != 0.0]
+        out.append(SparseVector(dim, tuple(i for i, _ in pairs), tuple(w for _, w in pairs)))
+    return out, model

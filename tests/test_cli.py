@@ -17,6 +17,8 @@ import pytest
 from deskbench import artifacts, cli, dataio, distbench, gbt, linmodels, mlp
 from deskbench.errors import ConfigError
 
+from helpers import load_parts
+
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
@@ -129,7 +131,7 @@ class TestSplit:
         rc = run_cli("split", "--data", dense_csv, "--parts", 3,
                      "--name", "chunk", "--outdir", tmp_path)
         assert rc == 0
-        manifest, parts = dataio.load_parts(tmp_path / "chunk.manifest.json")
+        manifest, parts = load_parts(tmp_path / "chunk.manifest.json")
         assert len(parts) == 3
         sizes = [p.num_rows for p in parts]
         assert sum(sizes) == 240
@@ -272,7 +274,10 @@ class TestGridsearch:
         ({"lambda": 0.1}, ["parameter lists"]),
         ({"lr": [0.1, "fast"]}, ["'fast'"]),
         ([0.1], ["parameter lists"]),
-    ], ids=["dataclass-field", "several-unknown", "not-a-list", "bad-value", "not-an-object"])
+        ({"lambda": []}, ["at least one value"]),
+        ({}, ["at least one parameter"]),
+    ], ids=["dataclass-field", "several-unknown", "not-a-list", "bad-value", "not-an-object",
+            "empty-list", "empty-object"])
     def test_bad_grid_is_usage_error_before_training(self, tmp_path, gen_csv, built_configs,
                                                      capsys, grid, needles):
         rc = run_cli("gridsearch", "--algo", "logreg", "--data", gen_csv, "--k", 2,
@@ -455,15 +460,17 @@ class TestExitCodes:
                      "--reconnect-attempts", 1, "--outdir", tmp_path)
         assert rc == 3
 
-    @pytest.mark.parametrize("endpoint", ["7077", "h:x", ":7077"])
-    def test_bad_listen_endpoint(self, tmp_path, endpoint):
+    @pytest.mark.parametrize("endpoint", ["7077", "h:x", ":7077", "127.0.0.1:70000"])
+    def test_bad_listen_endpoint(self, tmp_path, capsys, endpoint):
         assert run_cli("bench-master", "--listen", endpoint, "--workers", 1,
                        "--algo", "logistic", "--rounds", 1, "--outdir", tmp_path) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("endpoint", ["7077", "h:x", ":7077"])
-    def test_bad_connect_endpoint(self, tmp_path, dense_csv, endpoint):
+    @pytest.mark.parametrize("endpoint", ["7077", "h:x", ":7077", "127.0.0.1:70000"])
+    def test_bad_connect_endpoint(self, tmp_path, dense_csv, capsys, endpoint):
         assert run_cli("bench-worker", "--connect", endpoint, "--part", dense_csv,
                        "--worker-id", 1, "--outdir", tmp_path) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("which", ["local", "dist"])
     @pytest.mark.parametrize("change", ["extra-key", "missing-key"])

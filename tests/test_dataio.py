@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from deskbench import dataio
 from deskbench.errors import ConfigError, DataFormatError
 
+from helpers import load_parts
 from oracles import parse_dense_oracle
 
 
@@ -224,7 +225,7 @@ class TestSplitParts:
         ds = dataio.generate_synthetic(30, 3, 1.0, seed=9)
         parts, manifest = dataio.split_parts(ds, 3, shuffle_seed=1, name="toy")
         path = dataio.save_parts(parts, manifest, tmp_path)
-        loaded_manifest, loaded_parts = dataio.load_parts(path)
+        loaded_manifest, loaded_parts = load_parts(path)
         assert loaded_manifest == manifest
         merged = concat_datasets(loaded_parts)
         assert merged.num_rows == 30

@@ -123,7 +123,9 @@ class TestAddresses:
         assert _split_address(":0") == ("", 0)
         assert _split_address("[::1]:0") == ("::1", 0)
         assert _split_address("[fe80::1%eth0]:9") == ("fe80::1%eth0", 9)
-        for bad in ("127.0.0.1:http", "127.0.0.1", "7077"):
+        assert _split_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
+        for bad in ("127.0.0.1:http", "127.0.0.1", "7077", "127.0.0.1:70000",
+                    "127.0.0.1:-1"):
             with pytest.raises(ValueError):
                 _split_address(bad)
 
@@ -388,7 +390,7 @@ class TestWorker:
         assert status == 3
         assert time.perf_counter() - t0 < 5.0
 
-    @pytest.mark.parametrize("address", ["127.0.0.1:http", "127.0.0.1"])
+    @pytest.mark.parametrize("address", ["127.0.0.1:http", "127.0.0.1", "127.0.0.1:70000"])
     def test_malformed_address_exits_3_before_loading(self, tmp_path, address, caplog):
         status = run_worker(address, tmp_path / "never-read.csv", 1)
         assert status == 3

@@ -2,12 +2,15 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskbench import textfeat
 from deskbench.dataio import TabularFrame
-from deskbench.errors import DataFormatError
+from deskbench.errors import ConfigError, DataFormatError
+
+from oracles import (fnv1a_64_oracle, sparse_vector_check_oracle, tokenize_oracle,
+                     vectorize_corpus_oracle)
 
 
 def sparse_from_json(text: str) -> textfeat.SparseVector:
@@ -36,6 +39,28 @@ class TestTokenize:
     def test_unicode_letters(self):
         assert textfeat.tokenize("café EXCELENTE, ¡sí!") == ["café", "excelente", "sí"]
 
+    @given(st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_filtered_runs(self, text):
+        assert textfeat.tokenize(text) == tokenize_oracle(text)
+
+
+class TestSparseVector:
+    @given(st.integers(-1, 12),
+           st.one_of(st.lists(st.integers(-2, 14), max_size=6),
+                     st.lists(st.integers(-2, 14), max_size=6, unique=True).map(sorted)),
+           st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_validation_matches_per_element_loop(self, dim, indices, values):
+        def check(fn):
+            try:
+                fn(dim, tuple(indices), tuple(values))
+            except ConfigError as exc:
+                return str(exc)
+            return None
+
+        assert check(textfeat.SparseVector) == check(sparse_vector_check_oracle)
+
 
 class TestStopwords:
     def test_filters_in_order(self):
@@ -63,7 +88,16 @@ class TestFnv1a:
         ],
     )
     def test_reference_vectors(self, data, expected):
-        assert textfeat.fnv1a_64(data) == expected
+        assert fnv1a_64_oracle(data) == expected
+        assert textfeat.hash_tokens([data.decode()]).tolist() == [expected]
+
+    @given(st.lists(st.one_of(st.text(max_size=12),
+                              st.builds(lambda c, k: c * k, st.sampled_from("xé日"),
+                                        st.integers(1334, 4100))), max_size=6))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_scalar_loop(self, tokens):
+        expected = [fnv1a_64_oracle(t.encode("utf-8")) for t in tokens]
+        assert textfeat.hash_tokens(tokens).tolist() == expected
 
 
 class TestHashedTf:
@@ -74,7 +108,7 @@ class TestHashedTf:
 
     def test_counts(self):
         vec = textfeat.hashed_tf(["x", "x", "y"], dim=5000)
-        idx_x = textfeat.fnv1a_64(b"x") % 5000
+        idx_x = fnv1a_64_oracle(b"x") % 5000
         assert dict(zip(vec.indices, vec.values))[idx_x] == 2.0
 
     def test_collision_pair_sums(self):
@@ -84,7 +118,7 @@ class TestHashedTf:
         pair = None
         for code in range(26 * 26):
             token = chr(97 + code // 26) + chr(97 + code % 26)
-            slot = textfeat.fnv1a_64(token.encode()) % dim
+            slot = fnv1a_64_oracle(token.encode()) % dim
             if slot in by_slot and by_slot[slot] != token:
                 pair = (by_slot[slot], token, slot)
                 break
@@ -124,7 +158,7 @@ class TestIdf:
         docs = [textfeat.hashed_tf(["fringe"], dim=50) for _ in range(2)]
         docs += [textfeat.hashed_tf(["plenty"], dim=50) for _ in range(7)]
         model = textfeat.idf_fit(docs, min_doc_freq=3)
-        slot = textfeat.fnv1a_64(b"fringe") % 50
+        slot = fnv1a_64_oracle(b"fringe") % 50
         assert model.doc_freq[slot] == 2
         assert model.idf[slot] == 0.0
         assert textfeat.idf_transform(model, docs[0]).nnz == 0
@@ -238,3 +272,59 @@ class TestPipelineFixture:
         vecs, _ = textfeat.vectorize_corpus(self.docs(), set(), dim=128, min_doc_freq=2)
         for vec in vecs:
             assert sparse_from_json(vec.to_json()) == vec
+
+
+LONG_WORDS = ("k" * 4000, "é" * 2000, "日" * 1334 + "z")  # 4000+ UTF-8 bytes each
+WORDS = ("movie", "film", "the", "and", "café", "señor", "日本語", "жизнь", "x1", "ok")
+STOPWORDS = ("the", "and", "café", "ok", LONG_WORDS[0])
+
+
+@st.composite
+def corpora(draw):
+    """(texts, stoplist, dim, min_doc_freq), dense in collisions and edge cases."""
+    word = st.one_of(st.sampled_from(WORDS), st.text(alphabet="abcéß日ж _-!1", max_size=8))
+    doc = st.one_of(st.just(""), st.lists(word, max_size=12).map(" ".join), st.text(max_size=20))
+    texts = draw(st.lists(doc, max_size=10))
+    if texts and draw(st.integers(0, 19)) == 0:  # long tokens cost ms each; keep them rare
+        where = draw(st.integers(0, len(texts) - 1))
+        texts[where] += " " + draw(st.sampled_from(LONG_WORDS))
+    stoplist = draw(st.one_of(st.none(), st.sets(st.sampled_from(STOPWORDS))))
+    dim = draw(st.one_of(st.sampled_from([1, 2]), st.integers(-2, 40), st.just(5000)))
+    min_doc_freq = draw(st.one_of(st.sampled_from([0, 1, len(texts) + 1]), st.integers(-1, 5)))
+    return texts, stoplist, dim, min_doc_freq
+
+
+def outcome(fn, *args):
+    """Every vector's JSON and the model, or the exception type and message."""
+    try:
+        vectors, model = fn(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+    return [v.to_json() for v in vectors], model, repr(model)
+
+
+class TestVectorizeCorpus:
+    @given(corpora())
+    @example(([], None, 8, 1))
+    @example(([], None, 0, 1))
+    @example((["ab cd"], None, -3, 1))
+    @example((["", ""], None, 2, 0))
+    @example((["the movie", "the film and", ""], {"the", "and"}, 1, 1))
+    @example((list(LONG_WORDS) + [" ".join(LONG_WORDS)], None, 2, 5))
+    @example((["señor 日本語", "жизнь señor"], set(), 0, 1))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_document_oracle(self, case):
+        assert outcome(textfeat.vectorize_corpus, *case) == outcome(vectorize_corpus_oracle, *case)
+
+    def test_tokenizes_each_document_once(self, monkeypatch):
+        calls = []
+        original = textfeat.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(textfeat, "tokenize", counting)
+        texts = ["one two", "", "two three three"]
+        textfeat.vectorize_corpus(texts, {"one"}, 16, 1)
+        assert calls == texts

@@ -2,23 +2,20 @@
 
 Generates a synthetic stand-in for the dense benchmark corpus, trains
 logistic regression, linear SVM, and the MLP on the same train split,
-and prints a comparison table (accuracy, AUC, wall clock) plus holdout
-scores, writing the rows to dense-benchmark.csv.
+scores each on the holdout with ``evaluation.evaluate_split`` and prints
+a comparison table (accuracy, AUC, wall clock), writing the rows to
+dense-benchmark.csv. The wall clock covers fit and holdout prediction.
 
 Usage: python3 scripts/run_dense_benchmark.py [--rows 4000] [--features 400]
 """
 
 import argparse
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from deskbench import dataio, linmodels, mlp
-from deskbench.evaluation import auc_roc, confusion_and_accuracy
+from deskbench import dataio, evaluation, linmodels, mlp
 
 
 def main():
@@ -35,38 +32,23 @@ def main():
     train, test = pool.take(range(cut)), pool.take(range(cut, args.rows))
     print(f"train {train.num_rows} x {train.num_features}, test {test.num_rows}")
 
+    trainers = {
+        "logistic": linmodels.make_trainer("logistic", linmodels.SgdConfig(
+            lambda_=1e-4, epochs_or_iters=5, seed=args.seed)),
+        "svm": linmodels.make_trainer("svm", linmodels.SgdConfig(
+            lambda_=1e-4, epochs_or_iters=5 * train.num_rows, seed=args.seed)),
+        "mlp": mlp.make_trainer(
+            mlp.MlpArchitecture(input_size=args.features, hidden_size=64,
+                                num_hidden_blocks=2, dropout_p=0.2),
+            mlp.MlpTrainConfig(learning_rate=1e-2, epochs=10, batch_size=128,
+                               seed=args.seed)),
+    }
     rows = []
-
-    def record(name, fit, score_of):
-        start = time.perf_counter()
-        model = fit()
-        wall = time.perf_counter() - start
-        scores = score_of(model)
-        # svm scores are margins; the other two emit probabilities
-        preds = (scores >= (0.0 if name == "svm" else 0.5)).astype(int)
-        _, acc = confusion_and_accuracy(test.labels, preds)
-        auc = auc_roc(test.labels, scores)
-        rows.append((name, acc, auc, wall))
-        print(f"{name:10s} acc {acc:.4f}  auc {auc:.4f}  wall {wall:.2f}s")
-
-    sgd = linmodels.SgdConfig(lambda_=1e-4, epochs_or_iters=5, seed=args.seed)
-    record("logistic",
-           lambda: linmodels.train_logistic(train, sgd),
-           lambda m: linmodels.decision_scores(m, test))
-
-    pegasos = linmodels.SgdConfig(lambda_=1e-4, epochs_or_iters=5 * train.num_rows,
-                                  seed=args.seed)
-    record("svm",
-           lambda: linmodels.train_pegasos(train, pegasos),
-           lambda m: linmodels.decision_scores(m, test))
-
-    arch = mlp.MlpArchitecture(input_size=args.features, hidden_size=64,
-                               num_hidden_blocks=2, dropout_p=0.2)
-    cfg = mlp.MlpTrainConfig(learning_rate=1e-2, epochs=10, batch_size=128,
-                             seed=args.seed)
-    record("mlp",
-           lambda: mlp.train(train, arch, cfg)[0],
-           lambda m: mlp.softmax(mlp.forward(m, test.features, mode="eval"))[:, 1])
+    for name, trainer in trainers.items():
+        report = evaluation.evaluate_split(train, test, trainer)
+        rows.append((name, report.accuracy, report.auc_roc, report.wall_clock_s))
+        print(f"{name:10s} acc {report.accuracy:.4f}  auc {report.auc_roc:.4f}  "
+              f"wall {report.wall_clock_s:.2f}s")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from deskbench import prep, textfeat
+from deskbench import prep
 
 TEMPLATES = {
     "1": ("terrible awful broken useless waste", "sadly a bad buy"),
@@ -60,29 +60,8 @@ def main():
     before = prep.class_report(labels)
     show("before", before)
 
-    vectors, _ = textfeat.vectorize_corpus(texts, dim=512, min_doc_freq=1)
-    by_label = {}
-    for i, label in enumerate(labels):
-        by_label.setdefault(label, []).append(i)
-
-    augmenter = prep.SynonymAugmenter()
-    out = []
-    failures = 0
-    for label, _count in before.counts:
-        idx = by_label[label]
-        if len(idx) > args.target:
-            dense = np.stack([vectors[i].to_dense() for i in idx])
-            cfg = prep.RingConfig(args.target, args.rings, args.seed)
-            kept = prep.ring_undersample(dense, cfg)
-            out.extend((texts[idx[j]], label) for j in kept)
-        elif len(idx) < args.target and args.factor > 1:
-            result = prep.augment([(texts[i], label) for i in idx],
-                                  augmenter, args.factor, args.seed)
-            failures += result.failures
-            out.extend(result.items)
-        else:
-            out.extend((texts[i], label) for i in idx)
-
+    out, failures = prep.rebalance(texts, labels, args.target, args.factor, args.rings,
+                                   args.seed, dim=512, min_doc_freq=1)
     after = prep.class_report([label for _, label in out])
     show("after", after)
     print(f"\naugment failures: {failures}")

@@ -64,15 +64,9 @@ def main():
     print(f"imputed via {len(plan.group_means)} context columns, "
           f"global mean {plan.global_mean:.2f}")
 
-    texts = textfeat.all_text_column(frame, ("genre", "director", "description"))
-    vectors, idf = textfeat.vectorize_corpus(texts, dim=args.dim, min_doc_freq=2)
-    gross = frame.column("gross")
-    year = frame.column("year")
-    features = np.stack([
-        textfeat.assemble(vec, [("gross", float(gross[i] or 0.0)),
-                                ("year", float(year[i] or 0.0))]).to_dense()
-        for i, vec in enumerate(vectors)
-    ])
+    features, idf = textfeat.feature_matrix(
+        frame, ("genre", "director", "description"), ("gross", "year"), None,
+        args.dim, min_doc_freq=2)
     labels = np.array([float(v) for v in frame.column("rating")])
     ds = dataio.DenseDataset(labels, features)
     print(f"feature matrix {ds.features.shape}, "

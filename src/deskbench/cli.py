@@ -99,7 +99,10 @@ def merge_params(opts, args, config_data: dict, config_dir: Path) -> dict:
         if raw is None:
             value = opt.default
         else:
-            value = opt.convert(raw)
+            try:
+                value = opt.convert(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value {raw!r} for --{opt.name}: {exc}") from exc
             if from_config and opt.is_path and isinstance(value, str):
                 value = str(config_dir / value)
         if opt.required and value is None:
@@ -440,18 +443,9 @@ def _cmd_pipeline(params, outdir):
     if not text_columns:
         raise ConfigError("no text columns available; pass --text-columns")
     stoplist = textfeat.load_stoplist(params["stoplist"]) if params["stoplist"] else None
-    texts = textfeat.all_text_column(frame, text_columns)
-    vectors, idf_model = textfeat.vectorize_corpus(
-        texts, stoplist, params["dim"], params["min_doc_freq"])
-
     numeric_columns = list(params["numeric_columns"])
-    numeric_values = {name: frame.column(name) for name in numeric_columns}
-    features = np.zeros((frame.num_rows, params["dim"] + len(numeric_columns)))
-    for i, vec in enumerate(vectors):
-        # absent numeric cells contribute 0.0, matching the sparse encoding
-        numerics = [(name, float(numeric_values[name][i] or 0.0))
-                    for name in numeric_columns]
-        features[i] = textfeat.assemble(vec, numerics).to_dense()
+    features, idf_model = textfeat.feature_matrix(
+        frame, text_columns, numeric_columns, stoplist, params["dim"], params["min_doc_freq"])
     labels = np.array([float(v) for v in frame.column(target)])
 
     out_path = outdir / params["out"]
@@ -489,30 +483,9 @@ def _cmd_balance(params, outdir):
     before = prep.class_report(labels)
     (outdir / "class-report-before.csv").write_text(before.to_csv(), encoding="utf-8")
 
-    vectors, _ = textfeat.vectorize_corpus(texts, None, params["dim"], params["min_doc_freq"])
-    by_label: dict = {}
-    for i, label in enumerate(labels):
-        by_label.setdefault(label, []).append(i)
-
-    target = params["target_size"]
-    augmenter = prep.SynonymAugmenter()
-    out_rows = []
-    failures = 0
-    for label, _count in before.counts:
-        idx = by_label[label]
-        if len(idx) > target:
-            dense = np.stack([vectors[i].to_dense() for i in idx])
-            cfg = prep.RingConfig(target, params["rings"], params["seed"])
-            kept = prep.ring_undersample(dense, cfg)
-            out_rows.extend((texts[idx[j]], label) for j in kept)
-        elif len(idx) < target and params["factor"] > 1:
-            result = prep.augment([(texts[i], label) for i in idx], augmenter,
-                                  params["factor"], params["seed"])
-            failures += result.failures
-            out_rows.extend(result.items)
-        else:
-            out_rows.extend((texts[i], label) for i in idx)
-
+    out_rows, failures = prep.rebalance(
+        texts, labels, params["target_size"], params["factor"], params["rings"],
+        params["seed"], params["dim"], params["min_doc_freq"])
     out_frame = dataio.TabularFrame(
         [(text_col, "text"), (label_col, "text")],
         [[text, label] for text, label in out_rows])
@@ -566,7 +539,11 @@ def _cmd_bench_master(params, outdir):
     if algo not in distbench.ALGO_CODES:
         raise ConfigError(f"only {sorted(distbench.ALGO_CODES)} travel the wire")
     if params["worker_ids"]:
-        ids = [int(v) for v in params["worker_ids"]]
+        try:
+            ids = [int(v) for v in params["worker_ids"]]
+        except ValueError as exc:
+            raw = ",".join(params["worker_ids"])
+            raise ConfigError(f"bad value {raw!r} for --worker-ids: {exc}") from exc
     elif params["workers"]:
         ids = list(range(1, params["workers"] + 1))
     else:

@@ -86,25 +86,6 @@ class DatasetManifest:
             obj["seed"] = self.seed
         return json.dumps(obj, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
-        required = {"name", "num_rows", "num_features", "parts", "label_kind"}
-        missing = required - obj.keys()
-        if missing:
-            raise DataFormatError(f"manifest missing keys: {sorted(missing)}")
-        return cls(
-            name=obj["name"],
-            num_rows=obj["num_rows"],
-            num_features=obj["num_features"],
-            parts=list(obj["parts"]),
-            label_kind=obj["label_kind"],
-            seed=obj.get("seed"),
-        )
-
 
 @dataclass
 class TabularFrame:

@@ -5,9 +5,11 @@ exposes ``predict(features) -> np.ndarray``.  Classification predictors may
 additionally expose ``score(features)`` returning real-valued ranking scores;
 when absent the hard predictions are used for AUC ranking.
 
-_evaluate_fold alone decides the task: a fold is a classification when its
-labels are 0/1 and ``predict`` returns integer (or bool) class ids, and a
-regression otherwise, so a float-valued regressor on 0/1 targets gets RMSE.
+``evaluate_split`` trains on one split and scores the other; k-fold CV and
+the dense benchmark script both go through it. It alone decides the task: a
+split is a classification when its labels are 0/1 and ``predict`` returns
+integer (or bool) class ids, and a regression otherwise, so a float-valued
+regressor on 0/1 targets gets RMSE.
 """
 
 from __future__ import annotations
@@ -195,7 +197,8 @@ def average_reports(reports: list[EvalReport]) -> EvalReport:
     return avg
 
 
-def _evaluate_fold(train_ds: DenseDataset, test_ds: DenseDataset, trainer) -> EvalReport:
+def evaluate_split(train_ds: DenseDataset, test_ds: DenseDataset, trainer) -> EvalReport:
+    """Fit trainer on train_ds and score test_ds; wall_clock_s covers fit and predict."""
     start = time.perf_counter()
     predictor = trainer(train_ds)
     predictions = np.asarray(predictor.predict(test_ds.features))
@@ -260,7 +263,7 @@ def kfold_cv(ds: DenseDataset, k: int, trainer, seed: int) -> tuple[list[EvalRep
         mask[fold] = False
         train_ds = ds.take(np.flatnonzero(mask))
         test_ds = ds.take(np.sort(fold))
-        reports[i] = _evaluate_fold(train_ds, test_ds, trainer)
+        reports[i] = evaluate_split(train_ds, test_ds, trainer)
     done = [r for r in reports if r is not None]
     return done, average_reports(done)
 

@@ -114,25 +114,6 @@ def _batch_gradient(kind, Xb, yb, cb, w, b, lambda_):
     return lambda_ * w - Xb.T @ signed / yb.size, -float(np.mean(signed))
 
 
-def logistic_loss_and_grad(w, b, features, y01, lambda_, example_weights=None):
-    """Weighted mean cross-entropy plus (lambda/2)||w||^2; bias unregularized.
-
-    Returns (loss, grad_w, grad_b); the gradient is the one sgd_epoch
-    steps along. Exposed so tests can check it against central finite
-    differences.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(y01, dtype=np.float64)
-    c = np.ones(y.size) if example_weights is None else np.asarray(example_weights)
-    z = X @ w + b
-    # stable softplus(z) - y*z
-    ce = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
-    loss = float(np.mean(c * ce) + 0.5 * lambda_ * np.dot(w, w))
-    grad_w, grad_b = _batch_gradient("logistic", X, y, c, w, b, lambda_)
-    return loss, grad_w, grad_b
-
-
 def sgd_epoch(kind: str, w: np.ndarray, b: float, features, y01, lambda_: float,
               lr: float, batch_size: int, rng, example_weights=None) -> float:
     """One constant-rate mini-batch pass over rng.permutation(n).
@@ -215,16 +196,6 @@ def train_pegasos(ds: DenseDataset, cfg: SgdConfig, step_hook=None) -> LinearMod
             step_hook(t, w)
     count = T - suffix_start + 1
     return LinearModel(weights=w_sum / count, bias=b_sum / count, kind="svm")
-
-
-def svm_objective(model: LinearModel, ds: DenseDataset, lambda_, class_weights=None) -> float:
-    """Primal objective: (lambda/2)||w||^2 + weighted mean hinge loss."""
-    y01, X = _require_binary(ds)
-    c = _example_weights(y01, class_weights)
-    y = np.where(y01 == 1, 1.0, -1.0)
-    margins = y * (X @ model.weights + model.bias)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return float(0.5 * lambda_ * np.dot(model.weights, model.weights) + np.mean(c * hinge))
 
 
 def decision_scores(model: LinearModel, ds: DenseDataset) -> np.ndarray:

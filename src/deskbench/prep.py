@@ -3,13 +3,15 @@
 Covers the cleanup stages that run before feature extraction: filling
 missing numeric cells from categorical context, removing spam/duplicate
 text rows, distance-ring undersampling of majority classes, paraphrase
-augmentation of minority classes, and small reporting helpers.
+augmentation of minority classes, the ``rebalance`` flow that combines
+those two, and small reporting helpers.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textfeat
 from .dataio import NUMBER, TEXT, TabularFrame
 from .errors import ConfigError, DataFormatError
 
@@ -337,3 +339,41 @@ def class_report(labels) -> ClassReport:
         counts[key] = counts.get(key, 0) + 1
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
     return ClassReport(ordered, sum(counts.values()))
+
+
+# ---------------------------------------------------------------------------
+# class rebalancing
+
+
+def rebalance(texts, labels, target_size: int, factor: int, num_rings: int, seed: int,
+              dim: int, min_doc_freq: int) -> tuple[list, int]:
+    """Bring each class toward target_size: ((text, label) rows, augment failures).
+
+    Classes go in class_report order. One above the target is ring-undersampled
+    on its hashed TF-IDF vectors (densified one class at a time), one below it
+    is synonym-augmented when factor > 1, any other is kept. Bad parameters
+    fail before the corpus is vectorized.
+    """
+    if factor < 1:
+        raise ConfigError("factor must be >= 1")
+    cfg = RingConfig(target_size, num_rings, seed)
+    vectors, _ = textfeat.vectorize_corpus(texts, None, dim, min_doc_freq)
+    by_label: dict = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+
+    augmenter = SynonymAugmenter()
+    rows = []
+    failures = 0
+    for label, _count in class_report(labels).counts:
+        idx = by_label[label]
+        if len(idx) > target_size:
+            dense = np.stack([vectors[i].to_dense() for i in idx])
+            rows.extend((texts[idx[j]], label) for j in ring_undersample(dense, cfg))
+        elif len(idx) < target_size and factor > 1:
+            result = augment([(texts[i], label) for i in idx], augmenter, factor, seed)
+            failures += result.failures
+            rows.extend(result.items)
+        else:
+            rows.extend((texts[i], label) for i in idx)
+    return rows, failures

@@ -1,6 +1,6 @@
 """Text feature pipeline: tokenization, stopwords, hashed term frequencies,
-smoothed IDF with a document-frequency cutoff, vector assembly, and a
-lexicon polarity tagger.
+smoothed IDF with a document-frequency cutoff, vector assembly into a dense
+feature matrix (``feature_matrix``), and a lexicon polarity tagger.
 
 ``vectorize_corpus`` weights a whole corpus in one array pass: tokens map to
 vocabulary ids as each document is tokenized, every distinct token is hashed
@@ -260,3 +260,19 @@ def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
     bounds = indptr.tolist()
     return [SparseVector(dim, tuple(indices[a:b]), tuple(values[a:b]))
             for a, b in zip(bounds[:-1], bounds[1:])], model
+
+
+def feature_matrix(frame: TabularFrame, text_columns, numeric_columns,
+                   stoplist: set[str] | None, dim: int,
+                   min_doc_freq: int) -> tuple[np.ndarray, IdfModel]:
+    """(features, IdfModel): per frame row, the hashed TF-IDF block of the joined
+    text columns, then the numeric columns in order (a missing cell is 0.0)."""
+    texts = all_text_column(frame, text_columns)
+    vectors, model = vectorize_corpus(texts, stoplist, dim, min_doc_freq)
+    columns = [frame.column(name) for name in numeric_columns]
+    features = np.zeros((frame.num_rows, dim + len(numeric_columns)))
+    for i, vec in enumerate(vectors):
+        numerics = [(name, float(column[i] or 0.0))
+                    for name, column in zip(numeric_columns, columns)]
+        features[i] = assemble(vec, numerics).to_dense()
+    return features, model

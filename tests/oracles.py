@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 
+from deskbench import prep, textfeat
 from deskbench.dataio import LABEL_MAPS, DenseDataset, _parse_label, _text_lines
 from deskbench.errors import ConfigError, DataFormatError
 from deskbench.evaluation import _as_int_labels
@@ -37,6 +38,13 @@ def batch_pegasos_oracle(ds, lambda_, steps=50_000):
         if obj < best:
             best = obj
     return best
+
+
+def svm_objective(model, ds, lambda_):
+    """Primal SVM objective: (lambda/2)||w||^2 + mean hinge loss on +-1 labels."""
+    y = np.where(ds.labels == 1.0, 1.0, -1.0)
+    hinge = np.maximum(0.0, 1.0 - y * (ds.features @ model.weights + model.bias))
+    return float(0.5 * lambda_ * np.dot(model.weights, model.weights) + np.mean(hinge))
 
 
 def brute_force_best_split(X, g, lambda_, gamma, min_child_weight):
@@ -329,3 +337,43 @@ def vectorize_corpus_oracle(texts, stoplist=None, dim=5000, min_doc_freq=3):
         pairs = [(i, w) for i, w in pairs if w != 0.0]
         out.append(SparseVector(dim, tuple(i for i, _ in pairs), tuple(w for _, w in pairs)))
     return out, model
+
+
+def rebalance_oracle(texts, labels, target_size, factor, num_rings, seed, dim, min_doc_freq):
+    """The balance loop as `deskbench balance` wrote it inline: vectorize the
+    corpus, then per class (largest first) ring-undersample, augment or keep."""
+    vectors, _ = textfeat.vectorize_corpus(texts, None, dim, min_doc_freq)
+    by_label = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    augmenter = prep.SynonymAugmenter()
+    out_rows = []
+    failures = 0
+    for label, _count in prep.class_report(labels).counts:
+        idx = by_label[label]
+        if len(idx) > target_size:
+            dense = np.stack([vectors[i].to_dense() for i in idx])
+            cfg = prep.RingConfig(target_size, num_rings, seed)
+            kept = prep.ring_undersample(dense, cfg)
+            out_rows.extend((texts[idx[j]], label) for j in kept)
+        elif len(idx) < target_size and factor > 1:
+            result = prep.augment([(texts[i], label) for i in idx], augmenter, factor, seed)
+            failures += result.failures
+            out_rows.extend(result.items)
+        else:
+            out_rows.extend((texts[i], label) for i in idx)
+    return out_rows, failures
+
+
+def feature_matrix_oracle(frame, text_columns, numeric_columns, stoplist, dim, min_doc_freq):
+    """The feature matrix as `deskbench pipeline` built it inline: one
+    assembled sparse row per document, densified into a preallocated matrix."""
+    texts = textfeat.all_text_column(frame, text_columns)
+    vectors, idf_model = textfeat.vectorize_corpus(texts, stoplist, dim, min_doc_freq)
+    numeric_columns = list(numeric_columns)
+    numeric_values = {name: frame.column(name) for name in numeric_columns}
+    features = np.zeros((frame.num_rows, dim + len(numeric_columns)))
+    for i, vec in enumerate(vectors):
+        numerics = [(name, float(numeric_values[name][i] or 0.0)) for name in numeric_columns]
+        features[i] = textfeat.assemble(vec, numerics).to_dense()
+    return features, idf_model

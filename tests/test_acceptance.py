@@ -19,7 +19,7 @@ from deskbench.dataio import DenseDataset, TabularFrame, generate_synthetic
 from deskbench.distbench import bench, codec
 from deskbench.errors import ProtocolError
 
-from oracles import auc_pair_oracle, brute_force_best_split
+from oracles import auc_pair_oracle, brute_force_best_split, svm_objective
 from test_distbench import run_cluster
 
 
@@ -99,7 +99,7 @@ def test_criterion_03_pegasos_near_convex_oracle(pegasos_oracle_case):
     start = time.perf_counter()
     model = linmodels.train_pegasos(
         ds, linmodels.SgdConfig(lambda_=lam, epochs_or_iters=100_000, seed=7))
-    achieved = linmodels.svm_objective(model, ds, lam)
+    achieved = svm_objective(model, ds, lam)
     elapsed = time.perf_counter() - start
     _check(3, f"primal objective {achieved:.5f} vs oracle {oracle:.5f} "
               f"({achieved / oracle - 1:+.2%})",

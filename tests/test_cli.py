@@ -374,6 +374,17 @@ class TestBalance:
             rows = list(csv.reader(handle))
         assert len(rows) == 1 + 24
 
+    @pytest.mark.parametrize("flag, value", [("factor", 0), ("factor", -3), ("rings", 0)])
+    def test_bad_parameter_is_usage_error(self, tmp_path, capsys, flag, value):
+        raw = tmp_path / "three.csv"
+        raw.write_text("text,label\ngood movie,a\nbad food,b\nquiet place,c\n",
+                       encoding="utf-8")
+        rc = run_cli("balance", "--data", raw, "--target-size", 5, f"--{flag}", value,
+                     "--outdir", tmp_path / "out")
+        assert rc == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "out" / "balanced.csv").exists()
+
 
 class TestConfigFile:
     def test_flags_override_and_paths_resolve(self, tmp_path, dense_csv):
@@ -448,6 +459,32 @@ class TestExitCodes:
         bad.write_text("1 not,numeric\n", encoding="utf-8")
         assert run_cli("cv", "--algo", "logreg", "--data", bad,
                        "--outdir", tmp_path) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("gen", "--rows", "abc", "--features", 3, "--out", "g.csv"), "--rows"),
+        (("cv", "--algo", "logreg", "--data", "DATA", "--k", "two"), "--k"),
+        (("bench-master", "--worker-ids", "a,b", "--algo", "logistic", "--rounds", 1),
+         "--worker-ids"),
+    ])
+    def test_malformed_flag_value_is_usage_error(self, tmp_path, dense_csv, capsys, argv, flag):
+        argv = [dense_csv if arg == "DATA" else arg for arg in argv]
+        assert run_cli(*argv, "--outdir", tmp_path) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+
+    def test_malformed_config_value_is_usage_error(self, tmp_path, dense_csv, capsys):
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps({"algo": "logreg", "data": str(dense_csv), "k": "x"}),
+                       encoding="utf-8")
+        assert run_cli("cv", "--config", cfg, "--outdir", tmp_path) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--k" in err[0] and "'x'" in err[0]
+
+    def test_worker_ids_recorded_as_given(self, tmp_path):
+        assert run_cli("bench-master", "--worker-ids", "a,b", "--algo", "logistic",
+                       "--rounds", 1, "--outdir", tmp_path) == 1
+        eff = json.loads((tmp_path / "effective-config.json").read_text())
+        assert eff["worker_ids"] == ["a", "b"]
 
     def test_unreachable_master(self, tmp_path, dense_csv):
         # grab a port nothing listens on

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskbench.dataio import NUMBER, TEXT, TabularFrame
@@ -21,8 +21,11 @@ from deskbench.prep import (
     impute_apply,
     impute_fit,
     normalize_year,
+    rebalance,
     ring_undersample,
 )
+
+from oracles import rebalance_oracle
 
 
 def movie_frame():
@@ -413,3 +416,56 @@ class TestClassReport:
     def test_empty(self):
         report = class_report([])
         assert report == ClassReport([], 0)
+
+
+REVIEW_WORDS = ("good", "bad", "movie", "food", "service", "place", "quiet", "the", "x")
+
+
+@st.composite
+def balance_cases(draw):
+    """(texts, labels, target, factor, rings, seed, dim, min_doc_freq): a few
+    classes on both sides of the target, empty texts, synonym-table words."""
+    text = st.one_of(st.just(""), st.lists(st.sampled_from(REVIEW_WORDS), max_size=6).map(" ".join))
+    rows = draw(st.lists(st.tuples(text, st.sampled_from("abc")), max_size=14))
+    texts = [t for t, _ in rows]
+    labels = [label for _, label in rows]
+    return (texts, labels, draw(st.integers(0, 6)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 4)), draw(st.integers(0, 3)),
+            draw(st.sampled_from([1, 2, 16])), draw(st.integers(0, 3)))
+
+
+def balance_outcome(fn, *args):
+    """(rows, failures), or the exception type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+
+
+class TestRebalance:
+    @given(balance_cases())
+    @example(([], [], 2, 2, 3, 0, 2, 1))
+    @example(([""] * 5 + ["good movie"] * 2, ["a"] * 5 + ["b"] * 2, 3, 3, 2, 1, 1, 0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_inline_loop(self, case):
+        assert balance_outcome(rebalance, *case) == balance_outcome(rebalance_oracle, *case)
+
+    def test_classes_above_at_and_below_target(self):
+        texts = [f"good movie {i}" for i in range(7)] + ["bad food"] * 3 + ["quiet place"]
+        labels = ["big"] * 7 + ["at"] * 3 + ["small"]
+        rows, failures = rebalance(texts, labels, 3, 3, 2, 0, 16, 1)
+        assert [label for _, label in rows] == ["big"] * 3 + ["at"] * 3 + ["small"] * 3
+        assert failures == 0
+
+    @pytest.mark.parametrize("factor, rings, message", [
+        (0, 10, "factor must be >= 1"),
+        (-3, 10, "factor must be >= 1"),
+        (2, 0, "num_rings must be >= 1"),
+    ])
+    def test_bad_parameters_fail_before_vectorizing(self, monkeypatch, factor, rings, message):
+        def unreachable(*args):
+            raise AssertionError("vectorized despite bad parameters")
+
+        monkeypatch.setattr("deskbench.textfeat.vectorize_corpus", unreachable)
+        with pytest.raises(ConfigError, match=message):
+            rebalance(["good", "bad", "movie"], ["a", "b", "c"], 5, factor, rings, 0, 8, 1)

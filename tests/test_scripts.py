@@ -1,0 +1,60 @@
+"""Smoke tests for the demos in scripts/: each runs in-process and its outputs
+must keep the bytes (or, where they hold wall-clock times, the columns) that
+were pinned when the flows moved into library functions."""
+
+import csv
+import hashlib
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, outdir, *args):
+    monkeypatch.setattr(sys, "argv", [name, "--outdir", str(outdir), *map(str, args)])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # each script prepends src/
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_polarity_balance(monkeypatch, tmp_path):
+    run_script(monkeypatch, "run_polarity_balance.py", tmp_path)
+    assert sha256(tmp_path / "class-report-before.csv") == \
+        "5ae707e251a3fa3db6c7f0ee099400a4db52c5e28eea66a18ddb66e618e2896a"
+    assert sha256(tmp_path / "class-report-after.csv") == \
+        "f45e1b83b97a5bb95e26153f81366395b593dc5b022f8f6f1dc86e9962fa3632"
+
+
+def test_rating_pipeline(monkeypatch, tmp_path):
+    run_script(monkeypatch, "run_rating_pipeline.py", tmp_path)
+    assert sha256(tmp_path / "features.csv") == \
+        "88025c3ed1284f52603cdac3653ce8e0db90f0bd39985f01eac6583013904bf4"
+    with open(tmp_path / "rating-cv.csv", newline="", encoding="utf-8") as handle:
+        assert [row[0] for row in csv.reader(handle)][1:] == \
+            ["fold-0", "fold-1", "fold-2", "fold-3", "fold-4", "cv-average"]
+
+
+def test_dense_benchmark(monkeypatch, tmp_path):
+    run_script(monkeypatch, "run_dense_benchmark.py", tmp_path, "--rows", 800, "--features", 60)
+    with open(tmp_path / "dense-benchmark.csv", newline="", encoding="utf-8") as handle:
+        rows = [row[:3] for row in csv.reader(handle)]
+    assert rows == [
+        ["algorithm", "accuracy", "auc_roc"],
+        ["logistic", "0.8812", "0.9569"],
+        ["svm", "0.8313", "0.9055"],
+        ["mlp", "0.8688", "0.9547"],
+    ]
+
+
+def test_distributed_demo(monkeypatch, tmp_path):
+    run_script(monkeypatch, "run_distributed_demo.py", tmp_path,
+               "--rows", 600, "--features", 20, "--rounds", 3)
+    lines = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert lines[0] == "algorithm,mode,wall_clock_s,auc_roc,speedup"
+    assert [line.split(",")[:2] for line in lines[1:3]] == \
+        [["logistic", "local"], ["logistic", "distributed"]]
+    assert len(lines) == 4 and lines[3].startswith("#")

@@ -9,8 +9,8 @@ from deskbench import textfeat
 from deskbench.dataio import TabularFrame
 from deskbench.errors import ConfigError, DataFormatError
 
-from oracles import (fnv1a_64_oracle, sparse_vector_check_oracle, tokenize_oracle,
-                     vectorize_corpus_oracle)
+from oracles import (feature_matrix_oracle, fnv1a_64_oracle, sparse_vector_check_oracle,
+                     tokenize_oracle, vectorize_corpus_oracle)
 
 
 def sparse_from_json(text: str) -> textfeat.SparseVector:
@@ -328,3 +328,52 @@ class TestVectorizeCorpus:
         texts = ["one two", "", "two three three"]
         textfeat.vectorize_corpus(texts, {"one"}, 16, 1)
         assert calls == texts
+
+
+@st.composite
+def feature_cases(draw):
+    """(frame, text_columns, numeric_columns, stoplist, dim, min_doc_freq) with
+    missing, zero and non-finite numeric cells."""
+    n = draw(st.integers(0, 6))
+    text = st.one_of(st.none(), st.just(""), st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join))
+    number = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.5, 1e300]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    cells = [[draw(text), draw(text), draw(number), draw(number)] for _ in range(n)]
+    if cells and draw(st.integers(0, 4)) == 0:
+        cells[draw(st.integers(0, n - 1))][draw(st.sampled_from([2, 3]))] = float("inf")
+    frame = TabularFrame([("t1", "text"), ("t2", "text"), ("n1", "number"), ("n2", "number")],
+                         cells)
+    text_columns = draw(st.sampled_from([("t1",), ("t2", "t1"), ("t1", "t2")]))
+    numeric_columns = draw(st.sampled_from([(), ("n1",), ("n2", "n1"), ("n1", "n1")]))
+    stoplist = draw(st.one_of(st.none(), st.sets(st.sampled_from(STOPWORDS[:4]))))
+    return (frame, text_columns, numeric_columns, stoplist,
+            draw(st.sampled_from([1, 2, 16])), draw(st.integers(0, 3)))
+
+
+def matrix_outcome(fn, *args):
+    """The matrix bytes and shape and the model, or the exception type and message."""
+    try:
+        features, model = fn(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+    return features.tobytes(), features.shape, model
+
+
+class TestFeatureMatrix:
+    @given(feature_cases())
+    @example((TabularFrame([("t1", "text"), ("n1", "number")], []), ("t1",), ("n1",), None, 2, 1))
+    @example((TabularFrame([("t1", "text"), ("n1", "number")],
+                           [["the movie", None], ["film", 0.0], ["", float("inf")]]),
+              ("t1",), ("n1",), {"the"}, 1, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_oracle(self, case):
+        assert matrix_outcome(textfeat.feature_matrix, *case) == \
+            matrix_outcome(feature_matrix_oracle, *case)
+
+    def test_text_block_then_numeric_columns(self):
+        frame = TabularFrame([("t", "text"), ("year", "number"), ("gross", "number")],
+                             [["movie film", 0.5, None], ["movie", None, 2.0]])
+        features, model = textfeat.feature_matrix(frame, ("t",), ("gross", "year"), None, 4, 1)
+        assert features.shape == (2, 6)
+        assert features[:, 4:].tolist() == [[0.0, 0.5], [2.0, 0.0]]
+        assert model.num_docs == 2

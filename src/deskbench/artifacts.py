@@ -1,10 +1,11 @@
 """Model artifact serialization.
 
-Every trained model serializes to a JSON document carrying a kind tag,
-the parameters, the training config, and the seed, so a run can be
-reproduced or a model shipped over the wire. Weight vectors are base64
-of little-endian 8-byte floats; gradient-boosted trees are nested
-preorder dicts.
+Every trained model serializes, through model_artifact, to a JSON
+document: a common header (kind tag, feature count, the training config
+and its seed, so a run can be reproduced or a model shipped over the
+wire) plus the parameters of its kind. Weight vectors are base64 of
+little-endian 8-byte floats; MLP hidden blocks carry the BLOCK_FIELDS;
+gradient-boosted trees are nested preorder dicts.
 """
 
 import base64
@@ -43,76 +44,41 @@ def b64_to_f64(text: str, shape=None) -> np.ndarray:
     return arr
 
 
-def _config_dict(config):
-    if config is None:
-        return None
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        return dataclasses.asdict(config)
-    return dict(config)
+# MLP hidden-block fields and their shapes, by "fan_in" and "hidden" size
+BLOCK_FIELDS = {"w": ("fan_in", "hidden"), "b": ("hidden",), "gamma": ("hidden",),
+                "beta": ("hidden",), "run_mean": ("hidden",), "run_var": ("hidden",)}
 
 
-def _seed_of(config, seed):
-    if seed is not None:
-        return int(seed)
-    cfg = _config_dict(config)
-    if cfg and "seed" in cfg:
-        return int(cfg["seed"])
-    return None
+def model_artifact(model, config=None) -> dict:
+    """Serialize any trained model to its artifact dict, by type.
 
-
-def linear_artifact(model: LinearModel, config=None, seed=None) -> dict:
-    return {
-        "kind": model.kind,
-        "num_features": int(model.num_features),
-        "weights_b64": f64_to_b64(model.weights),
-        "bias": float(model.bias),
-        "config": _config_dict(config),
-        "seed": _seed_of(config, seed),
-    }
-
-
-def mlp_artifact(model: MlpModel, config=None, seed=None) -> dict:
-    blocks = []
-    for block in model.blocks:
-        blocks.append({name: f64_to_b64(block[name])
-                       for name in ("w", "b", "gamma", "beta", "run_mean", "run_var")})
-    layers = {
-        "blocks": blocks,
-        "out_w": f64_to_b64(model.out_w),
-        "out_b": f64_to_b64(model.out_b),
-        "bn_eps": model.bn_eps,
-        "bn_momentum": model.bn_momentum,
-    }
-    return {
-        "kind": "mlp",
-        "num_features": int(model.arch.input_size),
-        "arch": dataclasses.asdict(model.arch),
-        "layers": layers,
-        "config": _config_dict(config),
-        "seed": _seed_of(config, seed),
-    }
-
-
-def gbt_artifact(model: GbtModel, config=None, seed=None) -> dict:
-    return {
-        "kind": "gbt",
-        "num_features": int(model.num_features),
-        "base_score": float(model.base_score),
-        "trees": model.trees,
-        "config": _config_dict(config),
-        "seed": _seed_of(config, seed),
-    }
-
-
-def model_artifact(model, config=None, seed=None) -> dict:
-    """Serialize any trained model to its artifact dict, by type."""
+    config is the training config dataclass or None; the artifact stores
+    it as a dict, and its seed field, when it has one, as the seed.
+    """
     if isinstance(model, LinearModel):
-        return linear_artifact(model, config, seed)
-    if isinstance(model, MlpModel):
-        return mlp_artifact(model, config, seed)
-    if isinstance(model, GbtModel):
-        return gbt_artifact(model, config, seed)
-    raise DataFormatError(f"cannot serialize model of type {type(model).__name__}")
+        kind, num_features = model.kind, model.num_features
+        body = {"weights_b64": f64_to_b64(model.weights), "bias": float(model.bias)}
+    elif isinstance(model, MlpModel):
+        kind, num_features = "mlp", model.arch.input_size
+        blocks = [{name: f64_to_b64(block[name]) for name in BLOCK_FIELDS}
+                  for block in model.blocks]
+        layers = {
+            "blocks": blocks,
+            "out_w": f64_to_b64(model.out_w),
+            "out_b": f64_to_b64(model.out_b),
+            "bn_eps": model.bn_eps,
+            "bn_momentum": model.bn_momentum,
+        }
+        body = {"arch": dataclasses.asdict(model.arch), "layers": layers}
+    elif isinstance(model, GbtModel):
+        kind, num_features = "gbt", model.num_features
+        body = {"base_score": float(model.base_score), "trees": model.trees}
+    else:
+        raise DataFormatError(f"cannot serialize model of type {type(model).__name__}")
+    cfg = None if config is None else dataclasses.asdict(config)
+    seed = cfg.get("seed") if cfg else None
+    return {"kind": kind, "num_features": int(num_features), **body,
+            "config": cfg, "seed": None if seed is None else int(seed)}
 
 
 def _check_tree(node, num_features):
@@ -144,14 +110,9 @@ def artifact_to_model(artifact: dict):
         blocks = []
         fan_in = arch.input_size
         for encoded in layers["blocks"]:
-            blocks.append({
-                "w": b64_to_f64(encoded["w"], (fan_in, arch.hidden_size)),
-                "b": b64_to_f64(encoded["b"], (arch.hidden_size,)),
-                "gamma": b64_to_f64(encoded["gamma"], (arch.hidden_size,)),
-                "beta": b64_to_f64(encoded["beta"], (arch.hidden_size,)),
-                "run_mean": b64_to_f64(encoded["run_mean"], (arch.hidden_size,)),
-                "run_var": b64_to_f64(encoded["run_var"], (arch.hidden_size,)),
-            })
+            dims = {"fan_in": fan_in, "hidden": arch.hidden_size}
+            blocks.append({name: b64_to_f64(encoded[name], tuple(dims[d] for d in shape))
+                           for name, shape in BLOCK_FIELDS.items()})
             fan_in = arch.hidden_size
         if len(blocks) != arch.num_hidden_blocks:
             raise DataFormatError("block count does not match architecture")

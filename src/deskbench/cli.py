@@ -60,12 +60,7 @@ class Opt:
 
 def json_value(raw):
     """Flags carry JSON text; config files may hold the object directly."""
-    if isinstance(raw, str):
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON value: {exc}") from exc
-    return raw
+    return json.loads(raw) if isinstance(raw, str) else raw
 
 
 def csv_names(raw) -> tuple:

@@ -7,7 +7,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,15 +75,9 @@ class DatasetManifest:
             raise ConfigError(f"bad label_kind: {self.label_kind!r}")
 
     def to_json(self) -> str:
-        obj = {
-            "name": self.name,
-            "num_rows": self.num_rows,
-            "num_features": self.num_features,
-            "parts": list(self.parts),
-            "label_kind": self.label_kind,
-        }
-        if self.seed is not None:
-            obj["seed"] = self.seed
+        obj = asdict(self)
+        if self.seed is None:
+            del obj["seed"]
         return json.dumps(obj, indent=2)
 
 

@@ -1,16 +1,10 @@
 """Wire protocol codec for master-worker training.
 
 Frame layout (bit-exact): 4-byte big-endian unsigned payload length,
-then payload = 1 type byte + body. Types:
-
-  0x00 ERROR  {utf-8 message}
-  0x01 HELLO  {worker_id: u32 BE, num_rows: u64 BE, num_features: u32 BE}
-  0x02 CONFIG {algo: u8, round_count: u32 BE, seed: u64 BE,
-               lambda: f64 LE, lr: f64 LE}
-  0x03 PARAMS {round: u32 BE, count: u32 BE, count floats f64 LE}
-  0x04 UPDATE {round: u32 BE, sample_count: u64 BE, count: u32 BE,
-               count floats f64 LE}
-  0x05 DONE   {}
+then payload = 1 type byte + body. ``LAYOUTS`` describes each type's
+body once, and both directions read it: fixed-size struct segments in
+order, then an optional tail of ``count`` little-endian f64s (FLOATS)
+or utf-8 text (TEXT).
 
 Frames above 64 MiB are a protocol error on both ends. unpack() raises
 ProtocolError on any malformed payload, never anything else.
@@ -33,18 +27,24 @@ T_PARAMS = 0x03
 T_UPDATE = 0x04
 T_DONE = 0x05
 
-TYPE_NAMES = {
-    T_ERROR: "error", T_HELLO: "hello", T_CONFIG: "config",
-    T_PARAMS: "params", T_UPDATE: "update", T_DONE: "done",
+FLOATS = "floats"  # tail of `count` f64 LE, decoded as "values"
+TEXT = "text"      # tail of utf-8 text, decoded as "message"
+
+# type byte -> (kind, ((struct format, field names), ...), tail)
+LAYOUTS = {
+    T_ERROR: ("error", (), TEXT),
+    T_HELLO: ("hello", ((">IQI", ("worker_id", "num_rows", "num_features")),), None),
+    T_CONFIG: ("config", ((">BIQ", ("algo", "round_count", "seed")),
+                          ("<dd", ("lambda_", "lr"))), None),
+    T_PARAMS: ("params", ((">II", ("round", "count")),), FLOATS),
+    T_UPDATE: ("update", ((">IQI", ("round", "sample_count", "count")),), FLOATS),
+    T_DONE: ("done", (), None),
 }
+
+TYPE_NAMES = {ftype: layout[0] for ftype, layout in LAYOUTS.items()}
 
 ALGO_CODES = {"logistic": 1, "svm": 2}
 ALGO_NAMES = {code: name for name, code in ALGO_CODES.items()}
-
-_HELLO_FMT = ">IQI"     # worker_id, num_rows, num_features
-_CONFIG_HEAD = ">BIQ"   # algo, round_count, seed
-_PARAMS_HEAD = ">II"    # round, count
-_UPDATE_HEAD = ">IQI"   # round, sample_count, count
 
 
 @dataclass
@@ -61,20 +61,29 @@ def frame_size(body_len: int) -> int:
     return HEADER_SIZE + 1 + body_len
 
 
+def _fixed_size(ftype: int) -> int:
+    """Body bytes of a frame type before its tail."""
+    return sum(struct.calcsize(fmt) for fmt, _ in LAYOUTS[ftype][1])
+
+
 def params_frame_size(count: int) -> int:
-    return frame_size(struct.calcsize(_PARAMS_HEAD) + 8 * count)
+    return frame_size(_fixed_size(T_PARAMS) + 8 * count)
 
 
 def update_frame_size(count: int) -> int:
-    return frame_size(struct.calcsize(_UPDATE_HEAD) + 8 * count)
+    return frame_size(_fixed_size(T_UPDATE) + 8 * count)
 
 
-HELLO_FRAME_SIZE = frame_size(struct.calcsize(_HELLO_FMT))
-CONFIG_FRAME_SIZE = frame_size(struct.calcsize(_CONFIG_HEAD) + 16)
-DONE_FRAME_SIZE = frame_size(0)
+HELLO_FRAME_SIZE = frame_size(_fixed_size(T_HELLO))
+CONFIG_FRAME_SIZE = frame_size(_fixed_size(T_CONFIG))
+DONE_FRAME_SIZE = frame_size(_fixed_size(T_DONE))
 
 
-def _frame(payload: bytes) -> bytes:
+def _pack(ftype: int, tail: bytes = b"", **fields) -> bytes:
+    """Length header, type byte, each segment's fields, then the tail bytes."""
+    payload = bytes([ftype]) + b"".join(
+        struct.pack(fmt, *(fields[name] for name in names))
+        for fmt, names in LAYOUTS[ftype][1]) + tail
     if len(payload) > MAX_FRAME:
         raise ProtocolError(f"frame payload {len(payload)} exceeds {MAX_FRAME} bytes")
     return struct.pack(">I", len(payload)) + payload
@@ -88,44 +97,33 @@ def _floats_le(values) -> bytes:
 
 
 def pack_hello(worker_id: int, num_rows: int, num_features: int) -> bytes:
-    body = struct.pack(_HELLO_FMT, worker_id, num_rows, num_features)
-    return _frame(bytes([T_HELLO]) + body)
+    return _pack(T_HELLO, worker_id=worker_id, num_rows=num_rows, num_features=num_features)
 
 
 def pack_config(algo: str, round_count: int, seed: int, lambda_: float, lr: float) -> bytes:
     if algo not in ALGO_CODES:
         raise ProtocolError(f"unknown algorithm {algo!r}")
-    body = struct.pack(_CONFIG_HEAD, ALGO_CODES[algo], round_count, seed)
-    body += struct.pack("<dd", lambda_, lr)
-    return _frame(bytes([T_CONFIG]) + body)
+    return _pack(T_CONFIG, algo=ALGO_CODES[algo], round_count=round_count, seed=seed,
+                 lambda_=lambda_, lr=lr)
 
 
 def pack_params(round_: int, values) -> bytes:
     floats = _floats_le(values)
-    body = struct.pack(_PARAMS_HEAD, round_, len(floats) // 8) + floats
-    return _frame(bytes([T_PARAMS]) + body)
+    return _pack(T_PARAMS, floats, round=round_, count=len(floats) // 8)
 
 
 def pack_update(round_: int, sample_count: int, values) -> bytes:
     floats = _floats_le(values)
-    body = struct.pack(_UPDATE_HEAD, round_, sample_count, len(floats) // 8) + floats
-    return _frame(bytes([T_UPDATE]) + body)
+    return _pack(T_UPDATE, floats, round=round_, sample_count=sample_count,
+                 count=len(floats) // 8)
 
 
 def pack_done() -> bytes:
-    return _frame(bytes([T_DONE]))
+    return _pack(T_DONE)
 
 
 def pack_error(message: str) -> bytes:
-    return _frame(bytes([T_ERROR]) + message.encode("utf-8"))
-
-
-def _parse_floats(body: bytes, offset: int, count: int, wire_size: int, kind: str) -> Frame:
-    expected = offset + 8 * count
-    if len(body) != expected:
-        raise ProtocolError(f"{kind} frame has {len(body)} body bytes, expected {expected}")
-    values = np.frombuffer(body, dtype="<f8", count=count, offset=offset).astype(np.float64)
-    return Frame(kind, {"count": count, "values": values}, wire_size)
+    return _pack(T_ERROR, message.encode("utf-8"))
 
 
 def unpack(payload: bytes) -> Frame:
@@ -135,48 +133,33 @@ def unpack(payload: bytes) -> Frame:
     if not payload:
         raise ProtocolError("empty frame payload")
     ftype, body = payload[0], payload[1:]
-    wire = frame_size(len(body))
+    if ftype not in LAYOUTS:
+        raise ProtocolError(f"unknown frame type 0x{ftype:02x}")
+    kind, segments, tail = LAYOUTS[ftype]
+    data, offset = {}, 0
     try:
-        if ftype == T_HELLO:
-            wid, rows, feats = struct.unpack(_HELLO_FMT, body)
-            return Frame("hello", {"worker_id": wid, "num_rows": rows,
-                                   "num_features": feats}, wire)
-        if ftype == T_CONFIG:
-            head = struct.calcsize(_CONFIG_HEAD)
-            algo, rounds, seed = struct.unpack(_CONFIG_HEAD, body[:head])
-            if algo not in ALGO_NAMES:
-                raise ProtocolError(f"unknown algorithm code {algo}")
-            if len(body) != head + 16:
-                raise ProtocolError(f"config frame has {len(body)} body bytes")
-            lambda_, lr = struct.unpack("<dd", body[head:])
-            return Frame("config", {"algo": ALGO_NAMES[algo], "round_count": rounds,
-                                    "seed": seed, "lambda_": lambda_, "lr": lr}, wire)
-        if ftype == T_PARAMS:
-            head = struct.calcsize(_PARAMS_HEAD)
-            round_, count = struct.unpack(_PARAMS_HEAD, body[:head])
-            frame = _parse_floats(body, head, count, wire, "params")
-            frame.data["round"] = round_
-            return frame
-        if ftype == T_UPDATE:
-            head = struct.calcsize(_UPDATE_HEAD)
-            round_, samples, count = struct.unpack(_UPDATE_HEAD, body[:head])
-            frame = _parse_floats(body, head, count, wire, "update")
-            frame.data["round"] = round_
-            frame.data["sample_count"] = samples
-            return frame
-        if ftype == T_DONE:
-            if body:
-                raise ProtocolError("done frame carries a body")
-            return Frame("done", {}, wire)
-        if ftype == T_ERROR:
-            try:
-                message = body.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ProtocolError(f"error frame is not utf-8: {exc}") from exc
-            return Frame("error", {"message": message}, wire)
+        for fmt, names in segments:
+            data.update(zip(names, struct.unpack_from(fmt, body, offset)))
+            offset += struct.calcsize(fmt)
     except struct.error as exc:
-        raise ProtocolError(f"truncated {TYPE_NAMES.get(ftype, hex(ftype))} frame: {exc}") from exc
-    raise ProtocolError(f"unknown frame type 0x{ftype:02x}")
+        raise ProtocolError(f"truncated {kind} frame: {exc}") from exc
+    if tail == TEXT:
+        try:
+            data["message"] = body[offset:].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"{kind} frame is not utf-8: {exc}") from exc
+    else:
+        expected = offset + 8 * data["count"] if tail == FLOATS else offset
+        if len(body) != expected:
+            raise ProtocolError(f"{kind} frame has {len(body)} body bytes, expected {expected}")
+        if tail == FLOATS:
+            data["values"] = np.frombuffer(body, dtype="<f8", count=data["count"],
+                                           offset=offset).astype(np.float64)
+    if "algo" in data:
+        if data["algo"] not in ALGO_NAMES:
+            raise ProtocolError(f"unknown algorithm code {data['algo']}")
+        data["algo"] = ALGO_NAMES[data["algo"]]
+    return Frame(kind, data, frame_size(len(body)))
 
 
 def read_frame(stream) -> Frame | None:

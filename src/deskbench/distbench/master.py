@@ -95,12 +95,10 @@ def _hard_close(sock, stream=None):
 
 
 class _Conn:
-    def __init__(self, worker_id, sock, stream, num_rows, num_features):
+    def __init__(self, worker_id, sock, stream):
         self.worker_id = worker_id
         self.sock = sock
         self.stream = stream
-        self.num_rows = num_rows
-        self.num_features = num_features
 
     def close(self):
         _hard_close(self.sock, self.stream)
@@ -146,10 +144,14 @@ def _listen(address: str):
     return server
 
 
-def _accept_workers(server, spec: ClusterSpec, record: BenchRecord) -> dict:
-    """Collect one HELLO per expected worker id within the accept window."""
+def _accept_workers(server, spec: ClusterSpec, record: BenchRecord) -> tuple[dict, int]:
+    """Collect one HELLO per expected worker id within the accept window.
+
+    Returns the connections by worker id and the feature count they agree on.
+    """
     expected = set(spec.worker_ids)
     conns = {}
+    widths = set()
     deadline = time.monotonic() + spec.round_timeout_s
     try:
         while expected - set(conns):
@@ -157,7 +159,9 @@ def _accept_workers(server, spec: ClusterSpec, record: BenchRecord) -> dict:
             if remaining <= 0:
                 raise ProtocolError(
                     f"workers {sorted(expected - set(conns))} did not connect "
-                    f"within {spec.round_timeout_s}s")
+                    f"within {spec.round_timeout_s}s; round_timeout_s (--round-timeout) "
+                    "is also the accept window, and a worker parses its whole part "
+                    "before HELLO")
             server.settimeout(remaining)
             try:
                 sock, peer = server.accept()
@@ -188,12 +192,11 @@ def _accept_workers(server, spec: ClusterSpec, record: BenchRecord) -> dict:
                 _hard_close(sock, stream)
                 continue
             sock.settimeout(None)
-            conns[wid] = _Conn(wid, sock, stream,
-                               frame.data["num_rows"], frame.data["num_features"])
-        widths = {c.num_features for c in conns.values()}
+            conns[wid] = _Conn(wid, sock, stream)
+            widths.add(frame.data["num_features"])
         if len(widths) != 1:
             raise ProtocolError(f"workers disagree on feature count: {sorted(widths)}")
-        return conns
+        return conns, widths.pop()
     except BaseException:
         for conn in conns.values():
             conn.close()
@@ -251,14 +254,15 @@ def _collect_round(spec, conns, inbox, round_, params_frame, record,
         if item.kind == "error":
             _fail(conns, f"worker {wid} reported: {item.data['message']}")
         if item.kind != "update":
+            violation = f"sent a {item.kind} frame during round {round_}"
+        elif item.data["count"] != expected_count:
+            violation = f"sent {item.data['count']} parameters, expected {expected_count}"
+        else:
+            violation = None
+        if violation:
             log.error("protocol violation from worker %d: %r; dropping", wid, item)
             conns[wid].close()
-            _fail(conns, f"worker {wid} sent a {item.kind} frame during round {round_}")
-        if item.data["count"] != expected_count:
-            log.error("protocol violation from worker %d: %r; dropping", wid, item)
-            conns[wid].close()
-            _fail(conns, f"worker {wid} sent {item.data['count']} parameters, "
-                         f"expected {expected_count}")
+            _fail(conns, f"worker {wid} {violation}")
         if item.data["round"] != round_:
             log.warning("stale update for round %d from worker %d ignored",
                         item.data["round"], wid)
@@ -305,7 +309,7 @@ def run_master(spec: ClusterSpec, algo: str, cfg: SgdConfig, rounds: int | None 
     try:
         if on_listening is not None:
             on_listening(server.getsockname())
-        conns = _accept_workers(server, spec, record)
+        conns, num_features = _accept_workers(server, spec, record)
     finally:
         server.close()
 
@@ -320,7 +324,6 @@ def run_master(spec: ClusterSpec, algo: str, cfg: SgdConfig, rounds: int | None 
         for thread in threads:
             thread.start()
 
-        num_features = next(iter(conns.values())).num_features
         params = np.zeros(num_features + 1, dtype=np.float64)
         for round_ in range(rounds):
             t0 = time.perf_counter()

@@ -198,15 +198,17 @@ def train_pegasos(ds: DenseDataset, cfg: SgdConfig, step_hook=None) -> LinearMod
     return LinearModel(weights=w_sum / count, bias=b_sum / count, kind="svm")
 
 
+def _scores(model: LinearModel, z: np.ndarray) -> np.ndarray:
+    """Logistic scores are probabilities; Pegasos scores stay raw margins."""
+    return sigmoid(z) if model.kind == "logistic" else z
+
+
 def decision_scores(model: LinearModel, ds: DenseDataset) -> np.ndarray:
     if ds.num_features != model.num_features:
         raise DataFormatError(
             f"model expects {model.num_features} features, dataset has {ds.num_features}"
         )
-    z = ds.features @ model.weights + model.bias
-    if model.kind == "logistic":
-        return sigmoid(z)
-    return z
+    return _scores(model, ds.features @ model.weights + model.bias)
 
 
 class LinearPredictor:
@@ -226,8 +228,7 @@ class LinearPredictor:
         return (self._raw(features) >= 0.0).astype(np.int64)
 
     def score(self, features) -> np.ndarray:
-        z = self._raw(features)
-        return sigmoid(z) if self.model.kind == "logistic" else z
+        return _scores(self.model, self._raw(features))
 
 
 def make_trainer(kind: str, cfg: SgdConfig):

@@ -1,14 +1,21 @@
 """Independent reference implementations used only by the test suite."""
 
+import dataclasses
+import json
 import re
+import struct
 
 import numpy as np
 
 from deskbench import prep, textfeat
+from deskbench.artifacts import f64_to_b64
 from deskbench.dataio import LABEL_MAPS, DenseDataset, _parse_label, _text_lines
-from deskbench.errors import ConfigError, DataFormatError
+from deskbench.distbench.codec import Frame
+from deskbench.errors import ConfigError, DataFormatError, ProtocolError
+from deskbench.gbt import GbtModel
 from deskbench.evaluation import _as_int_labels
-from deskbench.linmodels import sigmoid
+from deskbench.linmodels import LinearModel, sigmoid
+from deskbench.mlp import MlpModel
 from deskbench.textfeat import IdfModel, SparseVector, remove_stopwords
 
 
@@ -377,3 +384,208 @@ def feature_matrix_oracle(frame, text_columns, numeric_columns, stoplist, dim, m
         numerics = [(name, float(numeric_values[name][i] or 0.0)) for name in numeric_columns]
         features[i] = textfeat.assemble(vec, numerics).to_dense()
     return features, idf_model
+
+
+# ---------------------------------------------------------------------------
+# The wire codec as it was written per frame type: one pack function each,
+# one branch each in unpack.
+
+_MAX_FRAME = 64 * 1024 * 1024
+_ALGO_CODES = {"logistic": 1, "svm": 2}
+_ALGO_NAMES = {code: name for name, code in _ALGO_CODES.items()}
+_TYPE_NAMES = {0: "error", 1: "hello", 2: "config", 3: "params", 4: "update", 5: "done"}
+_HELLO_FMT = ">IQI"     # worker_id, num_rows, num_features
+_CONFIG_HEAD = ">BIQ"   # algo, round_count, seed
+_PARAMS_HEAD = ">II"    # round, count
+_UPDATE_HEAD = ">IQI"   # round, sample_count, count
+
+
+def _frame_oracle(payload: bytes) -> bytes:
+    if len(payload) > _MAX_FRAME:
+        raise ProtocolError(f"frame payload {len(payload)} exceeds {_MAX_FRAME} bytes")
+    return struct.pack(">I", len(payload)) + payload
+
+
+def _floats_le_oracle(values) -> bytes:
+    arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    if arr.ndim != 1:
+        raise ProtocolError("parameter vector must be 1-d")
+    return arr.astype("<f8").tobytes()
+
+
+def pack_hello_oracle(worker_id, num_rows, num_features) -> bytes:
+    return _frame_oracle(b"\x01" + struct.pack(_HELLO_FMT, worker_id, num_rows, num_features))
+
+
+def pack_config_oracle(algo, round_count, seed, lambda_, lr) -> bytes:
+    if algo not in _ALGO_CODES:
+        raise ProtocolError(f"unknown algorithm {algo!r}")
+    body = struct.pack(_CONFIG_HEAD, _ALGO_CODES[algo], round_count, seed)
+    body += struct.pack("<dd", lambda_, lr)
+    return _frame_oracle(b"\x02" + body)
+
+
+def pack_params_oracle(round_, values) -> bytes:
+    floats = _floats_le_oracle(values)
+    return _frame_oracle(b"\x03" + struct.pack(_PARAMS_HEAD, round_, len(floats) // 8) + floats)
+
+
+def pack_update_oracle(round_, sample_count, values) -> bytes:
+    floats = _floats_le_oracle(values)
+    body = struct.pack(_UPDATE_HEAD, round_, sample_count, len(floats) // 8) + floats
+    return _frame_oracle(b"\x04" + body)
+
+
+def pack_done_oracle() -> bytes:
+    return _frame_oracle(b"\x05")
+
+
+def pack_error_oracle(message) -> bytes:
+    return _frame_oracle(b"\x00" + message.encode("utf-8"))
+
+
+def _parse_floats_oracle(body, offset, count, wire_size, kind) -> Frame:
+    expected = offset + 8 * count
+    if len(body) != expected:
+        raise ProtocolError(f"{kind} frame has {len(body)} body bytes, expected {expected}")
+    values = np.frombuffer(body, dtype="<f8", count=count, offset=offset).astype(np.float64)
+    return Frame(kind, {"count": count, "values": values}, wire_size)
+
+
+def unpack_oracle(payload: bytes) -> Frame:
+    if len(payload) > _MAX_FRAME:
+        raise ProtocolError(f"frame payload {len(payload)} exceeds {_MAX_FRAME} bytes")
+    if not payload:
+        raise ProtocolError("empty frame payload")
+    ftype, body = payload[0], payload[1:]
+    wire = 4 + 1 + len(body)
+    try:
+        if ftype == 0x01:
+            wid, rows, feats = struct.unpack(_HELLO_FMT, body)
+            return Frame("hello", {"worker_id": wid, "num_rows": rows,
+                                   "num_features": feats}, wire)
+        if ftype == 0x02:
+            head = struct.calcsize(_CONFIG_HEAD)
+            algo, rounds, seed = struct.unpack(_CONFIG_HEAD, body[:head])
+            if algo not in _ALGO_NAMES:
+                raise ProtocolError(f"unknown algorithm code {algo}")
+            if len(body) != head + 16:
+                raise ProtocolError(f"config frame has {len(body)} body bytes")
+            lambda_, lr = struct.unpack("<dd", body[head:])
+            return Frame("config", {"algo": _ALGO_NAMES[algo], "round_count": rounds,
+                                    "seed": seed, "lambda_": lambda_, "lr": lr}, wire)
+        if ftype == 0x03:
+            head = struct.calcsize(_PARAMS_HEAD)
+            round_, count = struct.unpack(_PARAMS_HEAD, body[:head])
+            frame = _parse_floats_oracle(body, head, count, wire, "params")
+            frame.data["round"] = round_
+            return frame
+        if ftype == 0x04:
+            head = struct.calcsize(_UPDATE_HEAD)
+            round_, samples, count = struct.unpack(_UPDATE_HEAD, body[:head])
+            frame = _parse_floats_oracle(body, head, count, wire, "update")
+            frame.data["round"] = round_
+            frame.data["sample_count"] = samples
+            return frame
+        if ftype == 0x05:
+            if body:
+                raise ProtocolError("done frame carries a body")
+            return Frame("done", {}, wire)
+        if ftype == 0x00:
+            try:
+                message = body.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"error frame is not utf-8: {exc}") from exc
+            return Frame("error", {"message": message}, wire)
+    except struct.error as exc:
+        raise ProtocolError(f"truncated {_TYPE_NAMES.get(ftype, hex(ftype))} frame: {exc}") from exc
+    raise ProtocolError(f"unknown frame type 0x{ftype:02x}")
+
+
+# ---------------------------------------------------------------------------
+# Model artifacts as they were built per model type, each with its own copy
+# of the kind/num_features/config/seed header and an explicit seed override.
+
+def _config_dict_oracle(config):
+    if config is None:
+        return None
+    if dataclasses.is_dataclass(config) and not isinstance(config, type):
+        return dataclasses.asdict(config)
+    return dict(config)
+
+
+def _seed_of_oracle(config, seed):
+    if seed is not None:
+        return int(seed)
+    cfg = _config_dict_oracle(config)
+    if cfg and "seed" in cfg:
+        return int(cfg["seed"])
+    return None
+
+
+def linear_artifact_oracle(model, config=None, seed=None) -> dict:
+    return {
+        "kind": model.kind,
+        "num_features": int(model.num_features),
+        "weights_b64": f64_to_b64(model.weights),
+        "bias": float(model.bias),
+        "config": _config_dict_oracle(config),
+        "seed": _seed_of_oracle(config, seed),
+    }
+
+
+def mlp_artifact_oracle(model, config=None, seed=None) -> dict:
+    blocks = []
+    for block in model.blocks:
+        blocks.append({name: f64_to_b64(block[name])
+                       for name in ("w", "b", "gamma", "beta", "run_mean", "run_var")})
+    layers = {
+        "blocks": blocks,
+        "out_w": f64_to_b64(model.out_w),
+        "out_b": f64_to_b64(model.out_b),
+        "bn_eps": model.bn_eps,
+        "bn_momentum": model.bn_momentum,
+    }
+    return {
+        "kind": "mlp",
+        "num_features": int(model.arch.input_size),
+        "arch": dataclasses.asdict(model.arch),
+        "layers": layers,
+        "config": _config_dict_oracle(config),
+        "seed": _seed_of_oracle(config, seed),
+    }
+
+
+def gbt_artifact_oracle(model, config=None, seed=None) -> dict:
+    return {
+        "kind": "gbt",
+        "num_features": int(model.num_features),
+        "base_score": float(model.base_score),
+        "trees": model.trees,
+        "config": _config_dict_oracle(config),
+        "seed": _seed_of_oracle(config, seed),
+    }
+
+
+def model_artifact_oracle(model, config=None, seed=None) -> dict:
+    if isinstance(model, LinearModel):
+        return linear_artifact_oracle(model, config, seed)
+    if isinstance(model, MlpModel):
+        return mlp_artifact_oracle(model, config, seed)
+    if isinstance(model, GbtModel):
+        return gbt_artifact_oracle(model, config, seed)
+    raise DataFormatError(f"cannot serialize model of type {type(model).__name__}")
+
+
+def manifest_json_oracle(manifest) -> str:
+    """DatasetManifest.to_json with every field written out by name."""
+    obj = {
+        "name": manifest.name,
+        "num_rows": manifest.num_rows,
+        "num_features": manifest.num_features,
+        "parts": list(manifest.parts),
+        "label_kind": manifest.label_kind,
+    }
+    if manifest.seed is not None:
+        obj["seed"] = manifest.seed
+    return json.dumps(obj, indent=2)

@@ -13,6 +13,8 @@ from deskbench.errors import DataFormatError
 from deskbench.linmodels import LinearModel, SgdConfig
 from deskbench.mlp import MlpArchitecture
 
+from oracles import model_artifact_oracle
+
 
 def gbt_config_from(artifact: dict) -> gbt.GbtConfig:
     """Recover the stored GbtConfig, if the artifact carries one."""
@@ -65,7 +67,7 @@ class TestLinearArtifact:
 
     def test_fields(self):
         cfg = SgdConfig(lambda_=0.5, epochs_or_iters=10, seed=9)
-        art = artifacts.linear_artifact(self.model(), config=cfg)
+        art = artifacts.model_artifact(self.model(), config=cfg)
         assert art["kind"] == "svm"
         assert art["num_features"] == 7
         assert art["bias"] == -0.25
@@ -75,20 +77,15 @@ class TestLinearArtifact:
     def test_round_trip_bit_exact(self):
         for kind in ("svm", "logistic"):
             model = self.model(kind)
-            back = artifacts.artifact_to_model(artifacts.linear_artifact(model))
+            back = artifacts.artifact_to_model(artifacts.model_artifact(model))
             assert back.kind == kind
             assert back.bias == model.bias
             assert np.array_equal(back.weights, model.weights)
 
-    def test_explicit_seed_wins(self):
-        cfg = SgdConfig(lambda_=0.5, epochs_or_iters=10, seed=9)
-        art = artifacts.linear_artifact(self.model(), config=cfg, seed=41)
-        assert art["seed"] == 41
-
     def test_json_file_round_trip(self, tmp_path):
         model = self.model("logistic")
         path = tmp_path / "model.json"
-        artifacts.save_artifact(path, artifacts.linear_artifact(model, seed=1))
+        artifacts.save_artifact(path, artifacts.model_artifact(model))
         loaded = artifacts.load_artifact(path)
         back = artifacts.artifact_to_model(loaded)
         assert np.array_equal(back.weights, model.weights)
@@ -112,7 +109,7 @@ class TestMlpArtifact:
 
     def test_round_trip_all_parameters(self):
         model = self.model()
-        back = artifacts.artifact_to_model(artifacts.mlp_artifact(model))
+        back = artifacts.artifact_to_model(artifacts.model_artifact(model))
         assert back.arch == model.arch
         assert back.mode == "eval"
         assert back.bn_eps == model.bn_eps
@@ -125,19 +122,19 @@ class TestMlpArtifact:
 
     def test_round_trip_preserves_forward(self):
         model = self.model()
-        back = artifacts.artifact_to_model(artifacts.mlp_artifact(model))
+        back = artifacts.artifact_to_model(artifacts.model_artifact(model))
         batch = np.random.default_rng(5).normal(size=(6, 4))
         assert np.array_equal(mlp.forward(model, batch, mode="eval"),
                               mlp.forward(back, batch, mode="eval"))
 
     def test_block_count_mismatch_rejected(self):
-        art = artifacts.mlp_artifact(self.model())
+        art = artifacts.model_artifact(self.model())
         art["layers"]["blocks"] = art["layers"]["blocks"][:1]
         with pytest.raises(DataFormatError):
             artifacts.artifact_to_model(art)
 
     def test_json_serializable(self, tmp_path):
-        art = artifacts.mlp_artifact(self.model(), seed=6)
+        art = artifacts.model_artifact(self.model(), config=mlp.MlpTrainConfig(seed=6))
         path = tmp_path / "mlp.json"
         artifacts.save_artifact(path, art)
         assert artifacts.load_artifact(path) == art
@@ -154,7 +151,7 @@ class TestGbtArtifact:
 
     def test_round_trip_predictions_identical(self):
         model, cfg, X = self.model()
-        art = artifacts.gbt_artifact(model, config=cfg)
+        art = artifacts.model_artifact(model, config=cfg)
         back = artifacts.artifact_to_model(art)
         assert back.base_score == model.base_score
         assert back.trees == model.trees
@@ -162,20 +159,20 @@ class TestGbtArtifact:
 
     def test_config_recovered(self):
         model, cfg, _ = self.model()
-        art = artifacts.gbt_artifact(model, config=cfg)
+        art = artifacts.model_artifact(model, config=cfg)
         assert gbt_config_from(art) == cfg
         assert art["seed"] == cfg.seed
 
     def test_json_file_round_trip(self, tmp_path):
         model, cfg, X = self.model()
         path = tmp_path / "gbt.json"
-        artifacts.save_artifact(path, artifacts.gbt_artifact(model, config=cfg))
+        artifacts.save_artifact(path, artifacts.model_artifact(model, config=cfg))
         back = artifacts.artifact_to_model(artifacts.load_artifact(path))
         assert np.array_equal(gbt.predict(back, X), gbt.predict(model, X))
 
     def test_malformed_tree_rejected(self):
         model, _, _ = self.model()
-        art = artifacts.gbt_artifact(model)
+        art = artifacts.model_artifact(model)
         art["trees"] = [{"f": 0, "t": 0.5, "l": {"w": 1.0}}]  # missing "r"
         with pytest.raises(DataFormatError):
             artifacts.artifact_to_model(art)
@@ -185,6 +182,60 @@ class TestGbtArtifact:
                "trees": [{"f": 5, "t": 0.0, "l": {"w": 0.0}, "r": {"w": 0.0}}],
                "config": None, "seed": None}
         with pytest.raises(DataFormatError):
+            artifacts.artifact_to_model(art)
+
+
+FINITE = st.floats(-1e6, 1e6, width=64)
+
+
+@st.composite
+def models_and_configs(draw):
+    """A model of each artifact kind with a matching config dataclass or None."""
+    kind = draw(st.sampled_from(artifacts.ARTIFACT_KINDS))
+    seed = draw(st.just(0) | st.integers(0, 2**32))  # 0 is falsy, and the default
+    if kind in ("logistic", "svm"):
+        weights = draw(st.lists(FINITE, max_size=6))
+        model = LinearModel(np.array(weights), draw(FINITE), kind)
+        config = SgdConfig(lambda_=0.5, epochs_or_iters=3, seed=seed)
+    elif kind == "mlp":
+        arch = MlpArchitecture(input_size=draw(st.integers(1, 4)),
+                               hidden_size=draw(st.integers(1, 3)),
+                               num_hidden_blocks=draw(st.integers(1, 3)),
+                               output_size=draw(st.integers(1, 3)))
+        model = mlp.init_model(arch, np.random.default_rng(seed),
+                               bn_eps=draw(st.floats(1e-8, 1e-2)),
+                               bn_momentum=draw(st.floats(0.01, 1.0)))
+        config = mlp.MlpTrainConfig(seed=seed, class_weights=draw(st.sampled_from(
+            [None, (1.0, 2.5)])))
+    else:
+        width = draw(st.integers(1, 3))
+        leaf = st.builds(lambda w: {"w": w}, FINITE)
+        tree = st.recursive(leaf, lambda kids: st.builds(
+            lambda f, t, left, right: {"f": f, "t": t, "l": left, "r": right},
+            st.integers(0, width - 1), FINITE, kids, kids), max_leaves=4)
+        model = gbt.GbtModel(draw(FINITE), draw(st.lists(tree, max_size=3)), width)
+        config = gbt.GbtConfig(seed=seed)
+    return model, draw(st.sampled_from([None, config]))
+
+
+class TestMatchesPerKindOracle:
+    """model_artifact against the per-kind builders it replaced."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(models_and_configs())
+    def test_artifact_identical(self, case):
+        model, config = case
+        mine = artifacts.model_artifact(model, config)
+        theirs = model_artifact_oracle(model, config)
+        assert mine == theirs
+        assert json.dumps(mine, sort_keys=True) == json.dumps(theirs, sort_keys=True)
+
+    @pytest.mark.parametrize("field", sorted(artifacts.BLOCK_FIELDS))
+    def test_block_field_shape_checked(self, field):
+        art = artifacts.model_artifact(TestMlpArtifact().model())
+        block = art["layers"]["blocks"][1]
+        block[field] = artifacts.f64_to_b64(artifacts.b64_to_f64(block[field])[:-1])
+        with pytest.raises(DataFormatError, match="expected shape"):
             artifacts.artifact_to_model(art)
 
 

@@ -465,6 +465,9 @@ class TestExitCodes:
         (("cv", "--algo", "logreg", "--data", "DATA", "--k", "two"), "--k"),
         (("bench-master", "--worker-ids", "a,b", "--algo", "logistic", "--rounds", 1),
          "--worker-ids"),
+        (("pipeline", "--data", "DATA", "--schema", "{bad", "--target-column", "y"),
+         "--schema"),
+        (("gridsearch", "--algo", "logreg", "--data", "DATA", "--grid", "{bad"), "--grid"),
     ])
     def test_malformed_flag_value_is_usage_error(self, tmp_path, dense_csv, capsys, argv, flag):
         argv = [dense_csv if arg == "DATA" else arg for arg in argv]

@@ -9,7 +9,7 @@ from deskbench import dataio
 from deskbench.errors import ConfigError, DataFormatError
 
 from helpers import load_parts
-from oracles import parse_dense_oracle
+from oracles import manifest_json_oracle, parse_dense_oracle
 
 
 def as_stream(text: str) -> io.BytesIO:
@@ -238,6 +238,14 @@ class TestSplitParts:
         obj = json.loads(manifest.to_json())
         assert set(obj) == {"name", "num_rows", "num_features", "parts",
                             "label_kind", "seed"}
+
+    @given(st.text(max_size=8), st.integers(0, 10**6), st.integers(0, 10**4),
+           st.lists(st.text(max_size=8), min_size=1, max_size=4),
+           st.sampled_from(["binary", "continuous"]), st.none() | st.integers(0, 2**64))
+    @settings(max_examples=60, deadline=None)
+    def test_manifest_json_matches_oracle(self, name, rows, features, parts, label_kind, seed):
+        manifest = dataio.DatasetManifest(name, rows, features, parts, label_kind, seed)
+        assert manifest.to_json() == manifest_json_oracle(manifest)
 
 
 class TestParseTabular:

@@ -209,7 +209,10 @@ class TestFailureModes:
         thread.join(10.0)
         wt.join(10.0)
         assert isinstance(result.get("error"), ProtocolError)
-        assert "[2]" in str(result["error"])
+        message = str(result["error"])
+        assert "[2]" in message
+        assert "round_timeout_s" in message and "accept window" in message
+        assert "parses its whole part before HELLO" in message
         assert wres["status"] != 0
 
     def test_round_timeout_retries_once_then_succeeds(self, tmp_path):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from deskbench.distbench import codec
 from deskbench.errors import ProtocolError
 
+import oracles
+
 
 def frame_of(payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + payload
@@ -208,3 +210,80 @@ class TestReadFrame:
         assert frame.data["sample_count"] == samples
         assert np.array_equal(frame.data["values"],
                               np.asarray(values, dtype=np.float64))
+
+
+U32, U64 = st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)
+FLOAT_LISTS = st.lists(st.floats(width=64), max_size=12)
+
+# pack_* name -> argument strategies; ints reach one past their field's range
+PACK_ARGS = {
+    "hello": (st.integers(-1, 2**32), st.integers(0, 2**64), U32),
+    "config": (st.sampled_from(["logistic", "svm", "forest"]), st.integers(0, 2**32), U64,
+               st.floats(width=64), st.floats(width=64)),
+    "params": (st.integers(-1, 2**32), FLOAT_LISTS),
+    "update": (U32, st.integers(-1, 2**64), FLOAT_LISTS),
+    "done": (),
+    "error": (st.text(max_size=20),),
+}
+
+
+def _outcome(fn, *args):
+    """Bytes or decoded frame, with arrays by dtype and bytes, or the error type."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+    if isinstance(result, bytes):
+        return result
+    data = {}
+    for key, value in result.data.items():
+        if isinstance(value, np.ndarray):
+            data[key] = (value.dtype.str, value.tobytes())
+        elif isinstance(value, float):  # by bits, so a NaN field compares equal
+            data[key] = (float, struct.pack("<d", value))
+        else:
+            data[key] = (type(value), value)
+    return result.kind, data, result.wire_size
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A well-formed payload of any kind, then truncated, grown or overwritten."""
+    kind = draw(st.sampled_from(sorted(PACK_ARGS)))
+    args = draw(st.tuples(*PACK_ARGS[kind]))
+    try:
+        payload = bytearray(getattr(oracles, f"pack_{kind}_oracle")(*args)[4:])
+    except Exception:  # noqa: BLE001 - out-of-range draw, start from raw bytes
+        payload = bytearray(draw(st.binary(max_size=40)))
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(["cut", "grow", "set"]))
+        if action == "cut":
+            del payload[draw(st.integers(0, len(payload))):]
+        elif action == "grow":
+            payload += draw(st.binary(min_size=1, max_size=16))
+        elif payload:
+            payload[draw(st.integers(0, len(payload) - 1))] = draw(st.integers(0, 255))
+    return bytes(payload)
+
+
+class TestMatchesPerTypeOracle:
+    """LAYOUTS-driven pack/unpack against the per-type codec it replaced."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_pack_bytes_identical(self, data):
+        kind = data.draw(st.sampled_from(sorted(PACK_ARGS)))
+        args = data.draw(st.tuples(*PACK_ARGS[kind]))
+        assert (_outcome(getattr(codec, f"pack_{kind}"), *args)
+                == _outcome(getattr(oracles, f"pack_{kind}_oracle"), *args))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(mutated_payloads(), st.binary(max_size=64)))
+    def test_unpack_outcome_identical(self, payload):
+        mine = _outcome(codec.unpack, payload)
+        assert mine == _outcome(oracles.unpack_oracle, payload)
+        assert isinstance(mine, tuple) or mine is ProtocolError
+
+    def test_every_type_covered(self):
+        assert set(codec.LAYOUTS) == set(range(6))
+        assert set(codec.TYPE_NAMES.values()) == set(PACK_ARGS)

@@ -1,17 +1,24 @@
-"""Every name the benchmark's traced run wraps must exist in deskbench.
+"""Every deskbench name the benchmark uses must exist in deskbench.
 
 ``perfbench/layers.py`` rebinds ``getattr(owner, attr)`` for each
-``Probe(owner, attr, ...)``; a probed name deleted from ``src/`` would
-break ``perfbench/run.py --trace 1`` while the rest of the suite passes.
-The file is parsed, not imported, so this test needs nothing from
+``Probe(owner, attr, ...)``, and ``perfbench/workloads.py`` calls the
+library through module attributes (``artifacts.model_artifact(...,
+config=cfg)``). A name or keyword renamed or deleted in ``src/`` would
+break ``perfbench/run.py`` while the rest of the suite passes. The files
+are parsed, not imported, so these tests need nothing from
 ``perfbench/`` but its text.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _module_names(tree: ast.Module) -> dict:
@@ -50,3 +57,66 @@ def test_every_probe_resolves():
         if not callable(getattr(_resolve(owner, names), attr, None)):
             missing.append(f"{ast.unparse(owner)}.{attr}")
     assert missing == []
+
+
+def _rooted_in(node: ast.expr, names: dict) -> bool:
+    """True for ``name.attr[.attr...]`` where name is a deskbench import."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _check_binds(fn, call: ast.Call) -> None:
+    """Raise TypeError unless fn takes the call's positional count and keywords."""
+    signature = inspect.signature(fn)
+    keywords = {kw.arg: None for kw in call.keywords if kw.arg is not None}
+    unpacked = any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+        kw.arg is None for kw in call.keywords)
+    if unpacked:  # *args or **kwargs: only the named keywords can be checked
+        signature.bind_partial(**keywords)
+    else:
+        signature.bind(*[None] * len(call.args), **keywords)
+
+
+def test_every_workload_attribute_resolves():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    names = _module_names(tree)
+    refs = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and _rooted_in(node, names)]
+    assert len(refs) > 50
+    missing = []
+    for node in refs:
+        try:
+            _resolve(node, names)
+        except AttributeError:
+            missing.append(ast.unparse(node))
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", [LAYERS, WORKLOADS], ids=lambda path: path.name)
+def test_every_library_call_binds(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = _module_names(tree)
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _rooted_in(node.func, names)]
+    assert calls
+    unbound = []
+    for call in calls:
+        try:
+            _check_binds(_resolve(call.func, names), call)
+        except (AttributeError, TypeError) as exc:
+            unbound.append(f"{ast.unparse(call)}: {exc}")
+    assert unbound == []
+
+
+def test_first_call_marks_resolve():
+    """``first_call_time(module, "attr", ...)`` rebinds a library name."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    names = _module_names(tree)
+    marks = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "first_call_time"]
+    assert marks
+    for call in marks:
+        owner, attr = call.args[0], call.args[1].value
+        assert callable(getattr(_resolve(owner, names), attr, None)), ast.unparse(call)

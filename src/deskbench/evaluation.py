@@ -61,6 +61,8 @@ class EvalReport:
     mae: float | None = None
     r2: float | None = None
     wall_clock_s: float = 0.0
+    fit_s: float = 0.0
+    predict_s: float = 0.0
 
 
 @dataclass
@@ -182,7 +184,7 @@ def _mean_or_none(values: list) -> float | None:
 
 
 def average_reports(reports: list[EvalReport]) -> EvalReport:
-    """Unweighted mean of per-fold metrics; confusions summed, wall clock summed."""
+    """Unweighted mean of per-fold metrics; confusions and timings summed."""
     if not reports:
         raise ValueError("cannot average zero reports")
     avg = EvalReport()
@@ -193,26 +195,31 @@ def average_reports(reports: list[EvalReport]) -> EvalReport:
     if confusions:
         total = np.sum([np.asarray(c) for c in confusions], axis=0)
         avg.confusion = total.tolist()
-    avg.wall_clock_s = float(sum(r.wall_clock_s for r in reports))
+    for name in ("wall_clock_s", "fit_s", "predict_s"):
+        setattr(avg, name, float(sum(getattr(r, name) for r in reports)))
     return avg
 
 
 def evaluate_split(train_ds: DenseDataset, test_ds: DenseDataset, trainer) -> EvalReport:
-    """Fit trainer on train_ds and score test_ds; wall_clock_s covers fit and predict."""
+    """Fit trainer on train_ds and score test_ds. fit_s times the trainer,
+    predict_s the predict and score calls; wall_clock_s is their sum."""
     start = time.perf_counter()
     predictor = trainer(train_ds)
+    fitted = time.perf_counter()
     predictions = np.asarray(predictor.predict(test_ds.features))
-    elapsed = time.perf_counter() - start
-    report = EvalReport(wall_clock_s=elapsed)
-    if predictions.dtype.kind in "biu" and train_ds.is_binary():
+    classify = predictions.dtype.kind in "biu" and train_ds.is_binary()
+    if classify:
+        score_fn = getattr(predictor, "score", None)
+        scores = np.asarray(score_fn(test_ds.features)) if score_fn else predictions
+    fit_s, predict_s = fitted - start, time.perf_counter() - fitted
+    report = EvalReport(wall_clock_s=fit_s + predict_s, fit_s=fit_s, predict_s=predict_s)
+    if classify:
         report.confusion, report.accuracy = confusion_and_accuracy(
             test_ds.labels.astype(np.int64), predictions
         )
         report.macro_precision, report.macro_recall, report.macro_f1 = macro_prf(
             test_ds.labels.astype(np.int64), predictions, num_classes=2
         )
-        score_fn = getattr(predictor, "score", None)
-        scores = np.asarray(score_fn(test_ds.features)) if score_fn else predictions
         try:
             report.auc_roc = auc_roc(test_ds.labels.astype(np.int64), scores)
         except ValueError:

@@ -14,7 +14,7 @@ from deskbench.distbench.codec import Frame
 from deskbench.errors import ConfigError, DataFormatError, ProtocolError
 from deskbench.gbt import GbtModel
 from deskbench.evaluation import _as_int_labels
-from deskbench.linmodels import LinearModel, sigmoid
+from deskbench.linmodels import MODEL_KINDS, LinearModel
 from deskbench.mlp import MlpModel
 from deskbench.textfeat import IdfModel, SparseVector, remove_stopwords
 
@@ -224,6 +224,88 @@ def confusion_and_accuracy_oracle(labels, predictions):
     return confusion, accuracy
 
 
+def sigmoid_oracle(z):
+    """The logistic function as linmodels computed it before the lean step:
+    a boolean mask and two scatters, one stable formula per sign."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def batch_gradient_oracle(kind, Xb, yb, cb, w, b, lambda_):
+    """linmodels._batch_gradient before the lean step (np.mean for the bias)."""
+    if kind == "logistic":
+        residual = sigmoid_oracle(Xb @ w + b) - yb
+        if cb is not None:
+            residual = cb * residual
+        return Xb.T @ residual / yb.size + lambda_ * w, float(np.mean(residual))
+    signed = yb * (yb * (Xb @ w + b) < 1.0)
+    return lambda_ * w - Xb.T @ signed / yb.size, -float(np.mean(signed))
+
+
+def sgd_epoch_oracle(kind, w, b, features, y01, lambda_, lr, batch_size, rng,
+                     example_weights=None):
+    """linmodels.sgd_epoch before the lean step: fancy-indexed batches and
+    out-of-place updates. Updates w in place and returns the new bias."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"kind must be one of {MODEL_KINDS}")
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(y01, dtype=np.float64)
+    if kind == "svm":
+        y = 2.0 * y - 1.0
+    perm = rng.permutation(X.shape[0])
+    for start in range(0, X.shape[0], batch_size):
+        idx = perm[start:start + batch_size]
+        cb = None if example_weights is None else example_weights[idx]
+        grad_w, grad_b = batch_gradient_oracle(kind, X[idx], y[idx], cb, w, b, lambda_)
+        w -= lr * grad_w
+        b -= lr * grad_b
+    return b
+
+
+def train_pegasos_oracle(ds, cfg):
+    """linmodels.train_pegasos before its projection took the norm as
+    sqrt(w @ w): np.linalg.norm on every step. Returns (weights, bias)."""
+    y01 = ds.labels.astype(np.int64)
+    X = ds.features
+    if cfg.class_weights is None:
+        c = np.ones(y01.size, dtype=np.float64)
+    else:
+        w0, w1 = cfg.class_weights
+        c = np.where(y01 == 1, float(w1), float(w0))
+    y = np.where(y01 == 1, 1.0, -1.0)
+    n, f = X.shape
+    T = cfg.epochs_or_iters
+    lam = cfg.lambda_
+    radius = 1.0 / np.sqrt(lam)
+    picks = np.random.default_rng(cfg.seed).integers(0, n, size=T)
+    w = np.zeros(f, dtype=np.float64)
+    b = 0.0
+    suffix_start = T // 2 + 1
+    w_sum = np.zeros(f, dtype=np.float64)
+    b_sum = 0.0
+    for t in range(1, T + 1):
+        i = picks[t - 1]
+        eta = 1.0 / (lam * t)
+        margin = y[i] * (X[i] @ w + b)
+        w *= 1.0 - eta * lam
+        if margin < 1.0:
+            w += eta * c[i] * y[i] * X[i]
+            b += eta * c[i] * y[i]
+        if cfg.project:
+            norm = float(np.linalg.norm(w))
+            if norm > radius:
+                w *= radius / norm
+        if t >= suffix_start:
+            w_sum += w
+            b_sum += b
+    count = T - suffix_start + 1
+    return w_sum / count, float(b_sum / count)
+
+
 def train_logistic_oracle(ds, cfg):
     """Single-node logistic training as it was before sgd_epoch: its own
     mini-batch loop, gathering each batch's rows twice."""
@@ -244,7 +326,7 @@ def train_logistic_oracle(ds, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             z = X[idx] @ w + b
-            residual = c[idx] * (sigmoid(z) - y[idx])
+            residual = c[idx] * (sigmoid_oracle(z) - y[idx])
             grad_w = X[idx].T @ residual / idx.size + cfg.lambda_ * w
             grad_b = float(np.mean(residual))
             w -= cfg.learning_rate * grad_w
@@ -267,7 +349,7 @@ def local_epoch_oracle(algo, weights, bias, features, y01, lambda_, lr, rng,
         idx = perm[start:start + batch_size]
         if algo == "logistic":
             z = X[idx] @ w + b
-            residual = sigmoid(z) - y[idx]
+            residual = sigmoid_oracle(z) - y[idx]
             grad_w = X[idx].T @ residual / idx.size + lambda_ * w
             grad_b = float(np.mean(residual))
         else:

@@ -299,6 +299,40 @@ class TestKfoldCv:
         with pytest.raises(ValueError):
             ev.make_folds(self.binary_ds(), 1, seed=0)
 
+    @pytest.mark.parametrize("trainer, with_score", [
+        (MeanRegressor, False), (NearestCentroid, True), (NearestCentroid, False)],
+        ids=["regression", "predict-and-score", "predict-only"])
+    def test_fit_and_predict_timed_apart(self, trainer, with_score):
+        # a fake clock that only the stub trainer and predictor advance: fit
+        # takes 2 s, predict 0.5 s and score 0.25 s (exact binary fractions)
+        clock = [0.0]
+
+        class Stub:
+            def __init__(self, train_ds):
+                clock[0] += 2.0
+                self.inner = trainer(train_ds)
+                if with_score and hasattr(self.inner, "score"):
+                    self.score = self._score
+
+            def predict(self, features):
+                clock[0] += 0.5
+                return self.inner.predict(features)
+
+            def _score(self, features):
+                clock[0] += 0.25
+                return self.inner.score(features)
+
+        scored = with_score and trainer is NearestCentroid
+        with mock.patch.object(ev.time, "perf_counter", lambda: clock[0]):
+            reports, avg = ev.kfold_cv(self.binary_ds(), 4, Stub, seed=0)
+        predict_s = 0.75 if scored else 0.5
+        for report in reports:
+            assert (report.fit_s, report.predict_s) == (2.0, predict_s)
+            assert report.wall_clock_s == 2.0 + predict_s
+        assert (avg.fit_s, avg.predict_s, avg.wall_clock_s) == (8.0, 4 * predict_s,
+                                                                 4 * (2.0 + predict_s))
+        assert list(asdict(avg))[-3:] == ["wall_clock_s", "fit_s", "predict_s"]
+
     @pytest.mark.parametrize("trainer, regression", [
         (MeanRegressor, True),
         (NearestCentroid, False),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from deskbench import linmodels as lm
 from deskbench.dataio import DenseDataset, generate_synthetic
@@ -9,7 +10,35 @@ from deskbench.distbench.bench import local_train_rounds
 from deskbench.distbench.worker import LOCAL_EPOCH_BATCH, epoch_rng, local_epoch
 from deskbench.errors import ConfigError, DataFormatError
 from deskbench.evaluation import auc_roc
-from oracles import local_epoch_oracle, svm_objective, train_logistic_oracle
+from oracles import (batch_gradient_oracle, local_epoch_oracle, sgd_epoch_oracle,
+                     sigmoid_oracle, svm_objective, train_logistic_oracle,
+                     train_pegasos_oracle)
+
+
+@st.composite
+def sgd_cases(draw):
+    """(dataset, config): up to a few LOCAL_EPOCH_BATCH batches of rows,
+    feature scales 1e-3..1e3, batch sizes of 1, n, above n or between,
+    1-3 epochs, and class weights absent or unequal."""
+    n = draw(st.integers(1, 2 * LOCAL_EPOCH_BATCH + 20))
+    f = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    features = rng.normal(size=(n, f)) * scale
+    labels = rng.integers(0, 2, size=n).astype(np.float64)
+    batch = draw(st.one_of(st.just(1), st.just(n), st.integers(n + 1, n + 5),
+                           st.integers(1, n)))
+    weights = draw(st.one_of(st.none(), st.tuples(st.floats(0.1, 10.0),
+                                                  st.floats(0.1, 10.0))))
+    cfg = lm.SgdConfig(lambda_=draw(st.sampled_from([1e-4, 1e-2, 0.5])),
+                       epochs_or_iters=draw(st.integers(1, 3)), batch_size=batch,
+                       learning_rate=draw(st.sampled_from([0.01, 0.1, 0.5])),
+                       seed=draw(st.integers(0, 1000)), class_weights=weights)
+    return DenseDataset(labels, features), cfg
+
+
+def bits(w, b):
+    return w.tobytes(), repr(b)
 
 
 class TestSgdConfig:
@@ -96,6 +125,24 @@ class TestPegasos:
         cfg = lm.SgdConfig(lambda_=0.1, epochs_or_iters=200, seed=0, project=False)
         model = lm.train_pegasos(ds, cfg)
         assert np.isfinite(model.weights).all()
+
+    @given(sgd_cases(), st.integers(1, 400), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_norm_oracle(self, case, steps, project):
+        ds, cfg = case
+        cfg = lm.SgdConfig(lambda_=cfg.lambda_, epochs_or_iters=steps, seed=cfg.seed,
+                           class_weights=cfg.class_weights, project=project)
+        model = lm.train_pegasos(ds, cfg)
+        assert bits(model.weights, model.bias) == bits(*train_pegasos_oracle(ds, cfg))
+
+    @pytest.mark.parametrize("features", [33, 200, 257])
+    def test_wide_bit_identical_to_norm_oracle(self, features):
+        # BLAS splits longer dot products into blocks; cover the widths the
+        # benchmarks and the CLI train on
+        ds = generate_synthetic(120, features, separation=1.0, seed=features)
+        cfg = lm.SgdConfig(lambda_=1e-3, epochs_or_iters=1500, seed=3)
+        model = lm.train_pegasos(ds, cfg)
+        assert bits(model.weights, model.bias) == bits(*train_pegasos_oracle(ds, cfg))
 
 
 class TestLogistic:
@@ -235,32 +282,6 @@ class TestTrainerAdapter:
             predictor.predict(np.ones(4))
 
 
-@st.composite
-def sgd_cases(draw):
-    """(dataset, config): up to a few LOCAL_EPOCH_BATCH batches of rows,
-    feature scales 1e-3..1e3, batch sizes of 1, n, above n or between,
-    1-3 epochs, and class weights absent or unequal."""
-    n = draw(st.integers(1, 2 * LOCAL_EPOCH_BATCH + 20))
-    f = draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    features = rng.normal(size=(n, f)) * scale
-    labels = rng.integers(0, 2, size=n).astype(np.float64)
-    batch = draw(st.one_of(st.just(1), st.just(n), st.integers(n + 1, n + 5),
-                           st.integers(1, n)))
-    weights = draw(st.one_of(st.none(), st.tuples(st.floats(0.1, 10.0),
-                                                  st.floats(0.1, 10.0))))
-    cfg = lm.SgdConfig(lambda_=draw(st.sampled_from([1e-4, 1e-2, 0.5])),
-                       epochs_or_iters=draw(st.integers(1, 3)), batch_size=batch,
-                       learning_rate=draw(st.sampled_from([0.01, 0.1, 0.5])),
-                       seed=draw(st.integers(0, 1000)), class_weights=weights)
-    return DenseDataset(labels, features), cfg
-
-
-def bits(w, b):
-    return w.tobytes(), repr(b)
-
-
 class TestSgdEpochMatchesOracles:
     """train_logistic, local_epoch and local_train_rounds all run
     sgd_epoch; each must reproduce the loop it replaced bit for bit."""
@@ -294,7 +315,78 @@ class TestSgdEpochMatchesOracles:
             local = local_train_rounds(ds, algo, cfg, rounds, worker_id=2)
             assert bits(local.weights, local.bias) == bits(w, b)
 
+    @given(sgd_cases(), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_epoch_and_gradient_match_frozen_kernel(self, case, weighted):
+        ds, cfg = case
+        c = np.random.default_rng(cfg.seed).uniform(0.1, 10.0, ds.num_rows) if weighted else None
+        w0 = np.random.default_rng(cfg.seed + 1).normal(size=ds.num_features)
+        for kind in lm.MODEL_KINDS:
+            cb = c if kind == "logistic" else None
+            yb = ds.labels if kind == "logistic" else 2.0 * ds.labels - 1.0
+            got = lm._batch_gradient(kind, ds.features, yb, cb, w0, 0.5, cfg.lambda_)
+            want = batch_gradient_oracle(kind, ds.features, yb, cb, w0, 0.5, cfg.lambda_)
+            assert bits(*got) == bits(*want)
+
+            w, w_ref = w0.copy(), w0.copy()
+            b, b_ref = 0.25, 0.25
+            for epoch in range(cfg.epochs_or_iters):
+                b = lm.sgd_epoch(kind, w, b, ds.features, ds.labels, cfg.lambda_,
+                                 cfg.learning_rate, cfg.batch_size,
+                                 np.random.default_rng([cfg.seed, epoch]), cb)
+                b_ref = sgd_epoch_oracle(kind, w_ref, b_ref, ds.features, ds.labels,
+                                         cfg.lambda_, cfg.learning_rate, cfg.batch_size,
+                                         np.random.default_rng([cfg.seed, epoch]), cb)
+            assert bits(w, b) == bits(w_ref, b_ref)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             lm.sgd_epoch("gbt", np.zeros(2), 0.0, np.ones((3, 2)), np.ones(3),
                          0.1, 0.1, 2, np.random.default_rng(0))
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8,
+                 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                 1e3, -1e3, 36.7, -36.7, 1e308, -1e308]
+
+
+def sigmoid_inputs():
+    """float64 arrays of 1 or 2 dims: the edge values above, subnormals,
+    |z| up to 1e3, any finite float, and NaN."""
+    elements = st.one_of(st.sampled_from(SIGMOID_EDGES),
+                         st.floats(-1e3, 1e3, allow_subnormal=True),
+                         st.floats(-1e-300, 1e-300, allow_subnormal=True),
+                         st.floats(allow_nan=True, allow_infinity=True))
+    shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12)
+    return hnp.arrays(np.float64, shapes, elements=elements)
+
+
+class TestSigmoid:
+    """The two-formula sigmoid must give the frozen mask-and-scatter
+    version's bytes on every non-NaN input, and NaN on NaN."""
+
+    @staticmethod
+    def _check(z):
+        got, want = lm.sigmoid(z), sigmoid_oracle(z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        nan = np.isnan(z)
+        assert np.isnan(got[nan]).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @given(sigmoid_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_float_arrays(self, z):
+        self._check(z)
+
+    @given(st.sampled_from([np.int32, np.int64]).flatmap(
+        lambda dt: hnp.arrays(dt, hnp.array_shapes(min_dims=1, max_dims=2, max_side=10))))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_arrays(self, z):
+        self._check(z)
+
+    def test_edges(self):
+        z = np.array(SIGMOID_EDGES + [np.nan])
+        self._check(z)
+        self._check(z.reshape(3, 7))
+        assert lm.sigmoid(np.array([0.0, -0.0]))[0] == 0.5
+        assert lm.sigmoid(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]

@@ -8,9 +8,8 @@ schedule. Both support optional per-class loss multipliers.
 sgd_epoch is the one constant-rate mini-batch pass: logistic training
 runs it once per epoch, and the distributed worker and the local bench
 run it once per round, for the logistic and the hinge loss alike. Its
-small-batch step is bound by numpy call overhead, so it gathers rows once,
-forms the sigmoid without masks and updates in place, in the same order of
-floating-point operations.
+small-batch step is bound by numpy call overhead, so it makes few numpy
+calls, each floating-point operation kept in its order (bit-identical).
 """
 
 from __future__ import annotations
@@ -95,7 +94,11 @@ def _example_weights(y01: np.ndarray, class_weights) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below: neither exp overflows."""
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below: neither exp overflows.
+
+    The result has np.exp(z)'s dtype: float64 for float64, int32 and int64
+    z, float32 for float32 and int16 z, float16 for float16 and int8 z.
+    """
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 

@@ -14,7 +14,7 @@ from deskbench.distbench.codec import Frame
 from deskbench.errors import ConfigError, DataFormatError, ProtocolError
 from deskbench.gbt import GbtModel
 from deskbench.evaluation import _as_int_labels
-from deskbench.linmodels import MODEL_KINDS, LinearModel
+from deskbench.linmodels import LinearModel
 from deskbench.mlp import MlpModel
 from deskbench.textfeat import IdfModel, SparseVector, remove_stopwords
 
@@ -233,37 +233,6 @@ def sigmoid_oracle(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def batch_gradient_oracle(kind, Xb, yb, cb, w, b, lambda_):
-    """linmodels._batch_gradient before the lean step (np.mean for the bias)."""
-    if kind == "logistic":
-        residual = sigmoid_oracle(Xb @ w + b) - yb
-        if cb is not None:
-            residual = cb * residual
-        return Xb.T @ residual / yb.size + lambda_ * w, float(np.mean(residual))
-    signed = yb * (yb * (Xb @ w + b) < 1.0)
-    return lambda_ * w - Xb.T @ signed / yb.size, -float(np.mean(signed))
-
-
-def sgd_epoch_oracle(kind, w, b, features, y01, lambda_, lr, batch_size, rng,
-                     example_weights=None):
-    """linmodels.sgd_epoch before the lean step: fancy-indexed batches and
-    out-of-place updates. Updates w in place and returns the new bias."""
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"kind must be one of {MODEL_KINDS}")
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(y01, dtype=np.float64)
-    if kind == "svm":
-        y = 2.0 * y - 1.0
-    perm = rng.permutation(X.shape[0])
-    for start in range(0, X.shape[0], batch_size):
-        idx = perm[start:start + batch_size]
-        cb = None if example_weights is None else example_weights[idx]
-        grad_w, grad_b = batch_gradient_oracle(kind, X[idx], y[idx], cb, w, b, lambda_)
-        w -= lr * grad_w
-        b -= lr * grad_b
-    return b
 
 
 def train_pegasos_oracle(ds, cfg):

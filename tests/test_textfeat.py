@@ -99,20 +99,6 @@ class TestFnv1a:
         expected = [fnv1a_64_oracle(t.encode("utf-8")) for t in tokens]
         assert textfeat.hash_tokens(tokens).tolist() == expected
 
-    @given(st.lists(st.text(max_size=40), max_size=3 * textfeat._SCALAR_TAIL_TOKENS),
-           st.lists(st.builds(lambda c, k: c * (k // len(c.encode("utf-8"))),
-                              st.sampled_from(["x", "é", "日", "ab日é"]),
-                              st.integers(1, 200_000)), max_size=4),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=40, deadline=None)
-    def test_long_tokens_finish_on_the_scalar_path(self, short, long, shuffle):
-        # the live-token count falls through the scalar-tail threshold at
-        # every position from 0 to 40 bytes, and long tokens reach 200 kB
-        tokens = short + long
-        shuffle.shuffle(tokens)
-        expected = [fnv1a_64_oracle(t.encode("utf-8")) for t in tokens]
-        assert textfeat.hash_tokens(tokens).tolist() == expected
-
 
 class TestHashedTf:
     def test_empty_tokens(self):

@@ -120,8 +120,7 @@ def artifact_to_model(artifact: dict):
         out_b = b64_to_f64(layers["out_b"], (arch.output_size,))
         return MlpModel(arch, blocks, out_w, out_b,
                         bn_eps=float(layers.get("bn_eps", 1e-5)),
-                        bn_momentum=float(layers.get("bn_momentum", 0.1)),
-                        mode="eval")
+                        bn_momentum=float(layers.get("bn_momentum", 0.1)))
     if kind == "gbt":
         num_features = int(artifact["num_features"])
         trees = [_check_tree(tree, num_features) for tree in artifact["trees"]]

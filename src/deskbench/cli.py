@@ -70,6 +70,13 @@ def csv_names(raw) -> tuple:
     return tuple(part for part in parts if part)
 
 
+def fold_count(raw) -> int:
+    k = int(raw)
+    if k < 2:
+        raise ValueError("needs at least 2 folds")
+    return k
+
+
 def _opts_by_key(opts) -> dict:
     """Each Opt under its dashed flag name and its underscored dest."""
     return {key: opt for opt in opts for key in (opt.name, opt.dest)}
@@ -238,6 +245,7 @@ GBT_OPTS = (
 )
 
 HYPER_OPTS = SGD_OPTS + MLP_OPTS + GBT_OPTS
+LABEL_MAP_OPT = Opt("label-map", help="override label mapping: " + "|".join(dataio.LABEL_MAPS))
 
 
 @_command("gen", "generate a synthetic dense binary dataset", COMMON_OPTS + (
@@ -268,7 +276,7 @@ def _cmd_split(params, outdir):
 @_command("train", "train one model and save its artifact", COMMON_OPTS + HYPER_OPTS + (
     Opt("algo", required=True, help="logistic|logreg|svm|mlp|gbt"),
     Opt("data", required=True, is_path=True, help="dense CSV training set"),
-    Opt("label-map", help="override label mapping: zero_one|plus_minus|raw"),
+    LABEL_MAP_OPT,
 ))
 def _cmd_train(params, outdir):
     algo = _normalize_algo(params["algo"])
@@ -288,8 +296,8 @@ def _cmd_train(params, outdir):
 @_command("cv", "k-fold cross-validate one algorithm", COMMON_OPTS + HYPER_OPTS + (
     Opt("algo", required=True, help="logistic|logreg|svm|mlp|gbt"),
     Opt("data", required=True, is_path=True, help="dense CSV dataset"),
-    Opt("k", int, default=5, help="number of folds"),
-    Opt("label-map", help="override label mapping"),
+    Opt("k", fold_count, default=5, help="number of folds (>= 2)"),
+    LABEL_MAP_OPT,
 ))
 def _cmd_cv(params, outdir):
     algo = _normalize_algo(params["algo"])
@@ -332,7 +340,7 @@ def _cmd_plan(params, outdir):
           COMMON_OPTS + HYPER_OPTS + (
     Opt("algo", required=True, help="logistic|logreg|svm|mlp|gbt"),
     Opt("data", required=True, is_path=True, help="dense CSV dataset"),
-    Opt("k", int, default=3, help="folds per grid point"),
+    Opt("k", fold_count, default=3, help="folds per grid point (>= 2)"),
     Opt("grid", json_value, required=True,
         help="JSON object of hyperparameter flag -> list of values, "
              'e.g. {"lambda": [0.1, 0.01], "batch-size": [16, 64]}'),
@@ -568,7 +576,8 @@ def _cmd_bench_master(params, outdir):
     Opt("connect", default=DEFAULT_MASTER_ENDPOINT, help="master host:port"),
     Opt("part", required=True, is_path=True, help="dense CSV part to train on"),
     Opt("worker-id", int, required=True),
-    Opt("reconnect-attempts", int, default=3),
+    Opt("reconnect-attempts", int, default=3,
+        help="attempts to connect to the master; a connection lost after HELLO is final"),
 ))
 def _cmd_bench_worker(params, outdir):
     _check_endpoint(params["connect"])

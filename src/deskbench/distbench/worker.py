@@ -111,8 +111,11 @@ def run_worker(connect: str, part_path, worker_id: int,
     A malformed master address is a protocol error, reported before the
     part is read. An unparseable part is reported to the master as an
     ERROR frame in place of HELLO, then the worker exits with a
-    data-error status. A lost connection is retried from HELLO a bounded
-    number of times.
+    data-error status. Connecting is tried up to reconnect_attempts times,
+    reconnect_delay_s apart, since a worker may start before the master
+    listens. A connection lost after HELLO ends the run with status 3: the
+    master takes each worker's HELLO once and fails the run on a lost
+    connection, so there is nothing to reconnect to.
     """
     try:
         _split_address(connect)
@@ -132,21 +135,13 @@ def run_worker(connect: str, part_path, worker_id: int,
             pass
         return EXIT_DATA
 
-    for attempt in range(reconnect_attempts):
-        try:
-            sock = _connect(connect, reconnect_attempts, reconnect_delay_s)
-        except ProtocolError as exc:
-            log.error("%s", exc)
-            return EXIT_PROTOCOL
-        try:
-            with sock:
-                return _serve_once(sock, ds, worker_id)
-        except ProtocolError as exc:
-            # malformed traffic: drop the connection and give up
-            log.error("protocol failure, dropping connection: %s", exc)
-            return EXIT_PROTOCOL
-        except OSError as exc:
-            log.error("connection lost (attempt %d/%d): %s",
-                      attempt + 1, reconnect_attempts, exc)
-        time.sleep(reconnect_delay_s)
+    try:
+        sock = _connect(connect, reconnect_attempts, reconnect_delay_s)
+        with sock:
+            return _serve_once(sock, ds, worker_id)
+    except ProtocolError as exc:
+        # unreachable master or malformed traffic: drop the connection, give up
+        log.error("protocol failure: %s", exc)
+    except OSError as exc:
+        log.error("connection lost: %s", exc)
     return EXIT_PROTOCOL

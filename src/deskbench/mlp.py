@@ -6,6 +6,10 @@ survivors are scaled by 1/(1-p) at train time so eval needs no rescaling.
 BN normalizes with biased batch variance and tracks running stats with an
 exponential moving average (running = (1-m)*running + m*stat, where the
 running-variance stat is the unbiased batch variance).
+
+There are two code paths. forward is the eval forward: running statistics,
+no dropout, and the model is left as it was. The training forward is private
+to loss_and_gradients: batch statistics, one EMA step, dropout masks.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import numpy as np
 
 from .dataio import DenseDataset
 from .errors import ConfigError, DataFormatError
-
-MODES = ("train", "eval")
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class MlpTrainConfig:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (train-mode BN)")
+            raise ConfigError("batch_size must be >= 2 (batch-statistics BN)")
         for name in ("adam_beta1", "adam_beta2"):
             if not (0.0 < getattr(self, name) < 1.0):
                 raise ConfigError(f"{name} must be in (0, 1)")
@@ -72,18 +74,16 @@ class MlpTrainConfig:
                 raise ConfigError("class_weights must both be > 0")
 
 
+@dataclass(eq=False)
 class MlpModel:
-    """Mutable parameter container. mode gates BN/dropout behavior."""
+    """Mutable parameters; blocks are dicts of w, b, gamma, beta, run_mean, run_var."""
 
-    def __init__(self, arch: MlpArchitecture, blocks, out_w, out_b,
-                 bn_eps=1e-5, bn_momentum=0.1, mode="train"):
-        self.arch = arch
-        self.blocks = blocks  # dicts: w, b, gamma, beta, run_mean, run_var
-        self.out_w = out_w
-        self.out_b = out_b
-        self.bn_eps = float(bn_eps)
-        self.bn_momentum = float(bn_momentum)
-        self.mode = mode
+    arch: MlpArchitecture
+    blocks: list
+    out_w: np.ndarray
+    out_b: np.ndarray
+    bn_eps: float = 1e-5
+    bn_momentum: float = 0.1
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -108,7 +108,7 @@ def init_model(arch: MlpArchitecture, rng, bn_eps=1e-5, bn_momentum=0.1) -> MlpM
         fan_in = arch.hidden_size
     out_w = _glorot(rng, fan_in, arch.output_size)
     out_b = np.zeros(arch.output_size)
-    return MlpModel(arch, blocks, out_w, out_b, bn_eps, bn_momentum)
+    return MlpModel(arch, blocks, out_w, out_b, float(bn_eps), float(bn_momentum))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -117,66 +117,57 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def _forward_cache(model: MlpModel, batch, mode, rng, freeze_bn, update_running=False):
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}")
+def _check_batch(model: MlpModel, batch) -> np.ndarray:
     X = np.asarray(batch, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.arch.input_size:
-        raise DataFormatError(
-            f"batch must be 2-d with {model.arch.input_size} columns"
-        )
-    B = X.shape[0]
-    if B < 1:
+        raise DataFormatError(f"batch must be 2-d with {model.arch.input_size} columns")
+    if X.shape[0] < 1:
         raise DataFormatError("batch must contain at least one row")
-    if mode == "train" and B < 2 and not freeze_bn:
-        raise DataFormatError("train-mode BN needs a batch of >= 2 rows")
+    return X
+
+
+def _normalize(z, mu, var, block, eps):
+    """BN with the given statistics, then the block's scale and shift.
+    Returns (inv_std, x_hat, bn_out)."""
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (z - mu) * inv_std
+    return inv_std, x_hat, block["gamma"] * x_hat + block["beta"]
+
+
+def forward(model: MlpModel, batch) -> np.ndarray:
+    """Eval logits for a batch: BN with the running statistics, no dropout.
+    Never changes the model."""
+    h = _check_batch(model, batch)
+    for block in model.blocks:
+        z = h @ block["w"] + block["b"]
+        _, _, bn_out = _normalize(z, block["run_mean"], block["run_var"], block, model.bn_eps)
+        h = np.maximum(bn_out, 0.0)
+    return h @ model.out_w + model.out_b
+
+
+def _train_forward(model: MlpModel, X, rng):
+    """Training forward: BN with the batch statistics, one EMA step of the
+    running statistics, dropout masks drawn from rng.
+    Returns (logits, last hidden activations, per-block caches)."""
+    B = X.shape[0]
     p = model.arch.dropout_p
-    if mode == "train" and p > 0 and rng is None:
-        raise ConfigError("train-mode forward with dropout needs an rng")
+    m = model.bn_momentum
     caches = []
     h = X
     for block in model.blocks:
         z = h @ block["w"] + block["b"]
-        if mode == "train" and not freeze_bn:
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)  # biased, used for normalization
-            if update_running:
-                m = model.bn_momentum
-                block["run_mean"] = (1 - m) * block["run_mean"] + m * mu
-                unbiased = var * B / (B - 1)
-                block["run_var"] = (1 - m) * block["run_var"] + m * unbiased
-        else:
-            mu = block["run_mean"]
-            var = block["run_var"]
-        inv_std = 1.0 / np.sqrt(var + model.bn_eps)
-        x_hat = (z - mu) * inv_std
-        bn_out = block["gamma"] * x_hat + block["beta"]
-        relu = np.maximum(bn_out, 0.0)
-        if mode == "train" and p > 0:
-            mask = (rng.random(relu.shape) >= p) / (1.0 - p)
-            out = relu * mask
-        else:
-            mask = None
-            out = relu
-        caches.append({
-            "x": h, "inv_std": inv_std, "x_hat": x_hat,
-            "bn_out": bn_out, "mask": mask, "batch_stats": mode == "train" and not freeze_bn,
-        })
+        mu, var = z.mean(axis=0), z.var(axis=0)  # biased var normalizes
+        block["run_mean"] = (1 - m) * block["run_mean"] + m * mu
+        block["run_var"] = (1 - m) * block["run_var"] + m * (var * B / (B - 1))
+        inv_std, x_hat, bn_out = _normalize(z, mu, var, block, model.bn_eps)
+        out = np.maximum(bn_out, 0.0)
+        mask = None
+        if p > 0:
+            mask = (rng.random(out.shape) >= p) / (1.0 - p)
+            out = out * mask
+        caches.append((h, inv_std, x_hat, bn_out, mask))
         h = out
-    logits = h @ model.out_w + model.out_b
-    return logits, h, caches
-
-
-def forward(model: MlpModel, batch, mode=None, rng=None, freeze_bn=False) -> np.ndarray:
-    """Logits for a batch. mode defaults to model.mode; freeze_bn makes
-    train mode use running statistics (dropout still active).
-
-    Never changes the model: train mode normalizes with the batch statistics
-    but leaves the running statistics as they are. Only the training step,
-    loss_and_gradients, updates them."""
-    mode = model.mode if mode is None else mode
-    logits, _, _ = _forward_cache(model, batch, mode, rng, freeze_bn)
-    return logits
+    return h @ model.out_w + model.out_b, h, caches
 
 
 def _weighted_ce(logits, labels, class_weights):
@@ -206,46 +197,44 @@ def _check_labels(labels, output_size):
 
 
 def loss_and_gradients(model: MlpModel, batch, labels, class_weights=None, rng=None):
-    """Weighted softmax CE and reverse-mode gradients for every parameter.
+    """One training step's weighted softmax CE and its backpropagated gradients.
 
-    Requires train mode: gradients flow through dropout masks and
-    batch-statistics BN, and the BN running statistics take one EMA step.
-    Returns (loss, grads) with grads mirroring the parameter structure:
+    The forward uses batch-statistics BN and dropout masks, and the BN
+    running statistics take one EMA step. Returns (loss, grads) with grads
+    mirroring the parameter structure:
     {"blocks": [{w,b,gamma,beta}...], "out_w", "out_b"}.
     """
-    if model.mode != "train":
-        raise ConfigError("loss_and_gradients requires train mode")
     y = _check_labels(labels, model.arch.output_size)
-    logits, hidden, caches = _forward_cache(model, batch, "train", rng, False,
-                                            update_running=True)
+    X = _check_batch(model, batch)
+    B = X.shape[0]
+    if B < 2:
+        raise DataFormatError("training-step BN needs a batch of >= 2 rows")
+    if model.arch.dropout_p > 0 and rng is None:
+        raise ConfigError("training step with dropout needs an rng")
+    logits, hidden, caches = _train_forward(model, X, rng)
     loss, dlogits = _weighted_ce(logits, y, class_weights)
     grads = {"out_w": hidden.T @ dlogits, "out_b": dlogits.sum(axis=0), "blocks": []}
     dh = dlogits @ model.out_w.T
-    B = dlogits.shape[0]
-    for block, cache in zip(reversed(model.blocks), reversed(caches)):
-        if cache["mask"] is not None:
-            dh = dh * cache["mask"]
-        d_bn = dh * (cache["bn_out"] > 0)
-        dgamma = (d_bn * cache["x_hat"]).sum(axis=0)
-        dbeta = d_bn.sum(axis=0)
+    for block, (x, inv_std, x_hat, bn_out, mask) in zip(reversed(model.blocks),
+                                                         reversed(caches)):
+        if mask is not None:
+            dh = dh * mask
+        d_bn = dh * (bn_out > 0)
         dx_hat = d_bn * block["gamma"]
-        if cache["batch_stats"]:
-            dz = cache["inv_std"] / B * (
-                B * dx_hat
-                - dx_hat.sum(axis=0)
-                - cache["x_hat"] * (dx_hat * cache["x_hat"]).sum(axis=0)
-            )
-        else:
-            dz = dx_hat * cache["inv_std"]
-        grads["blocks"].append({
-            "w": cache["x"].T @ dz,
-            "b": dz.sum(axis=0),
-            "gamma": dgamma,
-            "beta": dbeta,
-        })
-        dh = dz @ block["w"].T
+        dz = inv_std / B * (B * dx_hat - dx_hat.sum(axis=0)
+                            - x_hat * (dx_hat * x_hat).sum(axis=0))
+        grads["blocks"].append({"w": x.T @ dz, "b": dz.sum(axis=0),
+                                "gamma": (d_bn * x_hat).sum(axis=0), "beta": d_bn.sum(axis=0)})
+        if block is not model.blocks[0]:  # no gradient for the input batch
+            dh = dz @ block["w"].T
     grads["blocks"].reverse()
     return loss, grads
+
+
+def _flatten(out_w, out_b, blocks) -> list:
+    """The trainable arrays, or their gradients, in one fixed order."""
+    return [out_w, out_b] + [block[name] for block in blocks
+                             for name in ("w", "b", "gamma", "beta")]
 
 
 def _adam_step(param, grad, state, cfg, t):
@@ -258,12 +247,12 @@ def _adam_step(param, grad, state, cfg, t):
 
 def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
     """Adam training with a seeded 90/10 train/val split (validation only
-    feeds the learning curve). Returns (model in eval mode, curve) where
-    curve has exactly cfg.epochs (train_loss, val_loss) points.
+    feeds the learning curve). Returns (model, curve) where curve has
+    exactly cfg.epochs (train_loss, val_loss) points.
 
     Weight decay is the coupled L2 term added to the gradients of affine
     weight matrices only (not biases, not BN scale/shift). A trailing
-    batch of one row is skipped (train-mode BN is undefined there).
+    batch of one row is skipped (batch-statistics BN is undefined there).
     """
     y = _check_labels(ds.labels, arch.output_size)
     if ds.num_features != arch.input_size:
@@ -281,19 +270,14 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
     X_train, y_train = ds.features[train_idx], y[train_idx]
     X_val, y_val = ds.features[val_idx], y[val_idx]
 
-    adam = {"out_w": None, "out_b": None, "blocks": []}
-    adam["out_w"] = {"m": np.zeros_like(model.out_w), "v": np.zeros_like(model.out_w)}
-    adam["out_b"] = {"m": np.zeros_like(model.out_b), "v": np.zeros_like(model.out_b)}
-    for block in model.blocks:
-        adam["blocks"].append({
-            name: {"m": np.zeros_like(block[name]), "v": np.zeros_like(block[name])}
-            for name in ("w", "b", "gamma", "beta")
-        })
+    params = _flatten(model.out_w, model.out_b, model.blocks)
+    # coupled L2 on the affine weight matrices, the only 2-d parameters
+    decay = [cfg.weight_decay if param.ndim == 2 else 0.0 for param in params]
+    adam = [{"m": np.zeros_like(param), "v": np.zeros_like(param)} for param in params]
 
     curve = []
     t = 0
     for _ in range(cfg.epochs):
-        model.mode = "train"
         order = rng.permutation(train_idx.size)
         epoch_loss = 0.0
         epoch_rows = 0
@@ -304,23 +288,15 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
             loss, grads = loss_and_gradients(
                 model, X_train[idx], y_train[idx], cfg.class_weights, rng
             )
-            if cfg.weight_decay > 0:
-                grads["out_w"] += cfg.weight_decay * model.out_w
-                for block, g in zip(model.blocks, grads["blocks"]):
-                    g["w"] += cfg.weight_decay * block["w"]
             t += 1
-            _adam_step(model.out_w, grads["out_w"], adam["out_w"], cfg, t)
-            _adam_step(model.out_b, grads["out_b"], adam["out_b"], cfg, t)
-            for block, g, state in zip(model.blocks, grads["blocks"], adam["blocks"]):
-                for name in ("w", "b", "gamma", "beta"):
-                    _adam_step(block[name], g[name], state[name], cfg, t)
+            for param, grad, wd, state in zip(params, _flatten(**grads), decay, adam):
+                if wd > 0:
+                    grad = grad + wd * param
+                _adam_step(param, grad, state, cfg, t)
             epoch_loss += loss * idx.size
             epoch_rows += idx.size
-        model.mode = "eval"
-        val_logits = forward(model, X_val, mode="eval")
-        val_loss, _ = _weighted_ce(val_logits, y_val, cfg.class_weights)
+        val_loss, _ = _weighted_ce(forward(model, X_val), y_val, cfg.class_weights)
         curve.append((epoch_loss / epoch_rows, val_loss))
-    model.mode = "eval"
     return model, curve
 
 
@@ -331,11 +307,11 @@ class MlpPredictor:
         self.model = model
 
     def predict(self, features) -> np.ndarray:
-        logits = forward(self.model, features, mode="eval")
+        logits = forward(self.model, features)
         return np.argmax(logits, axis=1)
 
     def score(self, features) -> np.ndarray:
-        logits = forward(self.model, features, mode="eval")
+        logits = forward(self.model, features)
         return softmax(logits)[:, 1]
 
 

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 
-from deskbench import prep, textfeat
+from deskbench import mlp, prep, textfeat
 from deskbench.artifacts import f64_to_b64
 from deskbench.dataio import LABEL_MAPS, DenseDataset, _parse_label, _text_lines
 from deskbench.distbench.codec import Frame
@@ -640,3 +640,147 @@ def manifest_json_oracle(manifest) -> str:
     if manifest.seed is not None:
         obj["seed"] = manifest.seed
     return json.dumps(obj, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# MLP training as it was with a mode flag: one cached forward for both
+# modes, a frozen-BN branch, and nested Adam state. The model's mode
+# attribute is gone, so these take the mode as an argument and never
+# check it on the model.
+
+def mlp_forward_cache_oracle(model, batch, mode, rng, freeze_bn, update_running=False):
+    X = np.asarray(batch, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.arch.input_size:
+        raise DataFormatError(
+            f"batch must be 2-d with {model.arch.input_size} columns"
+        )
+    B = X.shape[0]
+    if B < 1:
+        raise DataFormatError("batch must contain at least one row")
+    if mode == "train" and B < 2 and not freeze_bn:
+        raise DataFormatError("train-mode BN needs a batch of >= 2 rows")
+    p = model.arch.dropout_p
+    if mode == "train" and p > 0 and rng is None:
+        raise ConfigError("train-mode forward with dropout needs an rng")
+    caches = []
+    h = X
+    for block in model.blocks:
+        z = h @ block["w"] + block["b"]
+        if mode == "train" and not freeze_bn:
+            mu = z.mean(axis=0)
+            var = z.var(axis=0)  # biased, used for normalization
+            if update_running:
+                m = model.bn_momentum
+                block["run_mean"] = (1 - m) * block["run_mean"] + m * mu
+                unbiased = var * B / (B - 1)
+                block["run_var"] = (1 - m) * block["run_var"] + m * unbiased
+        else:
+            mu = block["run_mean"]
+            var = block["run_var"]
+        inv_std = 1.0 / np.sqrt(var + model.bn_eps)
+        x_hat = (z - mu) * inv_std
+        bn_out = block["gamma"] * x_hat + block["beta"]
+        relu = np.maximum(bn_out, 0.0)
+        if mode == "train" and p > 0:
+            mask = (rng.random(relu.shape) >= p) / (1.0 - p)
+            out = relu * mask
+        else:
+            mask = None
+            out = relu
+        caches.append({
+            "x": h, "inv_std": inv_std, "x_hat": x_hat,
+            "bn_out": bn_out, "mask": mask, "batch_stats": mode == "train" and not freeze_bn,
+        })
+        h = out
+    logits = h @ model.out_w + model.out_b
+    return logits, h, caches
+
+
+def mlp_eval_forward_oracle(model, batch):
+    return mlp_forward_cache_oracle(model, batch, "eval", None, False)[0]
+
+
+def mlp_loss_and_gradients_oracle(model, batch, labels, class_weights=None, rng=None):
+    y = mlp._check_labels(labels, model.arch.output_size)
+    logits, hidden, caches = mlp_forward_cache_oracle(model, batch, "train", rng, False,
+                                                      update_running=True)
+    loss, dlogits = mlp._weighted_ce(logits, y, class_weights)
+    grads = {"out_w": hidden.T @ dlogits, "out_b": dlogits.sum(axis=0), "blocks": []}
+    dh = dlogits @ model.out_w.T
+    B = dlogits.shape[0]
+    for block, cache in zip(reversed(model.blocks), reversed(caches)):
+        if cache["mask"] is not None:
+            dh = dh * cache["mask"]
+        d_bn = dh * (cache["bn_out"] > 0)
+        dgamma = (d_bn * cache["x_hat"]).sum(axis=0)
+        dbeta = d_bn.sum(axis=0)
+        dx_hat = d_bn * block["gamma"]
+        if cache["batch_stats"]:
+            dz = cache["inv_std"] / B * (
+                B * dx_hat
+                - dx_hat.sum(axis=0)
+                - cache["x_hat"] * (dx_hat * cache["x_hat"]).sum(axis=0)
+            )
+        else:
+            dz = dx_hat * cache["inv_std"]
+        grads["blocks"].append({
+            "w": cache["x"].T @ dz,
+            "b": dz.sum(axis=0),
+            "gamma": dgamma,
+            "beta": dbeta,
+        })
+        dh = dz @ block["w"].T
+    grads["blocks"].reverse()
+    return loss, grads
+
+
+def mlp_train_oracle(ds, arch, cfg):
+    """mlp.train with nested per-parameter Adam state. Returns (model, curve)."""
+    y = mlp._check_labels(ds.labels, arch.output_size)
+    rng = np.random.default_rng(cfg.seed)
+    model = mlp.init_model(arch, rng, cfg.bn_eps, cfg.bn_momentum)
+    n = ds.num_rows
+    perm = rng.permutation(n)
+    val_count = max(1, n // 10)
+    val_idx, train_idx = perm[:val_count], perm[val_count:]
+    X_train, y_train = ds.features[train_idx], y[train_idx]
+    X_val, y_val = ds.features[val_idx], y[val_idx]
+
+    adam = {"out_w": None, "out_b": None, "blocks": []}
+    adam["out_w"] = {"m": np.zeros_like(model.out_w), "v": np.zeros_like(model.out_w)}
+    adam["out_b"] = {"m": np.zeros_like(model.out_b), "v": np.zeros_like(model.out_b)}
+    for block in model.blocks:
+        adam["blocks"].append({
+            name: {"m": np.zeros_like(block[name]), "v": np.zeros_like(block[name])}
+            for name in ("w", "b", "gamma", "beta")
+        })
+
+    curve = []
+    t = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(train_idx.size)
+        epoch_loss = 0.0
+        epoch_rows = 0
+        for start in range(0, order.size, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            if idx.size < 2:
+                continue
+            loss, grads = mlp_loss_and_gradients_oracle(
+                model, X_train[idx], y_train[idx], cfg.class_weights, rng
+            )
+            if cfg.weight_decay > 0:
+                grads["out_w"] += cfg.weight_decay * model.out_w
+                for block, g in zip(model.blocks, grads["blocks"]):
+                    g["w"] += cfg.weight_decay * block["w"]
+            t += 1
+            mlp._adam_step(model.out_w, grads["out_w"], adam["out_w"], cfg, t)
+            mlp._adam_step(model.out_b, grads["out_b"], adam["out_b"], cfg, t)
+            for block, g, state in zip(model.blocks, grads["blocks"], adam["blocks"]):
+                for name in ("w", "b", "gamma", "beta"):
+                    mlp._adam_step(block[name], g[name], state[name], cfg, t)
+            epoch_loss += loss * idx.size
+            epoch_rows += idx.size
+        val_logits = mlp_eval_forward_oracle(model, X_val)
+        val_loss, _ = mlp._weighted_ce(val_logits, y_val, cfg.class_weights)
+        curve.append((epoch_loss / epoch_rows, val_loss))
+    return model, curve

@@ -453,7 +453,7 @@ def test_criterion_11_synthetic_dense_benchmark():
     cfg = mlp.MlpTrainConfig(learning_rate=1e-2, epochs=5, batch_size=256, seed=0)
     record("mlp",
            lambda: mlp.train(train, arch, cfg)[0],
-           lambda m: mlp.softmax(mlp.forward(m, holdout.features, mode="eval"))[:, 1],
+           lambda m: mlp.softmax(mlp.forward(m, holdout.features))[:, 1],
            0.5)
 
     lines = ["algorithm,accuracy,auc_roc,wall_clock_s"]

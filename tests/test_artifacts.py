@@ -104,14 +104,12 @@ class TestMlpArtifact:
         for block in model.blocks:
             block["run_mean"] = rng.normal(size=3)
             block["run_var"] = rng.uniform(0.5, 2.0, size=3)
-        model.mode = "eval"
         return model
 
     def test_round_trip_all_parameters(self):
         model = self.model()
         back = artifacts.artifact_to_model(artifacts.model_artifact(model))
         assert back.arch == model.arch
-        assert back.mode == "eval"
         assert back.bn_eps == model.bn_eps
         assert back.bn_momentum == model.bn_momentum
         for mine, theirs in zip(model.blocks, back.blocks):
@@ -124,8 +122,7 @@ class TestMlpArtifact:
         model = self.model()
         back = artifacts.artifact_to_model(artifacts.model_artifact(model))
         batch = np.random.default_rng(5).normal(size=(6, 4))
-        assert np.array_equal(mlp.forward(model, batch, mode="eval"),
-                              mlp.forward(back, batch, mode="eval"))
+        assert np.array_equal(mlp.forward(model, batch), mlp.forward(back, batch))
 
     def test_block_count_mismatch_rejected(self):
         art = artifacts.model_artifact(self.model())

@@ -8,6 +8,7 @@ exercised exactly as a shell user would hit them.
 import csv
 import dataclasses
 import json
+import re
 import socket
 import threading
 
@@ -170,6 +171,28 @@ class TestTrain:
 
         preds = gbt.predict(model, ds.features)
         assert preds.shape == (160,)
+
+
+class TestLabelMap:
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_help_names_accepted_values(self, tmp_path, gen_csv, capsys, command):
+        assert run_cli(command, "--help") == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        values = re.search(r"override label mapping: (\S+)", help_text).group(1).split("|")
+        assert values == list(dataio.LABEL_MAPS)
+        for value in values:
+            # a 0/1 file fails plus_minus_one as data (2), never as usage (1)
+            rc = run_cli(command, "--algo", "logreg", "--data", gen_csv, "--label-map", value,
+                         "--epochs", 1, "--outdir", tmp_path / value)
+            assert rc == (2 if value == "plus_minus_one" else 0)
+
+    def test_plus_minus_one_csv_trains(self, tmp_path, gen_csv):
+        ds = dataio.load_dense(gen_csv)
+        path = tmp_path / "pm.csv"
+        dataio.save_dense(dataio.DenseDataset(2.0 * ds.labels - 1.0, ds.features), path)
+        assert path.read_text().startswith(("-1", "1"))
+        assert run_cli("train", "--algo", "logreg", "--data", path,
+                       "--label-map", "plus_minus_one", "--outdir", tmp_path) == 0
 
 
 class TestPlan:
@@ -448,6 +471,19 @@ class TestExitCodes:
     def test_unknown_algorithm(self, tmp_path, dense_csv):
         assert run_cli("cv", "--algo", "tree", "--data", dense_csv,
                        "--outdir", tmp_path) == 1
+
+    @pytest.mark.parametrize("k", [1, 0])
+    @pytest.mark.parametrize("command, extra", [
+        ("cv", ()), ("gridsearch", ("--grid", '{"lambda": [0.1]}')),
+    ], ids=["cv", "gridsearch"])
+    def test_too_few_folds_is_usage_error_before_loading(self, tmp_path, capsys,
+                                                         command, extra, k):
+        # the data file does not exist, so a check after loading would exit 2
+        rc = run_cli(command, "--algo", "logreg", "--data", tmp_path / "missing.csv",
+                     "--k", k, *extra, "--outdir", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--k" in err[0]
 
     def test_missing_data_file(self, tmp_path):
         assert run_cli("cv", "--algo", "logreg",

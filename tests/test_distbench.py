@@ -385,6 +385,37 @@ class TestWorker:
         thread.join(5.0)
         assert status == 3
 
+    def test_lost_connection_after_hello_is_final(self, tmp_path):
+        # the master takes each HELLO once, so the worker must not re-send it
+        _, path = self.part(tmp_path)
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.bind(("127.0.0.1", 0))
+        server.listen()
+        server.settimeout(0.2)
+        hellos = []
+        stop = threading.Event()
+
+        def drop_after_hello():
+            while not stop.is_set():
+                try:
+                    sock, _ = server.accept()
+                except socket.timeout:
+                    continue
+                with sock, sock.makefile("rb") as stream:
+                    hellos.append(codec.read_frame(stream))
+
+        thread = threading.Thread(target=drop_after_hello, daemon=True)
+        thread.start()
+        with server:
+            status = run_worker(f"127.0.0.1:{server.getsockname()[1]}", path, 4,
+                                reconnect_attempts=3, reconnect_delay_s=0.01)
+            time.sleep(0.3)  # room for a second connection to arrive
+            stop.set()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        assert status == 3
+        assert [frame.kind for frame in hellos] == ["hello"]
+
     def test_unreachable_master_bounded_attempts(self, tmp_path):
         _, path = self.part(tmp_path)
         t0 = time.perf_counter()

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from deskbench import mlp
 from deskbench.dataio import DenseDataset, generate_synthetic
 from deskbench.errors import ConfigError, DataFormatError
+from oracles import mlp_eval_forward_oracle, mlp_train_oracle
 
 
 def tiny_arch(**overrides):
@@ -20,7 +24,6 @@ def zero_model(arch, bn_eps=1e-5):
     for block in model.blocks:
         block["w"][:] = 0.0
     model.out_w[:] = 0.0
-    model.mode = "eval"
     return model
 
 
@@ -63,7 +66,6 @@ class TestForward:
     @pytest.mark.parametrize("batch_rows", [1, 2, 7])
     def test_eval_shape(self, batch_rows):
         model = mlp.init_model(tiny_arch(), np.random.default_rng(2))
-        model.mode = "eval"
         logits = mlp.forward(model, np.zeros((batch_rows, 6)))
         assert logits.shape == (batch_rows, 2)
 
@@ -72,8 +74,8 @@ class TestForward:
         model = mlp.init_model(tiny_arch(hidden_size=5), np.random.default_rng(3),
                                bn_eps=1e-9)
         X = np.random.default_rng(4).normal(size=(64, 6)) * 3.0
-        _, _, caches = mlp._forward_cache(model, X, "train", None, False)
-        x_hat = caches[0]["x_hat"]
+        _, _, caches = mlp._train_forward(model, X, None)
+        _, _, x_hat, _, _ = caches[0]
         assert np.max(np.abs(x_hat.mean(axis=0))) < 1e-6
         assert np.max(np.abs(x_hat.var(axis=0) - 1.0)) < 1e-6
 
@@ -89,23 +91,12 @@ class TestForward:
         assert np.allclose(model.blocks[0]["run_var"], expect_var, atol=1e-12)
 
     def test_eval_forward_is_pure(self):
-        model = mlp.init_model(tiny_arch(), np.random.default_rng(7))
-        model.mode = "eval"
+        model = mlp.init_model(tiny_arch(num_hidden_blocks=2), np.random.default_rng(7))
         X = np.random.default_rng(8).normal(size=(5, 6))
-        before = [block["run_mean"].copy() for block in model.blocks]
-        a = mlp.forward(model, X)
-        b = mlp.forward(model, X)
-        assert np.array_equal(a, b)
-        for block, run_mean in zip(model.blocks, before):
-            assert np.array_equal(block["run_mean"], run_mean)
-
-    def test_train_forward_leaves_running_stats(self):
-        model = mlp.init_model(tiny_arch(num_hidden_blocks=2), np.random.default_rng(5))
-        X = np.random.default_rng(6).normal(size=(8, 6))
         before = [(block["run_mean"].copy(), block["run_var"].copy())
                   for block in model.blocks]
-        a = mlp.forward(model, X, mode="train")
-        b = mlp.forward(model, X, mode="train")
+        a = mlp.forward(model, X)
+        b = mlp.forward(model, X)
         assert np.array_equal(a, b)
         for block, (run_mean, run_var) in zip(model.blocks, before):
             assert np.array_equal(block["run_mean"], run_mean)
@@ -114,30 +105,32 @@ class TestForward:
     def test_train_batch_of_one_rejected(self):
         model = mlp.init_model(tiny_arch(), np.random.default_rng(9))
         with pytest.raises(DataFormatError):
-            mlp.forward(model, np.zeros((1, 6)), mode="train")
+            mlp.loss_and_gradients(model, np.zeros((1, 6)), np.array([0]))
 
     def test_width_mismatch(self):
         model = mlp.init_model(tiny_arch(), np.random.default_rng(10))
         with pytest.raises(DataFormatError):
-            mlp.forward(model, np.zeros((2, 5)), mode="eval")
+            mlp.forward(model, np.zeros((2, 5)))
 
     def test_dropout_needs_rng(self):
         model = mlp.init_model(tiny_arch(dropout_p=0.5), np.random.default_rng(11))
         with pytest.raises(ConfigError):
-            mlp.forward(model, np.zeros((4, 6)), mode="train")
+            mlp.loss_and_gradients(model, np.zeros((4, 6)), np.array([0, 1, 0, 1]))
 
-    def test_dropout_expectation_matches_eval(self):
+    def test_dropout_expectation_matches_no_dropout(self):
+        # one block: BN (batch statistics) comes before dropout, so the mean
+        # over masks of the training logits is exactly the no-dropout logits
         model = mlp.init_model(tiny_arch(hidden_size=8, dropout_p=0.5),
                                np.random.default_rng(3))
         model.out_b[:] = [1.0, -1.5]
         X = np.random.default_rng(12).normal(size=(3, 6))
-        model.mode = "eval"
-        target = mlp.forward(model, X)
+        no_dropout = dataclasses.replace(model, arch=tiny_arch(hidden_size=8))
+        target, _, _ = mlp._train_forward(no_dropout, X, None)
         assert np.min(np.abs(target)) > 0.2  # keeps the relative bound meaningful
         rng = np.random.default_rng(99)
         total = np.zeros_like(target)
         for _ in range(10_000):
-            total += mlp.forward(model, X, mode="train", rng=rng, freeze_bn=True)
+            total += mlp._train_forward(model, X, rng)[0]
         mean = total / 10_000
         assert np.all(np.abs(mean - target) <= 0.02 * np.abs(target))
 
@@ -156,7 +149,6 @@ class TestSoftmax:
 class TestLossAndGradients:
     def test_uniform_logits_ln2(self):
         model = zero_model(tiny_arch())
-        model.mode = "train"
         X = np.random.default_rng(13).normal(size=(6, 6))
         labels = np.array([0, 1, 0, 1, 1, 0])
         loss, _ = mlp.loss_and_gradients(model, X, labels)
@@ -172,11 +164,6 @@ class TestLossAndGradients:
         plain, _ = mlp.loss_and_gradients(model, X, labels)
         weighted, _ = mlp.loss_and_gradients(model, X, labels, class_weights=(2.0, 1.0))
         assert weighted == pytest.approx(2.0 * plain, rel=1e-15)
-
-    def test_eval_mode_rejected(self):
-        model = zero_model(tiny_arch())
-        with pytest.raises(ConfigError):
-            mlp.loss_and_gradients(model, np.zeros((2, 6)), np.array([0, 1]))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -295,3 +282,50 @@ class TestTrain:
         assert lines[0] == "epoch,train_loss,val_loss"
         assert lines[1] == "1,0.5,0.6"
         assert lines[2] == "2,0.4,0.55"
+
+
+@st.composite
+def mlp_cases(draw):
+    """(dataset, arch, config): tiny nets of 1-3 blocks, dropout 0 to 0.8,
+    class weights absent or unequal, weight decay 0 or > 0, and training
+    splits that often leave a trailing one-row batch."""
+    batch = draw(st.integers(2, 6))
+    train_rows = batch * draw(st.integers(1, 3)) + draw(st.sampled_from([0, 1, batch - 1]))
+    # train holds out max(1, n // 10) of n rows for the learning curve
+    n = next(n for n in itertools.count(train_rows + 1) if n - max(1, n // 10) == train_rows)
+    f = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = DenseDataset(rng.integers(0, 2, size=n).astype(np.float64),
+                      rng.normal(size=(n, f)) * 10.0 ** draw(st.floats(-2.0, 2.0)))
+    arch = mlp.MlpArchitecture(input_size=f, hidden_size=draw(st.integers(1, 4)),
+                               num_hidden_blocks=draw(st.integers(1, 3)), output_size=2,
+                               dropout_p=draw(st.sampled_from([0.0, 0.1, 0.5, 0.8])))
+    cfg = mlp.MlpTrainConfig(learning_rate=draw(st.sampled_from([1e-3, 1e-2, 0.1])),
+                             weight_decay=draw(st.sampled_from([0.0, 1e-4, 0.05])),
+                             epochs=draw(st.integers(1, 3)), batch_size=batch,
+                             seed=draw(st.integers(0, 1000)),
+                             class_weights=draw(st.sampled_from([None, (1.0, 2.5), (3.0, 0.5)])))
+    return ds, arch, cfg
+
+
+def model_bits(model):
+    arrays = [model.out_w, model.out_b] + [block[name] for block in model.blocks
+                                           for name in sorted(block)]
+    return [array.tobytes() for array in arrays]
+
+
+class TestTrainMatchesOracle:
+    """train and forward against the mode-flag trainer they replaced:
+    weights, running statistics, curve and eval logits, bit for bit."""
+
+    @given(mlp_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical(self, case):
+        ds, arch, cfg = case
+        model, curve = mlp.train(ds, arch, cfg)
+        ref, ref_curve = mlp_train_oracle(ds, arch, cfg)
+        assert repr(curve) == repr(ref_curve)
+        assert model_bits(model) == model_bits(ref)
+        for rows in (ds.features[:1], ds.features):
+            assert (mlp.forward(model, rows).tobytes()
+                    == mlp_eval_forward_oracle(model, rows).tobytes())

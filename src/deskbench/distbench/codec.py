@@ -182,3 +182,25 @@ def read_frame(stream) -> Frame | None:
     if len(payload) < length:
         raise ProtocolError(f"truncated frame payload ({len(payload)} of {length} bytes)")
     return unpack(payload)
+
+
+class FrameBuffer(bytearray):
+    """Bytes received but not yet decoded; take() decodes them one frame at
+    a time through read_frame, which reads this buffer as its stream."""
+
+    def read(self, n: int):  # past the end: EOFError, where a socket would block
+        self.pos += n
+        if self.pos > len(self):
+            raise EOFError
+        return self[self.pos - n:self.pos]
+
+    def take(self) -> Frame | None:
+        """Remove and decode the first whole frame, or return None while there
+        is none. Errors are read_frame's; a bad length fails with its header."""
+        self.pos = 0
+        try:
+            frame = read_frame(self)
+        except EOFError:
+            return None
+        del self[:self.pos]
+        return frame

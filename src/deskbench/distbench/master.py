@@ -5,12 +5,15 @@ then runs synchronous rounds: broadcast the global parameter vector,
 wait for every worker's locally-trained update, and average the
 updates weighted by sample count in fixed worker-id order. A timed-out
 round is retried once before the run fails listing the culprits.
+
+One selector loop on the calling thread serves every connection at once,
+in the accept window too, so a silent client delays no worker.
 """
 
+import io
 import logging
-import queue
+import selectors
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -80,40 +83,15 @@ class BenchRecord:
         return self.handshake_bytes_received + sum(self.round_bytes_received)
 
 
-def _hard_close(sock, stream=None):
-    """Force a FIN now: makefile() keeps the fd alive past sock.close()."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    for closeable in (stream, sock):
-        if closeable is not None:
-            try:
-                closeable.close()
-            except OSError:
-                pass
-
-
+@dataclass
 class _Conn:
-    def __init__(self, worker_id, sock, stream):
-        self.worker_id = worker_id
-        self.sock = sock
-        self.stream = stream
+    """An accepted socket, its bytes not yet decoded or sent, and its worker id."""
 
-    def close(self):
-        _hard_close(self.sock, self.stream)
-
-
-def _reader(conn: _Conn, inbox: queue.Queue) -> None:
-    while True:
-        try:
-            frame = codec.read_frame(conn.stream)
-        except (ProtocolError, OSError, ValueError) as exc:
-            inbox.put((conn.worker_id, exc))
-            return
-        inbox.put((conn.worker_id, frame))
-        if frame is None:
-            return
+    sock: socket.socket
+    peer: tuple
+    buf: codec.FrameBuffer = field(default_factory=codec.FrameBuffer)
+    out: bytearray = field(default_factory=bytearray)
+    worker_id: int | None = None  # set by its HELLO
 
 
 def _split_address(address: str) -> tuple[str, int]:
@@ -144,132 +122,133 @@ def _listen(address: str):
     return server
 
 
-def _accept_workers(server, spec: ClusterSpec, record: BenchRecord) -> tuple[dict, int]:
+def _receive(sel, deadline: float) -> list:
+    """Accept, send what is queued and read what arrives, by deadline at the
+    latest. Returns (conn, item) pairs; item is a decoded Frame, None for a
+    clean end of stream, or the error that ended the connection."""
+    events = []
+    for key, mask in sel.select(max(deadline - time.monotonic(), 0.0)):
+        conn = key.data
+        if conn is None:  # the listening socket
+            sock, peer = key.fileobj.accept()
+            sock.setblocking(False)
+            sel.register(sock, selectors.EVENT_READ, _Conn(sock, peer))
+            continue
+        try:
+            if mask & selectors.EVENT_WRITE:
+                del conn.out[:conn.sock.send(conn.out)]
+                if not conn.out:
+                    sel.modify(conn.sock, selectors.EVENT_READ, conn)
+            if mask & selectors.EVENT_READ:
+                chunk = conn.sock.recv(1 << 16)
+                conn.buf += chunk
+                while (frame := conn.buf.take()) is not None:
+                    events.append((conn, frame))
+                if not chunk:  # end of stream; read_frame names a frame cut short
+                    events.append((conn, codec.read_frame(io.BytesIO(conn.buf))))
+        except (OSError, ProtocolError) as exc:
+            conn.out.clear()
+            events.append((conn, exc))
+    return events
+
+
+def _accept_workers(sel, spec: ClusterSpec, record: BenchRecord) -> tuple[dict, int]:
     """Collect one HELLO per expected worker id within the accept window.
 
-    Returns the connections by worker id and the feature count they agree on.
+    Returns the connections by worker id and the feature count they agree
+    on, and closes the listening socket and every other connection.
     """
     expected = set(spec.worker_ids)
     conns = {}
     widths = set()
     deadline = time.monotonic() + spec.round_timeout_s
-    try:
-        while expected - set(conns):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ProtocolError(
-                    f"workers {sorted(expected - set(conns))} did not connect "
-                    f"within {spec.round_timeout_s}s; round_timeout_s (--round-timeout) "
-                    "is also the accept window, and a worker parses its whole part "
-                    "before HELLO")
-            server.settimeout(remaining)
-            try:
-                sock, peer = server.accept()
-            except socket.timeout:
-                continue
-            sock.settimeout(max(deadline - time.monotonic(), 0.01))
-            stream = sock.makefile("rb")
-            try:
-                frame = codec.read_frame(stream)
-            except (ProtocolError, OSError) as exc:
-                log.error("handshake from %s failed: %s", peer, exc)
-                _hard_close(sock, stream)
-                continue
-            if frame is None:
-                _hard_close(sock, stream)
-                continue
-            record.handshake_bytes_received += frame.wire_size
-            if frame.kind == "error":
-                raise ProtocolError(f"worker reported: {frame.data['message']}")
-            if frame.kind != "hello":
-                log.error("protocol violation from %s: expected hello, got %r",
-                          peer, frame)
-                _hard_close(sock, stream)
-                continue
-            wid = frame.data["worker_id"]
-            if wid not in expected or wid in conns:
-                log.error("unexpected worker id %d from %s; dropping", wid, peer)
-                _hard_close(sock, stream)
-                continue
-            sock.settimeout(None)
-            conns[wid] = _Conn(wid, sock, stream)
-            widths.add(frame.data["num_features"])
-        if len(widths) != 1:
-            raise ProtocolError(f"workers disagree on feature count: {sorted(widths)}")
-        return conns, widths.pop()
-    except BaseException:
-        for conn in conns.values():
-            conn.close()
-        raise
+    while expected - set(conns):
+        if time.monotonic() >= deadline:
+            raise ProtocolError(
+                f"workers {sorted(expected - set(conns))} did not connect "
+                f"within {spec.round_timeout_s}s; round_timeout_s (--round-timeout) "
+                "is also the accept window, and a worker parses its whole part "
+                "before HELLO")
+        for conn, item in _receive(sel, deadline):
+            if conn.sock.fileno() < 0:
+                continue  # dropped for an earlier item of this batch
+            if conn.worker_id is not None:  # nothing may come between HELLO and CONFIG
+                got = (f"sent a {item.kind} frame" if isinstance(item, codec.Frame)
+                       else f"lost its connection ({item or 'closed'})")
+                raise ProtocolError(f"worker {conn.worker_id} {got} before config")
+            if isinstance(item, codec.Frame):
+                record.handshake_bytes_received += item.wire_size
+                if item.kind == "error":
+                    raise ProtocolError(f"worker reported: {item.data['message']}")
+                wid = item.data.get("worker_id")
+                if item.kind == "hello" and wid in expected - set(conns):
+                    conn.worker_id = wid
+                    conns[wid] = conn
+                    widths.add(item.data["num_features"])
+                    continue
+            log.error("dropping connection from %s: expected a new worker's hello, got %r",
+                      conn.peer, item)
+            sel.unregister(conn.sock)
+            conn.sock.close()
+    for key in list(sel.get_map().values()):
+        if key.data is None or key.data.worker_id is None:
+            sel.unregister(key.fileobj)
+            key.fileobj.close()
+    if len(widths) != 1:
+        raise ProtocolError(f"workers disagree on feature count: {sorted(widths)}")
+    return conns, widths.pop()
 
 
-def _broadcast(conns, targets, frame_bytes: bytes) -> int:
-    sent = 0
-    for wid in sorted(targets):
-        try:
-            conns[wid].sock.sendall(frame_bytes)
-        except OSError as exc:
-            raise ProtocolError(f"worker {wid} unreachable: {exc}") from exc
-        sent += len(frame_bytes)
-    return sent
+def _broadcast(sel, conns, targets, frame_bytes: bytes) -> int:
+    """Queue frame_bytes to each target; _receive sends them as sockets drain,
+    so the master never blocks sending to a worker that is sending to it."""
+    for wid in targets:
+        conns[wid].out += frame_bytes
+        sel.modify(conns[wid].sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conns[wid])
+    return len(frame_bytes) * len(targets)
 
 
-def _fail(conns, message: str):
-    err = codec.pack_error(message)
-    for conn in conns.values():
-        try:
-            conn.sock.sendall(err)
-        except OSError:
-            pass
-        conn.close()
+def _fail(sel, conns, message: str):
+    _broadcast(sel, conns, conns, codec.pack_error(message))
     raise ProtocolError(message)
 
 
-def _collect_round(spec, conns, inbox, round_, params_frame, record,
+def _collect_round(spec, sel, conns, round_, params_frame, record,
                    expected_count) -> dict:
     """Gather one update per worker; retry the broadcast once on timeout."""
     updates = {}
     retried = False
     deadline = time.monotonic() + spec.round_timeout_s
     while len(updates) < len(conns):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        if time.monotonic() >= deadline:
             missing = sorted(set(conns) - set(updates))
             if not retried:
                 retried = True
                 log.warning("round %d timed out; retrying workers %s", round_, missing)
-                record.round_bytes_sent[round_] += _broadcast(conns, missing, params_frame)
+                record.round_bytes_sent[round_] += _broadcast(sel, conns, missing, params_frame)
                 deadline = time.monotonic() + spec.round_timeout_s
                 continue
-            _fail(conns, f"round {round_} timed out waiting for workers {missing}")
-        try:
-            wid, item = inbox.get(timeout=remaining)
-        except queue.Empty:
-            continue
-        if isinstance(item, Exception):
-            _fail(conns, f"worker {wid} connection failed: {item}")
-        if item is None:
-            _fail(conns, f"worker {wid} closed its connection mid-run")
-        record.round_bytes_received[round_] += item.wire_size
-        if item.kind == "error":
-            _fail(conns, f"worker {wid} reported: {item.data['message']}")
-        if item.kind != "update":
-            violation = f"sent a {item.kind} frame during round {round_}"
-        elif item.data["count"] != expected_count:
-            violation = f"sent {item.data['count']} parameters, expected {expected_count}"
-        else:
-            violation = None
-        if violation:
-            log.error("protocol violation from worker %d: %r; dropping", wid, item)
-            conns[wid].close()
-            _fail(conns, f"worker {wid} {violation}")
-        if item.data["round"] != round_:
-            log.warning("stale update for round %d from worker %d ignored",
-                        item.data["round"], wid)
-            continue
-        if wid in updates:
-            continue  # duplicate after a retry: first received wins
-        updates[wid] = (item.data["sample_count"], item.data["values"])
+            _fail(sel, conns, f"round {round_} timed out waiting for workers {missing}")
+        for conn, item in _receive(sel, deadline):
+            wid = conn.worker_id
+            if not isinstance(item, codec.Frame):
+                _fail(sel, conns, f"worker {wid} closed its connection mid-run" if item is None
+                      else f"worker {wid} connection failed: {item}")
+            record.round_bytes_received[round_] += item.wire_size
+            if item.kind == "error":
+                _fail(sel, conns, f"worker {wid} reported: {item.data['message']}")
+            if item.kind != "update":
+                _fail(sel, conns, f"worker {wid} sent a {item.kind} frame during round {round_}")
+            if item.data["count"] != expected_count:
+                _fail(sel, conns, f"worker {wid} sent {item.data['count']} parameters, "
+                      f"expected {expected_count}")
+            if item.data["round"] != round_:
+                log.warning("stale update for round %d from worker %d ignored",
+                            item.data["round"], wid)
+                continue
+            if wid in updates:
+                continue  # duplicate after a retry: first received wins
+            updates[wid] = (item.data["sample_count"], item.data["values"])
     return updates
 
 
@@ -306,23 +285,15 @@ def run_master(spec: ClusterSpec, algo: str, cfg: SgdConfig, rounds: int | None 
     record = BenchRecord(algo=algo, manifest=manifest, num_workers=len(spec.workers))
     start = time.perf_counter()
     server = _listen(spec.master_address)
+    sel = selectors.DefaultSelector()
+    sel.register(server, selectors.EVENT_READ)  # no data marks the listening socket
     try:
         if on_listening is not None:
             on_listening(server.getsockname())
-        conns, num_features = _accept_workers(server, spec, record)
-    finally:
-        server.close()
-
-    try:
+        conns, num_features = _accept_workers(sel, spec, record)
         config_frame = codec.pack_config(algo, rounds, cfg.seed,
                                          cfg.lambda_, cfg.learning_rate)
-        record.handshake_bytes_sent += _broadcast(conns, conns.keys(), config_frame)
-
-        inbox = queue.Queue()
-        threads = [threading.Thread(target=_reader, args=(conn, inbox), daemon=True)
-                   for conn in conns.values()]
-        for thread in threads:
-            thread.start()
+        record.handshake_bytes_sent += _broadcast(sel, conns, conns, config_frame)
 
         params = np.zeros(num_features + 1, dtype=np.float64)
         for round_ in range(rounds):
@@ -331,17 +302,21 @@ def run_master(spec: ClusterSpec, algo: str, cfg: SgdConfig, rounds: int | None 
             record.round_bytes_sent.append(0)
             record.round_bytes_received.append(0)
             params_frame = codec.pack_params(round_, params)
-            record.round_bytes_sent[round_] += _broadcast(conns, conns.keys(),
-                                                          params_frame)
-            updates = _collect_round(spec, conns, inbox, round_, params_frame,
+            record.round_bytes_sent[round_] += _broadcast(sel, conns, conns, params_frame)
+            updates = _collect_round(spec, sel, conns, round_, params_frame,
                                      record, num_features + 1)
             params = _aggregate(updates)
             record.round_wall_clock_s[round_] = time.perf_counter() - t0
 
-        record.handshake_bytes_sent += _broadcast(conns, conns.keys(), codec.pack_done())
-    finally:
-        for conn in conns.values():
-            conn.close()
+        record.handshake_bytes_sent += _broadcast(sel, conns, conns, codec.pack_done())
+    finally:  # send what is queued (DONE, or a failed run's ERROR), then close
+        deadline = time.monotonic() + spec.round_timeout_s
+        while (any(key.data.out for key in sel.get_map().values() if key.data)
+               and time.monotonic() < deadline):
+            _receive(sel, deadline)
+        for key in sel.get_map().values():
+            key.fileobj.close()
+        sel.close()
 
     record.wall_clock_s = time.perf_counter() - start
     model = LinearModel(weights=params[:-1], bias=float(params[-1]), kind=algo)

@@ -63,13 +63,14 @@ def _connect(address: str, attempts: int, delay_s: float) -> socket.socket:
     host, port = _split_address(address)
     last = None
     for attempt in range(attempts):
+        if attempt:
+            time.sleep(delay_s)
         try:
             return socket.create_connection((host, port), timeout=30.0)
         except OSError as exc:
             last = exc
             log.warning("connect attempt %d/%d to %s failed: %s",
                         attempt + 1, attempts, address, exc)
-            time.sleep(delay_s)
     raise ProtocolError(f"could not connect to {address} after {attempts} attempts: {last}")
 
 

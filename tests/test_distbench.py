@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from deskbench.dataio import DenseDataset, generate_synthetic, save_dense, split_parts
-from deskbench.distbench import codec
+from deskbench.distbench import codec, master
 from deskbench.distbench.bench import (
     LocalBenchResult,
     bench_compare,
@@ -26,7 +26,7 @@ from deskbench.distbench.master import (
     _split_address,
     run_master,
 )
-from deskbench.distbench.worker import epoch_rng, local_epoch, run_worker
+from deskbench.distbench.worker import _connect, epoch_rng, local_epoch, run_worker
 from deskbench.errors import ConfigError, DataFormatError, ProtocolError
 from deskbench.linmodels import SgdConfig
 
@@ -196,7 +196,200 @@ class TestAggregate:
             _aggregate({1: (0, np.zeros(2))})
 
 
+def honest_update(frame, config, ds, worker_id=1) -> bytes:
+    """The UPDATE a well-behaved worker sends in answer to a PARAMS frame."""
+    values = frame.data["values"]
+    rng = epoch_rng(config["seed"], worker_id, frame.data["round"])
+    w, b = local_epoch(config["algo"], values[:-1], values[-1], ds.features, ds.labels,
+                       config["lambda_"], config["lr"], rng)
+    return codec.pack_update(frame.data["round"], ds.num_rows, np.append(w, b))
+
+
+def drain(stream):
+    """Read the master's frames until it closes the connection."""
+    try:
+        while codec.read_frame(stream) is not None:
+            pass
+    except OSError:
+        pass
+
+
+def scripted_run(ds, script, rounds=2, timeout_s=0.3):
+    """run_master against one scripted worker, id 1, that has sent its HELLO.
+
+    script(sock, stream, config) talks to the master from CONFIG on; its
+    connection closes when it returns. Returns the master's result dict.
+    """
+    spec = ClusterSpec("127.0.0.1:0", [(1, 4, "scripted")],
+                       round_timeout_s=timeout_s, max_rounds=rounds)
+    thread, result, ready = start_master(spec, "logistic", CFG, rounds)
+    assert ready.wait(5.0)
+
+    def worker():
+        with socket.create_connection(("127.0.0.1", result["port"]), timeout=5.0) as sock, \
+                sock.makefile("rb") as stream:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(codec.pack_hello(1, ds.num_rows, ds.num_features))
+            script(sock, stream, codec.read_frame(stream).data)
+
+    wt = threading.Thread(target=worker, daemon=True)
+    wt.start()
+    thread.join(10.0)
+    wt.join(10.0)
+    assert not thread.is_alive() and not wt.is_alive()
+    return result
+
+
+def assert_matches_oracle(result, ds, rounds=2):
+    assert "error" not in result, result.get("error")
+    oracle = local_train_rounds(ds, "logistic", CFG, rounds=rounds, worker_id=1)
+    assert np.max(np.abs(result["model"].weights - oracle.weights)) < 1e-9
+    assert abs(result["model"].bias - oracle.bias) < 1e-9
+
+
+# what a faulty worker sends in round 0 in place of its update (then it closes
+# its sending side), and what the run's error must say
+BAD_REPLIES = {
+    "closes": (lambda ds, update: b"", "worker 1 closed its connection mid-run"),
+    "half_frame": (lambda ds, update: update[:len(update) // 2],
+                   "worker 1 connection failed"),
+    "error_frame": (lambda ds, update: codec.pack_error("disk full"),
+                    "worker 1 reported: disk full"),
+    "wrong_kind": (lambda ds, update: codec.pack_hello(1, ds.num_rows, ds.num_features),
+                   "worker 1 sent a hello frame during round 0"),
+    "wrong_count": (lambda ds, update: codec.pack_update(0, ds.num_rows, np.zeros(3)),
+                    "worker 1 sent 3 parameters, expected 5"),
+}
+
+
 class TestFailureModes:
+    @pytest.mark.parametrize("fault", sorted(BAD_REPLIES))
+    def test_bad_reply_fails_naming_worker(self, fault):
+        ds = generate_synthetic(40, 4, 2.0, seed=9)
+        reply, message = BAD_REPLIES[fault]
+
+        def script(sock, stream, config):
+            update = honest_update(codec.read_frame(stream), config, ds)
+            sock.sendall(reply(ds, update))
+            sock.shutdown(socket.SHUT_WR)
+            drain(stream)
+
+        result = scripted_run(ds, script)
+        assert isinstance(result.get("error"), ProtocolError)
+        assert message in str(result["error"])
+
+    def test_stale_update_ignored(self):
+        ds = generate_synthetic(40, 4, 2.0, seed=10)
+
+        def script(sock, stream, config):
+            while (frame := codec.read_frame(stream)).kind == "params":
+                if frame.data["round"] == 1:  # a late answer to round 0 comes first
+                    sock.sendall(codec.pack_update(0, ds.num_rows, np.full(5, 9.0)))
+                sock.sendall(honest_update(frame, config, ds))
+
+        assert_matches_oracle(scripted_run(ds, script), ds)
+
+    def test_duplicate_update_after_retry_counted_once(self):
+        ds = generate_synthetic(40, 4, 2.0, seed=11)
+
+        def script(sock, stream, config):
+            first = codec.read_frame(stream)
+            codec.read_frame(stream)  # the retry of round 0, sent at its deadline
+            sock.sendall(honest_update(first, config, ds))
+            sock.sendall(codec.pack_update(0, ds.num_rows, np.full(5, 9.0)))
+            while (frame := codec.read_frame(stream)).kind == "params":
+                sock.sendall(honest_update(frame, config, ds))
+
+        result = scripted_run(ds, script)
+        assert_matches_oracle(result, ds)
+        record = result["record"]
+        assert record.round_bytes_sent[0] == 2 * codec.params_frame_size(5)
+        assert sum(record.round_bytes_received) == 3 * codec.update_frame_size(5)
+
+    def test_update_in_small_pieces(self):
+        ds = generate_synthetic(40, 4, 2.0, seed=12)
+
+        def script(sock, stream, config):
+            while (frame := codec.read_frame(stream)).kind == "params":
+                update = honest_update(frame, config, ds)
+                for i in range(0, len(update), 3):
+                    sock.sendall(update[i:i + 3])
+                    time.sleep(0.002)
+
+        assert_matches_oracle(scripted_run(ds, script), ds)
+
+    def test_no_deadlock_when_both_ends_send_at_once(self, monkeypatch):
+        # with socket buffers this small, a 200 kB frame only moves while the
+        # other end reads: the master must keep reading the worker's late
+        # update while its retry of the same round still waits to be sent
+        listen = master._listen
+
+        def small_buffer_listen(address):
+            server = listen(address)
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                server.setsockopt(socket.SOL_SOCKET, option, 4096)
+            return server
+
+        monkeypatch.setattr(master, "_listen", small_buffer_listen)
+        width = 25_000
+        spec = ClusterSpec("127.0.0.1:0", [(1, 4, "big")], round_timeout_s=0.3, max_rounds=1)
+        thread, result, ready = start_master(spec, "logistic", CFG, 1)
+        assert ready.wait(5.0)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+            sock.setsockopt(socket.SOL_SOCKET, option, 4096)
+        sock.settimeout(5.0)
+        with sock, sock.makefile("rb") as stream:
+            sock.connect(("127.0.0.1", result["port"]))
+            sock.sendall(codec.pack_hello(1, 10, width))
+            assert codec.read_frame(stream).kind == "config"
+            assert codec.read_frame(stream).kind == "params"
+            header = stream.read(4)  # the retry of round 0 has begun to arrive
+            sock.sendall(codec.pack_update(0, 10, np.ones(width + 1)))
+            stream.read(struct.unpack(">I", header)[0])
+            drain(stream)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert "error" not in result, result.get("error")
+        assert np.array_equal(result["model"].weights, np.ones(width))
+        assert result["record"].round_bytes_sent == [2 * codec.params_frame_size(width + 1)]
+
+    @pytest.mark.parametrize("stray_bytes", [b"", codec.pack_done(), b"\x00\x00\x00\x02\x99\x00"],
+                             ids=["silent", "not_hello", "malformed"])
+    def test_stray_connection_does_not_stall_accept(self, tmp_path, stray_bytes):
+        ds = generate_synthetic(40, 4, 2.0, seed=13)
+        path = tmp_path / "part.csv"
+        save_dense(ds, path)
+        spec = ClusterSpec("127.0.0.1:0", [(1, 4, str(path))],
+                           round_timeout_s=1.5, max_rounds=2)
+        t0 = time.perf_counter()
+        thread, result, ready = start_master(spec, "logistic", CFG, 2)
+        assert ready.wait(5.0)
+        with socket.create_connection(("127.0.0.1", result["port"]), timeout=5.0) as stray:
+            stray.sendall(stray_bytes)  # connected ahead of worker 1, then says no more
+            wt, wres = start_worker(result["port"], path, 1)
+            thread.join(10.0)
+            wt.join(5.0)
+        assert_matches_oracle(result, ds)
+        assert wres["status"] == 0
+        assert time.perf_counter() - t0 < spec.round_timeout_s
+
+    def test_frame_between_hello_and_config_fails_naming_worker(self):
+        ds = generate_synthetic(40, 4, 2.0, seed=14)
+        spec = ClusterSpec("127.0.0.1:0", [(1, 4, "a"), (2, 4, "b")],
+                           round_timeout_s=0.5, max_rounds=1)
+        thread, result, ready = start_master(spec, "logistic", CFG, 1)
+        assert ready.wait(5.0)
+        with socket.create_connection(("127.0.0.1", result["port"]), timeout=5.0) as sock:
+            # an update before any CONFIG, while worker 2 has yet to connect
+            sock.sendall(codec.pack_hello(1, ds.num_rows, ds.num_features)
+                         + codec.pack_update(0, ds.num_rows, np.zeros(5)))
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert isinstance(result.get("error"), ProtocolError)
+        assert "worker 1 sent" in str(result["error"])
+        assert "before config" in str(result["error"])
+
     def test_missing_worker_fails_listing_id(self, tmp_path):
         ds = generate_synthetic(60, 4, 2.0, seed=4)
         path = tmp_path / "part.csv"
@@ -423,6 +616,13 @@ class TestWorker:
                             reconnect_attempts=2, reconnect_delay_s=0.01)
         assert status == 3
         assert time.perf_counter() - t0 < 5.0
+
+    def test_connect_sleeps_only_between_attempts(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("deskbench.distbench.worker.time.sleep", sleeps.append)
+        with pytest.raises(ProtocolError, match="after 3 attempts"):
+            _connect("127.0.0.1:1", 3, 0.5)
+        assert sleeps == [0.5, 0.5]
 
     @pytest.mark.parametrize("address", ["127.0.0.1:http", "127.0.0.1", "127.0.0.1:70000"])
     def test_malformed_address_exits_3_before_loading(self, tmp_path, address, caplog):

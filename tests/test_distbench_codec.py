@@ -212,6 +212,81 @@ class TestReadFrame:
                               np.asarray(values, dtype=np.float64))
 
 
+def read_all(raw: bytes):
+    """read_frame over raw until it stops: (frames, error message or None)."""
+    stream, frames = io.BytesIO(raw), []
+    try:
+        while (frame := codec.read_frame(stream)) is not None:
+            frames.append(frame)
+    except ProtocolError as exc:
+        return frames, str(exc)
+    return frames, None
+
+
+def take_all(raw: bytes, chunk: int):
+    """raw fed to a FrameBuffer chunk bytes at a time, each whole frame taken
+    as soon as it is in: (frames, error message or None, bytes left)."""
+    buf, frames = codec.FrameBuffer(), []
+    try:
+        for i in range(0, len(raw), chunk):
+            buf += raw[i:i + chunk]
+            while (frame := buf.take()) is not None:
+                frames.append(frame)
+    except ProtocolError as exc:
+        return frames, str(exc), bytes(buf)
+    return frames, None, bytes(buf)
+
+
+def assert_take_matches_read_frame(raw: bytes, chunk: int):
+    """The same frames and errors as read_frame, except that where the stream
+    ends inside a frame the buffer keeps those bytes for the rest to come."""
+    expected, read_error = read_all(raw)
+    frames, error, left = take_all(raw, chunk)
+    assert ([_outcome(lambda x: x, f) for f in frames]
+            == [_outcome(lambda x: x, f) for f in expected])
+    if read_error is not None and read_error.startswith("truncated frame "):
+        assert error is None and left
+    else:
+        assert error == read_error
+        assert error is not None or left == b""
+
+
+HELLO = codec.pack_hello(1, 2, 3)
+BUFFER_CASES = {
+    "partial_header": HELLO[:2],
+    "partial_payload": HELLO[:-3],
+    "whole_frame": HELLO,
+    "two_frames": HELLO + codec.pack_params(4, [0.5, -1.0]),
+    "oversize_length": struct.pack(">I", codec.MAX_FRAME + 1),
+    "zero_length": struct.pack(">I", 0) + HELLO,
+    "malformed_payload": frame_of(b"\x99abc"),
+}
+
+
+class TestFrameBuffer:
+    """FrameBuffer.take against read_frame on the same bytes."""
+
+    @pytest.mark.parametrize("case", sorted(BUFFER_CASES))
+    @pytest.mark.parametrize("chunk", [1, 3, 1000])
+    def test_matches_read_frame(self, case, chunk):
+        assert_take_matches_read_frame(BUFFER_CASES[case], chunk)
+
+    def test_waits_for_the_rest(self):
+        buf = codec.FrameBuffer(HELLO[:-3])
+        assert buf.take() is None
+        assert buf == HELLO[:-3]
+        buf += HELLO[-3:] + HELLO[:1]
+        assert buf.take().data == {"worker_id": 1, "num_rows": 2, "num_features": 3}
+        assert buf == HELLO[:1]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.sampled_from([HELLO, codec.pack_done(), codec.pack_error("x"),
+                                     codec.pack_update(1, 2, [3.0, 4.0])]), max_size=4),
+           st.binary(max_size=24), st.integers(1, 40))
+    def test_fuzzed_stream_matches_read_frame(self, frames, tail, chunk):
+        assert_take_matches_read_frame(b"".join(frames) + tail, chunk)
+
+
 U32, U64 = st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)
 FLOAT_LISTS = st.lists(st.floats(width=64), max_size=12)
 

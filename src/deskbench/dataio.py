@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -54,7 +55,7 @@ class DenseDataset:
 
     def take(self, indices) -> "DenseDataset":
         idx = np.asarray(indices)
-        return DenseDataset(self.labels[idx].copy(), self.features[idx].copy())
+        return DenseDataset(self.labels[idx], self.features[idx])
 
 
 @dataclass
@@ -130,12 +131,20 @@ class TabularFrame:
         return TabularFrame(list(self.columns), [list(self.cells[i]) for i in indices])
 
 
+@contextmanager
 def _text_lines(stream):
+    """The stream as UTF-8 text. A binary stream is wrapped for the block and
+    detached after it, so the caller's stream stays open."""
     if isinstance(stream, (str, bytes)):
         raise ConfigError("parse expects a file-like stream, not raw text")
     if isinstance(stream, io.TextIOBase):
-        return stream
-    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
+        yield stream
+        return
+    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    try:
+        yield text
+    finally:
+        text.detach()
 
 
 def _parse_label(raw: str, label_map: str, line_no: int) -> float:
@@ -201,27 +210,28 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
     labels: list[float] = []
     rows: list[np.ndarray] = []
     width = num_features
-    for line_no, line in enumerate(_text_lines(stream), start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if line == "":
-            continue
-        fields = line.split(",")
-        if width is None:
-            width = len(fields) - 1
-            if width < 1:
-                raise DataFormatError(f"line {line_no}: no feature fields")
-        if len(fields) != width + 1:
-            raise DataFormatError(
-                f"line {line_no}: expected {width + 1} fields, got {len(fields)}"
-            )
-        labels.append(_parse_label(fields[0], label_map, line_no))
-        try:
-            vec = np.fromiter(map(float, fields[1:]), np.float64, width)
-        except ValueError:
-            raise _field_error(fields, line_no) from None
-        if not np.isfinite(vec).all():
-            raise _field_error(fields, line_no)
-        rows.append(vec)
+    with _text_lines(stream) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if line == "":
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields) - 1
+                if width < 1:
+                    raise DataFormatError(f"line {line_no}: no feature fields")
+            if len(fields) != width + 1:
+                raise DataFormatError(
+                    f"line {line_no}: expected {width + 1} fields, got {len(fields)}"
+                )
+            labels.append(_parse_label(fields[0], label_map, line_no))
+            try:
+                vec = np.fromiter(map(float, fields[1:]), np.float64, width)
+            except ValueError:
+                raise _field_error(fields, line_no) from None
+            if not np.isfinite(vec).all():
+                raise _field_error(fields, line_no)
+            rows.append(vec)
 
     if not rows:
         raise DataFormatError("empty dense stream")
@@ -230,13 +240,13 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
 
 def write_dense(ds: DenseDataset, stream) -> None:
     """Write `label,f1,...,fF` lines, LF endings, shortest round-trip floats."""
-    out = _text_lines(stream)
-    for i in range(ds.num_rows):
-        fields = [repr(float(ds.labels[i]))]
-        fields.extend(repr(float(v)) for v in ds.features[i])
-        out.write(",".join(fields))
-        out.write("\n")
-    out.flush()
+    with _text_lines(stream) as out:
+        for i in range(ds.num_rows):
+            fields = [repr(float(ds.labels[i]))]
+            fields.extend(repr(float(v)) for v in ds.features[i])
+            out.write(",".join(fields))
+            out.write("\n")
+        out.flush()
 
 
 def load_dense(path, num_features: int | None = None,
@@ -320,44 +330,45 @@ def parse_tabular(stream, schema: list[tuple[str, str]]) -> TabularFrame:
     for name, kind in schema:
         if kind not in (TEXT, NUMBER):
             raise ConfigError(f"bad schema kind for {name!r}: {kind!r}")
-    reader = csv.reader(_text_lines(stream))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty tabular stream, header required") from None
-    positions = {}
-    for name, _ in schema:
+    with _text_lines(stream) as lines:
+        reader = csv.reader(lines)
         try:
-            positions[name] = header.index(name)
-        except ValueError:
-            pass
-    absent = [name for name, _ in schema if name not in positions]
-    if absent:
-        raise DataFormatError(f"header missing schema columns: {absent}")
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError("empty tabular stream, header required") from None
+        positions = {}
+        for name, _ in schema:
+            try:
+                positions[name] = header.index(name)
+            except ValueError:
+                pass
+        absent = [name for name, _ in schema if name not in positions]
+        if absent:
+            raise DataFormatError(f"header missing schema columns: {absent}")
 
-    cells = []
-    for line_no, record in enumerate(reader, start=2):
-        if not record:
-            continue
-        if len(record) != len(header):
-            raise DataFormatError(
-                f"line {line_no}: expected {len(header)} fields, got {len(record)}"
-            )
-        row = []
-        for name, kind in schema:
-            raw = record[positions[name]]
-            if _is_missing(raw):
-                row.append(None)
-            elif kind == NUMBER:
-                try:
-                    row.append(float(raw))
-                except ValueError:
-                    raise DataFormatError(
-                        f"line {line_no}, column {name!r}: non-numeric {raw!r}"
-                    ) from None
-            else:
-                row.append(raw)
-        cells.append(row)
+        cells = []
+        for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise DataFormatError(
+                    f"line {line_no}: expected {len(header)} fields, got {len(record)}"
+                )
+            row = []
+            for name, kind in schema:
+                raw = record[positions[name]]
+                if _is_missing(raw):
+                    row.append(None)
+                elif kind == NUMBER:
+                    try:
+                        row.append(float(raw))
+                    except ValueError:
+                        raise DataFormatError(
+                            f"line {line_no}, column {name!r}: non-numeric {raw!r}"
+                        ) from None
+                else:
+                    row.append(raw)
+            cells.append(row)
     return TabularFrame(list(schema), cells)
 
 
@@ -368,12 +379,12 @@ def load_tabular(path, schema: list[tuple[str, str]]) -> TabularFrame:
 
 def write_tabular(frame: TabularFrame, stream) -> None:
     """Write the frame back out as RFC-4180 CSV; missing cells become empty."""
-    out = _text_lines(stream)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([name for name, _ in frame.columns])
-    for row in frame.cells:
-        writer.writerow(["" if v is None else v for v in row])
-    out.flush()
+    with _text_lines(stream) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([name for name, _ in frame.columns])
+        for row in frame.cells:
+            writer.writerow(["" if v is None else v for v in row])
+        out.flush()
 
 
 def save_tabular(frame: TabularFrame, path) -> None:

@@ -8,6 +8,7 @@ those two, and small reporting helpers.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -171,6 +172,35 @@ def _largest_remainder_quotas(sizes, target: int) -> list:
     return quotas
 
 
+# Bytes of centroid differences that ring_undersample holds at once: the
+# distances go through the rows in blocks of about this size.
+_BLOCK_BYTES = 1 << 20
+
+
+def _centroid_distances(points):
+    """Euclidean distance of each row of a 2-d float64 array to its mean row.
+
+    Row blocks take the steps np.linalg.norm(points - centroid, axis=1) takes
+    for real input (subtract, square, add.reduce over each row, sqrt), so the
+    distances are bitwise equal to it. A block ends on a lone row only when
+    the array has one row: numpy sums a lone row pairwise but the rows of a
+    column-major block one column at a time.
+    """
+    n, d = points.shape
+    centroid = points.mean(axis=0)
+    rows = max(2, _BLOCK_BYTES // (points.itemsize * max(d, 1)))
+    dists = np.empty(n)
+    start = 0
+    while start < n:
+        stop = start + rows if n - start > rows + 1 else n
+        diff = points[start:stop] - centroid
+        diff *= diff
+        np.sqrt(np.add.reduce(diff, axis=1), out=dists[start:stop])
+        del diff  # so that the next block replaces this one instead of joining it
+        start = stop
+    return dists
+
+
 def ring_undersample(vectors, cfg: RingConfig) -> list:
     """Select cfg.target_size row indices, stratified by distance rings.
 
@@ -180,6 +210,9 @@ def ring_undersample(vectors, cfg: RingConfig) -> list:
     contributes a largest-remainder quota proportional to its size,
     sampled uniformly without replacement with cfg.seed. The returned
     indices are sorted ascending.
+
+    A float64 matrix is used in place. Beyond it the distances need one
+    block of about _BLOCK_BYTES and a few arrays of one value per row.
     """
     points = np.asarray(vectors, dtype=np.float64)
     if points.ndim != 2:
@@ -188,9 +221,7 @@ def ring_undersample(vectors, cfg: RingConfig) -> list:
     if cfg.target_size > n:
         raise ConfigError(f"target_size {cfg.target_size} exceeds class size {n}")
 
-    centroid = points.mean(axis=0)
-    dists = np.linalg.norm(points - centroid, axis=1)
-    order = np.lexsort((np.arange(n), dists))
+    order = np.lexsort((np.arange(n), _centroid_distances(points)))
     rings = np.array_split(order, cfg.num_rings)
     quotas = _largest_remainder_quotas([r.size for r in rings], cfg.target_size)
 
@@ -345,14 +376,29 @@ def class_report(labels) -> ClassReport:
 # class rebalancing
 
 
+def _dense_rows(vectors, dim: int) -> np.ndarray:
+    """SparseVectors as the rows of one (len, dim) matrix, in one scatter.
+
+    Each (row, slot) pair is set once, so every value is placed exactly."""
+    nnz = [v.nnz for v in vectors]
+    total = sum(nnz)
+    rows = np.repeat(np.arange(len(vectors)), nnz)
+    slots = np.fromiter(chain.from_iterable(v.indices for v in vectors), np.int64, total)
+    dense = np.zeros((len(vectors), dim))
+    dense[rows, slots] = np.fromiter(chain.from_iterable(v.values for v in vectors),
+                                     np.float64, total)
+    return dense
+
+
 def rebalance(texts, labels, target_size: int, factor: int, num_rings: int, seed: int,
               dim: int, min_doc_freq: int) -> tuple[list, int]:
     """Bring each class toward target_size: ((text, label) rows, augment failures).
 
     Classes go in class_report order. One above the target is ring-undersampled
-    on its hashed TF-IDF vectors (densified one class at a time), one below it
-    is synonym-augmented when factor > 1, any other is kept. Bad parameters
-    fail before the corpus is vectorized.
+    on its hashed TF-IDF vectors, one below it is synonym-augmented when
+    factor > 1, any other is kept. Bad parameters fail before the corpus is
+    vectorized. Only one class is dense at a time, so the peak is about the
+    largest undersampled class x dim x 8 bytes beyond the sparse corpus.
     """
     if factor < 1:
         raise ConfigError("factor must be >= 1")
@@ -368,8 +414,8 @@ def rebalance(texts, labels, target_size: int, factor: int, num_rings: int, seed
     for label, _count in class_report(labels).counts:
         idx = by_label[label]
         if len(idx) > target_size:
-            dense = np.stack([vectors[i].to_dense() for i in idx])
-            rows.extend((texts[idx[j]], label) for j in ring_undersample(dense, cfg))
+            kept = ring_undersample(_dense_rows([vectors[i] for i in idx], dim), cfg)
+            rows.extend((texts[idx[j]], label) for j in kept)
         elif len(idx) < target_size and factor > 1:
             result = augment([(texts[i], label) for i in idx], augmenter, factor, seed)
             failures += result.failures

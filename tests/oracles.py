@@ -161,34 +161,35 @@ def parse_dense_oracle(stream, num_features, label_map):
     labels: list[float] = []
     rows: list[np.ndarray] = []
     width = num_features
-    for line_no, line in enumerate(_text_lines(stream), start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if line == "":
-            continue
-        fields = line.split(",")
-        if width is None:
-            width = len(fields) - 1
-            if width < 1:
-                raise DataFormatError(f"line {line_no}: no feature fields")
-        if len(fields) != width + 1:
-            raise DataFormatError(
-                f"line {line_no}: expected {width + 1} fields, got {len(fields)}"
-            )
-        labels.append(_parse_label(fields[0], label_map, line_no))
-        vec = np.empty(width, dtype=np.float64)
-        for j, raw in enumerate(fields[1:], start=2):
-            try:
-                v = float(raw)
-            except ValueError:
+    with _text_lines(stream) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if line == "":
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields) - 1
+                if width < 1:
+                    raise DataFormatError(f"line {line_no}: no feature fields")
+            if len(fields) != width + 1:
                 raise DataFormatError(
-                    f"line {line_no}, column {j}: non-numeric field {raw!r}"
-                ) from None
-            if not np.isfinite(v):
-                raise DataFormatError(
-                    f"line {line_no}, column {j}: non-finite field {raw!r}"
+                    f"line {line_no}: expected {width + 1} fields, got {len(fields)}"
                 )
-            vec[j - 2] = v
-        rows.append(vec)
+            labels.append(_parse_label(fields[0], label_map, line_no))
+            vec = np.empty(width, dtype=np.float64)
+            for j, raw in enumerate(fields[1:], start=2):
+                try:
+                    v = float(raw)
+                except ValueError:
+                    raise DataFormatError(
+                        f"line {line_no}, column {j}: non-numeric field {raw!r}"
+                    ) from None
+                if not np.isfinite(v):
+                    raise DataFormatError(
+                        f"line {line_no}, column {j}: non-finite field {raw!r}"
+                    )
+                vec[j - 2] = v
+            rows.append(vec)
 
     if not rows:
         raise DataFormatError("empty dense stream")
@@ -397,9 +398,37 @@ def vectorize_corpus_oracle(texts, stoplist=None, dim=5000, min_doc_freq=3):
     return out, model
 
 
+def centroid_distances_oracle(points):
+    """Row distances to the mean row over the whole matrix at once: two
+    (rows x dim) temporaries, the difference and its square."""
+    return np.linalg.norm(points - points.mean(axis=0), axis=1)
+
+
+def ring_undersample_oracle(vectors, cfg):
+    """ring_undersample with its distances taken over the full matrix."""
+    points = np.asarray(vectors, dtype=np.float64)
+    if points.ndim != 2:
+        raise DataFormatError("vectors must be a 2-d array")
+    n = points.shape[0]
+    if cfg.target_size > n:
+        raise ConfigError(f"target_size {cfg.target_size} exceeds class size {n}")
+
+    order = np.lexsort((np.arange(n), centroid_distances_oracle(points)))
+    rings = np.array_split(order, cfg.num_rings)
+    quotas = prep._largest_remainder_quotas([r.size for r in rings], cfg.target_size)
+
+    rng = np.random.default_rng(cfg.seed)
+    chosen = []
+    for ring, quota in zip(rings, quotas):
+        if quota:
+            chosen.extend(rng.choice(ring, size=quota, replace=False).tolist())
+    return sorted(int(i) for i in chosen)
+
+
 def rebalance_oracle(texts, labels, target_size, factor, num_rings, seed, dim, min_doc_freq):
     """The balance loop as `deskbench balance` wrote it inline: vectorize the
-    corpus, then per class (largest first) ring-undersample, augment or keep."""
+    corpus, then per class (largest first) ring-undersample on rows stacked
+    one by one with full-matrix distances, augment or keep."""
     vectors, _ = textfeat.vectorize_corpus(texts, None, dim, min_doc_freq)
     by_label = {}
     for i, label in enumerate(labels):
@@ -412,7 +441,7 @@ def rebalance_oracle(texts, labels, target_size, factor, num_rings, seed, dim, m
         if len(idx) > target_size:
             dense = np.stack([vectors[i].to_dense() for i in idx])
             cfg = prep.RingConfig(target_size, num_rings, seed)
-            kept = prep.ring_undersample(dense, cfg)
+            kept = ring_undersample_oracle(dense, cfg)
             out_rows.extend((texts[idx[j]], label) for j in kept)
         elif len(idx) < target_size and factor > 1:
             result = prep.augment([(texts[i], label) for i in idx], augmenter, factor, seed)

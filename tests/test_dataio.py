@@ -1,4 +1,7 @@
+import gc
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +294,77 @@ class TestParseTabular:
             as_stream(buf.getvalue()), [("name", "text"), ("score", "number")]
         )
         assert back.cells == frame.cells
+
+
+class TestCallerStreams:
+    """The parse and write functions leave a caller's binary stream open."""
+
+    SCHEMA = [("name", "text"), ("score", "number")]
+
+    def test_dense_write_then_parse_keeps_bytes_io_open(self):
+        ds = dataio.generate_synthetic(5, 3, 1.0, seed=4)
+        bio = io.BytesIO()
+        dataio.write_dense(ds, bio)
+        gc.collect()
+        assert not bio.closed
+        written = bio.getvalue()
+        bio.seek(0)
+        back = dataio.parse_dense(bio, None, "zero_one")
+        gc.collect()
+        assert not bio.closed
+        bio.seek(0)
+        assert bio.read() == written
+        np.testing.assert_array_equal(back.features, ds.features)
+
+    def test_tabular_write_then_parse_keeps_bytes_io_open(self):
+        frame = dataio.TabularFrame(self.SCHEMA, [["a,b", 1.5], [None, None]])
+        bio = io.BytesIO()
+        dataio.write_tabular(frame, bio)
+        gc.collect()
+        assert not bio.closed
+        written = bio.getvalue()
+        bio.seek(0)
+        back = dataio.parse_tabular(bio, self.SCHEMA)
+        gc.collect()
+        assert not bio.closed
+        bio.seek(0)
+        assert bio.read() == written
+        assert back.cells == frame.cells
+
+    def test_failed_parse_keeps_bytes_io_open(self):
+        bio = as_stream("1,0.5\n0,x\n")
+        with pytest.raises(DataFormatError):
+            dataio.parse_dense(bio, None, "zero_one")
+        gc.collect()
+        assert not bio.closed
+
+    def test_file_loads_warn_nothing(self, tmp_path):
+        dataio.save_dense(dataio.generate_synthetic(5, 3, 1.0, seed=4), tmp_path / "d.csv")
+        dataio.save_tabular(dataio.TabularFrame(self.SCHEMA, [["x", 1.0]]), tmp_path / "t.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dataio.load_dense(tmp_path / "d.csv")
+            dataio.load_tabular(tmp_path / "t.csv", self.SCHEMA)
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
+
+
+class TestTake:
+    def test_result_owns_one_fresh_copy(self):
+        ds = dataio.generate_synthetic(2000, 100, 1.0, seed=6)
+        rows = np.arange(ds.num_rows)[::-1]
+        tracemalloc.start()
+        try:
+            sub = ds.take(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(sub.features, ds.features)
+        assert not np.shares_memory(sub.labels, ds.labels)
+        np.testing.assert_array_equal(sub.features, ds.features[rows])
+        np.testing.assert_array_equal(sub.labels, ds.labels[rows])
+        # one (rows x features) array, not a gather and then a copy of it
+        assert peak < 1.5 * ds.features.nbytes
 
 
 class TestCleanCurrency:

@@ -1,10 +1,14 @@
 """Tests for contextual imputation, dedup, ring undersampling, augmentation."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deskbench import prep, textfeat
 from deskbench.dataio import NUMBER, TEXT, TabularFrame
 from deskbench.errors import ConfigError, DataFormatError
 from deskbench.prep import (
@@ -25,7 +29,7 @@ from deskbench.prep import (
     ring_undersample,
 )
 
-from oracles import rebalance_oracle
+from oracles import centroid_distances_oracle, rebalance_oracle, ring_undersample_oracle
 
 
 def movie_frame():
@@ -283,6 +287,89 @@ class TestRingUndersample:
         assert picked == ring_undersample(points, cfg)
 
 
+# Values with exact ties, signed zeros, tiny and overflowing squares.
+SPECIAL_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e-300, 1e200])
+
+
+@st.composite
+def ring_cases(draw):
+    """(points, block_rows, cfg): row counts at block boundaries +-1 (one row
+    included), one to 130 columns, repeated rows, special values, both memory
+    orders, targets 0 and n and more rings than rows."""
+    block_rows = draw(st.integers(2, 5))
+    n = max(1, block_rows * draw(st.integers(0, 4)) + draw(st.integers(-1, 1)))
+    d = draw(st.sampled_from([0, 1, 2, 3, 8, 9, 17, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "special", "repeated"]))
+    if kind == "normal":
+        points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, d))
+    elif kind == "special":
+        points = rng.choice(SPECIAL_VALUES, (n, d))
+    else:
+        pool = rng.standard_normal((max(1, n // 3), d))
+        points = pool[rng.integers(0, len(pool), n)]
+    points = np.asarray(points, order=draw(st.sampled_from("CF")))
+    target = draw(st.sampled_from([0, n]) | st.integers(0, n))
+    cfg = RingConfig(target, draw(st.integers(1, n + 3)), draw(st.integers(0, 99)))
+    return points, block_rows, cfg
+
+
+class TestRingMatchesOracle:
+    @given(ring_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_blocked_distances_and_selection(self, case):
+        points, block_rows, cfg = case
+        budget = block_rows * points.itemsize * max(points.shape[1], 1)
+        with mock.patch.object(prep, "_BLOCK_BYTES", budget), \
+                np.errstate(over="ignore", invalid="ignore"):
+            dists = prep._centroid_distances(points)
+            assert dists.tobytes() == centroid_distances_oracle(points).tobytes()
+            assert ring_undersample(points, cfg) == ring_undersample_oracle(points, cfg)
+
+    def test_default_block_on_a_wide_strided_matrix(self):
+        rng = np.random.default_rng(12)
+        wide = rng.standard_normal((300, 2 * 1100))[:, ::2]
+        rows = prep._BLOCK_BYTES // (8 * wide.shape[1])
+        assert 2 <= rows < wide.shape[0]  # several blocks, one partial
+        cfg = RingConfig(120, 10, 4)
+        assert prep._centroid_distances(wide).tobytes() == \
+            centroid_distances_oracle(wide).tobytes()
+        assert ring_undersample(wide, cfg) == ring_undersample_oracle(wide, cfg)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBalanceMemory:
+    def test_ring_undersample_holds_one_block(self):
+        points = np.random.default_rng(5).standard_normal((4000, 256))
+        cfg = RingConfig(500, 10, 2)
+        picked, peak = traced_peak(ring_undersample, points, cfg)
+        assert picked == ring_undersample_oracle(points, cfg)
+        # one block of differences plus a few arrays of one value per row,
+        # never a (rows x dim) temporary
+        assert peak < prep._BLOCK_BYTES + 64 * points.shape[0] < points.nbytes // 2
+
+    def test_rebalance_holds_one_class_matrix(self):
+        texts = [f"w{i % 97} w{i % 89} good movie" for i in range(1500)] + ["bad food"] * 50
+        labels = ["big"] * 1500 + ["small"] * 50
+        dim = 1024
+        args = (texts, labels, 200, 1, 10, 3, dim, 1)
+        (rows, failures), peak = traced_peak(rebalance, *args)
+        assert (rows, failures) == rebalance_oracle(*args)
+        class_bytes = 1500 * dim * 8
+        # the big class once, one distance block and the sparse corpus
+        assert peak < class_bytes + prep._BLOCK_BYTES + class_bytes // 4
+
+
 class TestAugment:
     def corpus(self):
         return [("good movie", 1), ("bad food", 0)]
@@ -449,6 +536,15 @@ class TestRebalance:
     @settings(max_examples=60, deadline=None)
     def test_matches_inline_loop(self, case):
         assert balance_outcome(rebalance, *case) == balance_outcome(rebalance_oracle, *case)
+
+    @given(st.lists(st.lists(st.sampled_from(REVIEW_WORDS), max_size=8).map(" ".join),
+                    min_size=1, max_size=12),
+           st.sampled_from([1, 2, 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_rows_match_per_row_to_dense(self, texts, dim):
+        vectors, _ = textfeat.vectorize_corpus(texts, None, dim, 0)
+        dense = prep._dense_rows(vectors, dim)
+        assert dense.tobytes() == np.stack([v.to_dense() for v in vectors]).tobytes()
 
     def test_classes_above_at_and_below_target(self):
         texts = [f"good movie {i}" for i in range(7)] + ["bad food"] * 3 + ["quiet place"]

@@ -11,6 +11,7 @@ gradient-boosted trees are nested preorder dicts.
 import base64
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
@@ -81,18 +82,27 @@ def model_artifact(model, config=None) -> dict:
             "config": cfg, "seed": None if seed is None else int(seed)}
 
 
+def _finite(value, name) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # NaN fails too
+        raise DataFormatError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _check_tree(node, num_features):
     if not isinstance(node, dict):
         raise DataFormatError("tree node must be a dict")
     if "w" in node:
-        return {"w": float(node["w"])}
+        return {"w": _finite(node["w"], "leaf weight")}
     for key in ("f", "t", "l", "r"):
         if key not in node:
             raise DataFormatError(f"split node missing {key!r}")
-    feature = int(node["f"])
+    feature = node["f"]
+    if isinstance(feature, bool) or not isinstance(feature, int):
+        raise DataFormatError(f"tree feature must be an integer, got {feature!r}")
     if not 0 <= feature < num_features:
         raise DataFormatError(f"tree references feature {feature} of {num_features}")
-    return {"f": feature, "t": float(node["t"]),
+    return {"f": feature, "t": _finite(node["t"], "threshold"),
             "l": _check_tree(node["l"], num_features),
             "r": _check_tree(node["r"], num_features)}
 
@@ -124,7 +134,7 @@ def artifact_to_model(artifact: dict):
     if kind == "gbt":
         num_features = int(artifact["num_features"])
         trees = [_check_tree(tree, num_features) for tree in artifact["trees"]]
-        return GbtModel(float(artifact["base_score"]), trees, num_features)
+        return GbtModel(_finite(artifact["base_score"], "base_score"), trees, num_features)
     raise DataFormatError(f"unknown artifact kind: {kind!r}")
 
 
@@ -138,7 +148,7 @@ def load_artifact(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             artifact = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8 and over-long integer literals
             raise DataFormatError(f"artifact is not valid JSON: {exc}") from exc
     if not isinstance(artifact, dict) or artifact.get("kind") not in ARTIFACT_KINDS:
         raise DataFormatError("artifact missing a recognized kind tag")

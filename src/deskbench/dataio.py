@@ -208,7 +208,7 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
         raise ConfigError("num_features must be >= 1")
 
     labels: list[float] = []
-    rows: list[np.ndarray] = []
+    matrix = np.empty(0)  # grown geometrically; no view of it outlives a resize
     width = num_features
     with _text_lines(stream) as lines:
         for line_no, line in enumerate(lines, start=1):
@@ -231,20 +231,21 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
                 raise _field_error(fields, line_no) from None
             if not np.isfinite(vec).all():
                 raise _field_error(fields, line_no)
-            rows.append(vec)
+            if len(labels) > matrix.shape[0]:
+                matrix.resize((max(16, 2 * matrix.shape[0]), width), refcheck=False)
+            matrix[len(labels) - 1] = vec
 
-    if not rows:
+    if not labels:
         raise DataFormatError("empty dense stream")
-    return DenseDataset(np.array(labels), np.vstack(rows))
+    matrix.resize((len(labels), width), refcheck=False)
+    return DenseDataset(np.array(labels), matrix)
 
 
 def write_dense(ds: DenseDataset, stream) -> None:
     """Write `label,f1,...,fF` lines, LF endings, shortest round-trip floats."""
     with _text_lines(stream) as out:
-        for i in range(ds.num_rows):
-            fields = [repr(float(ds.labels[i]))]
-            fields.extend(repr(float(v)) for v in ds.features[i])
-            out.write(",".join(fields))
+        for label, row in zip(ds.labels.tolist(), ds.features):
+            out.write(",".join(map(repr, [label, *row.tolist()])))
             out.write("\n")
         out.flush()
 

@@ -6,12 +6,15 @@ every (feature, midpoint-of-consecutive-distinct-values) split, and the
 shrinkage factor eta is folded into the stored leaf weights so prediction
 is just base_score plus leaf lookups.
 
-Each node searches in one pass over array operations: it drops the columns
-that are constant on its rows, sorts the rest with one stable axis-0 argsort,
-takes one axis-0 cumsum of the gradients and scores every (boundary, column)
-pair. Live columns go through in blocks of _COLUMN_BLOCK, which bounds the
-temporaries of a wide, dense node. Ties go to the highest gain, then the
-lowest feature index, then the lowest threshold.
+A fit ranks each column that varies over its rows once, in the smallest
+unsigned dtype that holds n - 1: a value's rank is its index among the
+column's distinct values (-0.0 == 0.0). A node gathers its rows' ranks in
+_COLUMN_BLOCK column blocks, drops the columns constant on it, stable-sorts
+the rest on axis 0 (a radix sort for 8- and 16-bit ranks), cumsums the
+gradients and scores every (boundary, column) pair. Ranks tie where values
+tie, so the order, gains and thresholds (read from the features at the
+boundary rows) are those of a stable sort of the values. Ties go to the
+highest gain, then the lowest feature index, then the lowest threshold.
 
 Trees are nested dicts: internal {"f": int, "t": float, "l": node,
 "r": node}, leaf {"w": float}. Ties at a threshold go left (x <= t).
@@ -58,51 +61,49 @@ class GbtModel:
     num_features: int
 
 
-# Columns handled together by the live-column scan and the split search; it
-# bounds the (rows x block) temporaries of a wide, dense node.
+# Columns ranked or searched together: bounds the (rows x block) temporaries.
 _COLUMN_BLOCK = 64
 
 
-def _live_columns(features, rows):
-    """Indices of the columns that are not constant on rows (-0.0 == 0.0)."""
-    live = np.zeros(features.shape[1], dtype=bool)
-    for start in range(0, live.size, _COLUMN_BLOCK):
-        block = features[rows, start:start + _COLUMN_BLOCK]
-        live[start:start + _COLUMN_BLOCK] = block.min(axis=0) != block.max(axis=0)
-    return np.flatnonzero(live)
+def _rank_columns(X):
+    """(cand, ranks): the columns that vary over X's rows, and their ranks."""
+    cand = np.flatnonzero(X.min(axis=0) != X.max(axis=0))
+    ranks = np.empty((X.shape[0], cand.size), dtype=np.min_scalar_type(X.shape[0] - 1))
+    for start in range(0, cand.size, _COLUMN_BLOCK):
+        values = X[:, cand[start:start + _COLUMN_BLOCK]]
+        order = np.argsort(values, axis=0)
+        sorted_vals = np.take_along_axis(values, order, axis=0)
+        steps = np.zeros(values.shape, dtype=ranks.dtype)
+        steps[1:] = sorted_vals[1:] != sorted_vals[:-1]
+        np.put_along_axis(ranks[:, start:start + _COLUMN_BLOCK], order,
+                          np.cumsum(steps, axis=0, dtype=ranks.dtype), axis=0)
+    return cand, ranks
 
 
-def _best_split(features, g, rows, cfg):
-    """Exact greedy search at one node, over every column that varies there.
-
-    Returns (gain, feature, threshold, left_rows, right_rows) or None.
-    Ties broken by (max gain, min feature index, min threshold): argmax
-    takes the first column, then the first boundary, holding a block's
-    maximum, and a later block wins only on a strictly greater gain.
-    """
+def _best_split(X, cand, ranks, g, rows, cfg):
+    """Exact greedy search at one node: (gain, feature, threshold, left_rows,
+    right_rows) or None. A later block wins only on a strictly greater gain."""
     g_node = g[rows]
     G = float(g_node.sum())
     H = float(rows.size)
-    lam = cfg.lambda_
-    parent_term = G * G / (H + lam)
+    parent_term = G * G / (H + cfg.lambda_)
     h_left = np.arange(1, rows.size, dtype=np.float64)[:, None]
     h_right = H - h_left
     weight_ok = (h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight)
-    live = _live_columns(features, rows)
     best = None
-    for start in range(0, live.size, _COLUMN_BLOCK):
-        cols = live[start:start + _COLUMN_BLOCK]
-        values = features[np.ix_(rows, cols)]
-        order = np.argsort(values, axis=0, kind="mergesort")
-        sorted_vals = np.take_along_axis(values, order, axis=0)
+    for start in range(0, cand.size, _COLUMN_BLOCK):
+        node_ranks = ranks[rows, start:start + _COLUMN_BLOCK]
+        live = np.flatnonzero(node_ranks.min(axis=0) != node_ranks.max(axis=0))
+        node_ranks = node_ranks[:, live]
+        order = np.argsort(node_ranks, axis=0, kind="stable")
+        sorted_ranks = np.take_along_axis(node_ranks, order, axis=0)
         g_left = np.cumsum(g_node[order], axis=0)[:-1]
-        g_right = G - g_left
         gains = 0.5 * (
-            g_left**2 / (h_left + lam)
-            + g_right**2 / (h_right + lam)
+            g_left**2 / (h_left + cfg.lambda_)
+            + (G - g_left)**2 / (h_right + cfg.lambda_)
             - parent_term
         ) - cfg.gamma
-        ok = (sorted_vals[:-1] != sorted_vals[1:]) & (gains > 0.0) & weight_ok
+        ok = (sorted_ranks[:-1] != sorted_ranks[1:]) & (gains > 0.0) & weight_ok
         if not ok.any():
             continue
         gains = np.where(ok, gains, -np.inf)
@@ -110,29 +111,26 @@ def _best_split(features, g, rows, cfg):
         b = int(np.argmax(gains[:, c]))
         if best is not None and gains[b, c] <= best[0]:
             continue
-        lo, hi = sorted_vals[b, c], sorted_vals[b + 1, c]
+        f = int(cand[start + live[c]])
+        lo, hi = X[rows[order[b, c]], f], X[rows[order[b + 1, c]], f]
         threshold = lo + (hi - lo) / 2.0
         if threshold >= hi:  # midpoint rounded up to the right value
             threshold = lo
-        left = rows[order[: b + 1, c]]
-        right = rows[order[b + 1:, c]]
-        best = (float(gains[b, c]), int(cols[c]), float(threshold), left, right)
+        best = (float(gains[b, c]), f, float(threshold),
+                rows[order[:b + 1, c]], rows[order[b + 1:, c]])
     return best
 
 
-def _grow(features, g, rows, depth, cfg, deltas):
+def _grow(X, cand, ranks, g, rows, depth, cfg, deltas):
     G = float(g[rows].sum())
     H = float(rows.size)
     if depth < cfg.max_depth:
-        split = _best_split(features, g, rows, cfg)
+        split = _best_split(X, cand, ranks, g, rows, cfg)
         if split is not None:
             _, f, t, left, right = split
-            return {
-                "f": f,
-                "t": t,
-                "l": _grow(features, g, left, depth + 1, cfg, deltas),
-                "r": _grow(features, g, right, depth + 1, cfg, deltas),
-            }
+            return {"f": f, "t": t,
+                    "l": _grow(X, cand, ranks, g, left, depth + 1, cfg, deltas),
+                    "r": _grow(X, cand, ranks, g, right, depth + 1, cfg, deltas)}
     weight = cfg.eta * (-G / (H + cfg.lambda_))
     deltas[rows] = weight
     return {"w": weight}
@@ -159,11 +157,12 @@ def fit(features, targets, cfg: GbtConfig) -> GbtModel:
     base = float(y.mean())
     preds = np.full(y.shape[0], base, dtype=np.float64)
     all_rows = np.arange(y.shape[0])
+    cand, ranks = _rank_columns(X)
     trees = []
     for _ in range(cfg.num_round):
         g = preds - y
         deltas = np.zeros_like(preds)
-        trees.append(_grow(X, g, all_rows, 0, cfg, deltas))
+        trees.append(_grow(X, cand, ranks, g, all_rows, 0, cfg, deltas))
         preds += deltas
     return GbtModel(base_score=base, trees=trees, num_features=X.shape[1])
 

@@ -139,6 +139,41 @@ def exact_greedy_split_oracle(features, g, rows, cfg):
     return best
 
 
+def _grow_oracle(features, g, rows, depth, cfg, deltas):
+    G = float(g[rows].sum())
+    H = float(rows.size)
+    if depth < cfg.max_depth:
+        split = exact_greedy_split_oracle(features, g, rows, cfg)
+        if split is not None:
+            _, f, t, left, right = split
+            return {
+                "f": f,
+                "t": t,
+                "l": _grow_oracle(features, g, left, depth + 1, cfg, deltas),
+                "r": _grow_oracle(features, g, right, depth + 1, cfg, deltas),
+            }
+    weight = cfg.eta * (-G / (H + cfg.lambda_))
+    deltas[rows] = weight
+    return {"w": weight}
+
+
+def gbt_fit_oracle(features, targets, cfg):
+    """The whole boosting loop over exact_greedy_split_oracle: what gbt.fit
+    did before it searched splits on per-fit value ranks. Valid input only."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    base = float(y.mean())
+    preds = np.full(y.shape[0], base, dtype=np.float64)
+    all_rows = np.arange(y.shape[0])
+    trees = []
+    for _ in range(cfg.num_round):
+        g = preds - y
+        deltas = np.zeros_like(preds)
+        trees.append(_grow_oracle(X, g, all_rows, 0, cfg, deltas))
+        preds += deltas
+    return GbtModel(base_score=base, trees=trees, num_features=X.shape[1])
+
+
 def auc_pair_oracle(labels, scores):
     """O(n^2) pair counting: (concordant + half ties) / (n_pos * n_neg)."""
     labels = np.asarray(labels)
@@ -194,6 +229,18 @@ def parse_dense_oracle(stream, num_features, label_map):
     if not rows:
         raise DataFormatError("empty dense stream")
     return DenseDataset(np.array(labels), np.vstack(rows))
+
+
+def write_dense_oracle(ds, stream):
+    """The dense writer before it listed each row: one repr(float(v)) per
+    numpy scalar."""
+    with _text_lines(stream) as out:
+        for i in range(ds.num_rows):
+            fields = [repr(float(ds.labels[i]))]
+            fields.extend(repr(float(v)) for v in ds.features[i])
+            out.write(",".join(fields))
+            out.write("\n")
+        out.flush()
 
 
 def average_ranks_oracle(scores):

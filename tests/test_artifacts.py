@@ -181,6 +181,37 @@ class TestGbtArtifact:
         with pytest.raises(DataFormatError):
             artifacts.artifact_to_model(art)
 
+    @pytest.mark.parametrize("split, leaf, base_score", [
+        ({"f": 1.7}, {}, 0.0),            # a float feature used to become feature 1
+        ({"f": True}, {}, 0.0),           # so did a bool
+        ({"f": "1"}, {}, 0.0),
+        ({"t": float("nan")}, {}, 0.0),
+        ({"t": float("-inf")}, {}, 0.0),
+        ({"t": "abc"}, {}, 0.0),
+        ({}, {"w": float("inf")}, 0.0),   # such a model predicted inf
+        ({}, {"w": None}, 0.0),
+        ({}, {}, float("nan")),
+        ({}, {}, 10**400),                # an integer too large for a float
+    ])
+    def test_non_finite_or_non_integer_fields_rejected(self, tmp_path, split, leaf, base_score):
+        node = {"f": 1, "t": 0.5, "l": {"w": -1.0, **leaf}, "r": {"w": 1.0}, **split}
+        art = {"kind": "gbt", "num_features": 2, "base_score": base_score,
+               "trees": [node], "config": None, "seed": None}
+        path = tmp_path / "gbt.json"
+        artifacts.save_artifact(path, art)  # json writes NaN and Infinity literals
+        with pytest.raises(DataFormatError):
+            artifacts.artifact_to_model(artifacts.load_artifact(path))
+
+    def test_valid_file_bytes_and_model_unchanged(self, tmp_path):
+        model, cfg, X = self.model()
+        art = artifacts.model_artifact(model, config=cfg)
+        path = tmp_path / "gbt.json"
+        artifacts.save_artifact(path, art)
+        back = artifacts.artifact_to_model(artifacts.load_artifact(path))
+        assert repr(back.trees) == repr(model.trees) and back.base_score == model.base_score
+        artifacts.save_artifact(tmp_path / "again.json", artifacts.model_artifact(back, config=cfg))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
 
 FINITE = st.floats(-1e6, 1e6, width=64)
 
@@ -253,5 +284,11 @@ class TestDispatch:
         with pytest.raises(DataFormatError):
             artifacts.load_artifact(path)
         path.write_text("{not json")
+        with pytest.raises(DataFormatError):
+            artifacts.load_artifact(path)
+        path.write_text('{"kind": "gbt", "base_score": ' + "9" * 5000 + "}")
+        with pytest.raises(DataFormatError):  # beyond int's 4300-digit parse limit
+            artifacts.load_artifact(path)
+        path.write_bytes(b'{"kind": "gbt\xff"}')
         with pytest.raises(DataFormatError):
             artifacts.load_artifact(path)

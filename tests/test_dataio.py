@@ -12,7 +12,7 @@ from deskbench import dataio
 from deskbench.errors import ConfigError, DataFormatError
 
 from helpers import load_parts
-from oracles import manifest_json_oracle, parse_dense_oracle
+from oracles import manifest_json_oracle, parse_dense_oracle, write_dense_oracle
 
 
 def as_stream(text: str) -> io.BytesIO:
@@ -174,6 +174,64 @@ class TestParseDenseMatchesOracle:
         for label_map in dataio.LABEL_MAPS:
             for stream_kind in STREAMS:
                 assert_same_as_oracle(text, num_features, label_map, stream_kind)
+
+
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 32, 33, 100])
+    @pytest.mark.parametrize("tail", ["", "1,2,x\n", "1,2\n", "\n\n"])
+    def test_rows_across_matrix_growth(self, rows, tail):
+        rng = np.random.default_rng(rows)
+        buf = io.StringIO()
+        dataio.write_dense(dataio.DenseDataset(rng.integers(0, 2, rows).astype(float),
+                                               rng.standard_normal((rows, 2))), buf)
+        for label_map in ("zero_one", "raw"):
+            assert_same_as_oracle(buf.getvalue() + tail, None, label_map, "bytes")
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 0.1, 1e16,
+                  1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def dense_datasets(draw):
+    """Matrices of special and arbitrary floats, zero rows or columns included."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(width=64))
+    labels = draw(st.lists(value, min_size=rows, max_size=rows))
+    cells = draw(st.lists(value, min_size=rows * cols, max_size=rows * cols))
+    return dataio.DenseDataset(np.array(labels, dtype=np.float64),
+                               np.array(cells, dtype=np.float64).reshape(rows, cols))
+
+
+class TestWriteDenseMatchesOracle:
+    @given(dense_datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_identical(self, ds):
+        for make in (io.StringIO, io.BytesIO):
+            mine, theirs = make(), make()
+            dataio.write_dense(ds, mine)
+            write_dense_oracle(ds, theirs)
+            assert mine.getvalue() == theirs.getvalue()
+
+    def test_zero_columns_no_trailing_comma(self):
+        buf = io.StringIO()
+        dataio.write_dense(dataio.DenseDataset(np.array([1.0, -0.0]), np.zeros((2, 0))), buf)
+        assert buf.getvalue() == "1.0\n-0.0\n"
+
+
+class TestParseDenseMemory:
+    def test_load_peak_below_one_and_a_half_matrices(self, tmp_path):
+        ds = dataio.generate_synthetic(4000, 200, 1.0, seed=8)
+        dataio.save_dense(ds, tmp_path / "d.csv")
+        tracemalloc.start()
+        try:
+            back = dataio.load_dense(tmp_path / "d.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        # one growing matrix, not a list of rows and then their vstack
+        assert peak < 1.5 * ds.features.nbytes
 
 
 class TestGenerateSynthetic:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from deskbench import gbt
 from deskbench.errors import ConfigError, DataFormatError
 
-from oracles import brute_force_best_split, exact_greedy_split_oracle
+from oracles import brute_force_best_split, exact_greedy_split_oracle, gbt_fit_oracle
 
 
 def walk_leaves(node, depth=0):
@@ -233,9 +233,10 @@ VALUES = (-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, 3.0)
 GRADIENTS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-def fit_with_oracle(X, y, cfg):
-    with mock.patch.object(gbt, "_best_split", exact_greedy_split_oracle):
-        return gbt.fit(X, y, cfg)
+def best_split(X, g, rows, cfg):
+    """gbt's split search at one node, on the ranks of the whole matrix."""
+    cand, ranks = gbt._rank_columns(X)
+    return gbt._best_split(X, cand, ranks, g, rows, cfg)
 
 
 def assert_same_split(new, old):
@@ -281,7 +282,7 @@ def node_cases(draw):
 
 
 class TestSplitSearchMatchesOracle:
-    """The array split search against the per-feature loop it replaced."""
+    """The rank split search against the per-feature loop on float values."""
 
     @given(node_cases())
     @example((  # mirrored gradients: equal gains at two boundaries of one column
@@ -296,7 +297,7 @@ class TestSplitSearchMatchesOracle:
     def test_best_split_identical(self, case):
         X, g, rows, cfg, block = case
         with mock.patch.object(gbt, "_COLUMN_BLOCK", block):
-            new = gbt._best_split(X, g, rows, cfg)
+            new = best_split(X, g, rows, cfg)
         assert_same_split(new, exact_greedy_split_oracle(X, g, rows, cfg))
 
     @given(node_cases(), st.integers(1, 4), st.integers(1, 3))
@@ -308,7 +309,7 @@ class TestSplitSearchMatchesOracle:
                             lambda_=cfg.lambda_, gamma=cfg.gamma)
         with mock.patch.object(gbt, "_COLUMN_BLOCK", block):
             new = gbt.fit(X, y, cfg)
-        assert_same_model(new, fit_with_oracle(X, y, cfg))
+        assert_same_model(new, gbt_fit_oracle(X, y, cfg))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=8, deadline=None)
@@ -326,7 +327,7 @@ class TestSplitSearchMatchesOracle:
         X[:, dim + 1] = rng.integers(0, 63, size=n) / 62.0
         y = rng.normal(size=n) + X[:, 0]
         cfg = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=3, min_child_weight=2.0)
-        assert_same_model(gbt.fit(X, y, cfg), fit_with_oracle(X, y, cfg))
+        assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=5, deadline=None)
@@ -338,6 +339,31 @@ class TestSplitSearchMatchesOracle:
         rows = rng.permutation(40)[:30]
         cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=2, min_child_weight=1.0,
                             lambda_=0.0, gamma=0.0)
-        assert_same_split(gbt._best_split(X, g, rows, cfg),
+        assert_same_split(best_split(X, g, rows, cfg),
                           exact_greedy_split_oracle(X, g, rows, cfg))
-        assert_same_model(gbt.fit(X, g, cfg), fit_with_oracle(X, g, cfg))
+        assert_same_model(gbt.fit(X, g, cfg), gbt_fit_oracle(X, g, cfg))
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_rank_dtype_edges(self, n, dtype):
+        # all-distinct column 0 needs rank n - 1; column 1 repeats values,
+        # column 2 is constant and column 3 mixes -0.0 with 0.0
+        rng = np.random.default_rng(n)
+        X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                             np.full(n, 2.0), rng.choice([-0.0, 0.0, 1.0], size=n)])
+        y = X[:, 0] + X[:, 3] + rng.normal(size=n) * 0.1
+        cand, ranks = gbt._rank_columns(X)
+        assert cand.tolist() == [0, 1, 3] and ranks.dtype == dtype
+        for j, f in enumerate(cand):
+            assert np.array_equal(ranks[:, j], np.unique(X[:, f], return_inverse=True)[1])
+        cfg = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=2, min_child_weight=1.0)
+        assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
+
+    def test_uint32_ranks_single_column(self):
+        # 65,537 distinct values need rank 65,536; numpy sorts uint32 with timsort
+        rng = np.random.default_rng(65_537)
+        X = rng.normal(size=(65_537, 1))
+        y = np.sin(3.0 * X[:, 0]) + rng.normal(size=65_537) * 0.1
+        ranks = gbt._rank_columns(X)[1]
+        assert ranks.dtype == np.uint32 and int(ranks.max()) == 65_536
+        cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=1, min_child_weight=1.0)
+        assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))

@@ -34,8 +34,19 @@ def test_rating_pipeline(monkeypatch, tmp_path):
     assert sha256(tmp_path / "features.csv") == \
         "88025c3ed1284f52603cdac3653ce8e0db90f0bd39985f01eac6583013904bf4"
     with open(tmp_path / "rating-cv.csv", newline="", encoding="utf-8") as handle:
-        assert [row[0] for row in csv.reader(handle)][1:] == \
-            ["fold-0", "fold-1", "fold-2", "fold-3", "fold-4", "cv-average"]
+        rows = list(csv.reader(handle))
+    assert [row[0] for row in rows][1:] == \
+        ["fold-0", "fold-1", "fold-2", "fold-3", "fold-4", "cv-average"]
+    # the GBT metrics, not the wall_clock_s column after them
+    assert [row[6:9] for row in rows] == [
+        ["rmse", "mae", "r2"],
+        ["0.6636003868608875", "0.4977229860721632", "0.8797361877334203"],
+        ["0.7070923258879294", "0.5508010787183564", "0.8653952544463243"],
+        ["0.7303651679677959", "0.6047145312705668", "0.8505742993978409"],
+        ["0.7181745899772785", "0.5560970111073583", "0.868037392582693"],
+        ["0.6558425082200388", "0.5057478805550106", "0.8843853590512881"],
+        ["0.695014995782786", "0.5430166975446911", "0.8696256986423133"],
+    ]
 
 
 def test_dense_benchmark(monkeypatch, tmp_path):

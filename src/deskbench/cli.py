@@ -547,7 +547,7 @@ def _cmd_bench_master(params, outdir):
         except ValueError as exc:
             raw = ",".join(params["worker_ids"])
             raise ConfigError(f"bad value {raw!r} for --worker-ids: {exc}") from exc
-    elif params["workers"]:
+    elif params["workers"] is not None:
         ids = list(range(1, params["workers"] + 1))
     else:
         raise ConfigError("--workers or --worker-ids is required")

@@ -6,7 +6,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,6 +25,10 @@ NUMBER = "number"
 _MISSING_SENTINELS = {"", "na", "n/a"}
 _NUMERIC_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?$")
 _CURRENCY_CODE_RE = re.compile(r"^[A-Za-z]{1,3}(?![A-Za-z])")
+
+# parse_dense doubles its matrix while it is smaller than this, then grows it
+# by an eighth, so a large file just past a step holds at most 1.125 matrices.
+_DOUBLING_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +213,7 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
     if num_features is not None and num_features < 1:
         raise ConfigError("num_features must be >= 1")
 
-    labels: list[float] = []
+    labels = array("d")  # C doubles, not one float object per row
     matrix = np.empty(0)  # grown geometrically; no view of it outlives a resize
     width = num_features
     with _text_lines(stream) as lines:
@@ -232,7 +238,9 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
             if not np.isfinite(vec).all():
                 raise _field_error(fields, line_no)
             if len(labels) > matrix.shape[0]:
-                matrix.resize((max(16, 2 * matrix.shape[0]), width), refcheck=False)
+                rows = matrix.shape[0]
+                rows += max(16, rows if matrix.nbytes < _DOUBLING_BYTES else rows // 8)
+                matrix.resize((rows, width), refcheck=False)
             matrix[len(labels) - 1] = vec
 
     if not labels:
@@ -325,6 +333,7 @@ def parse_tabular(stream, schema: list[tuple[str, str]]) -> TabularFrame:
     """RFC-4180-style CSV with a header row; columns matched by header name.
 
     Empty cells and the literals NA / N/A (case-insensitive) become missing.
+    A number cell must be finite.
     """
     if not schema:
         raise ConfigError("schema must name at least one column")
@@ -362,11 +371,15 @@ def parse_tabular(stream, schema: list[tuple[str, str]]) -> TabularFrame:
                     row.append(None)
                 elif kind == NUMBER:
                     try:
-                        row.append(float(raw))
+                        value = float(raw)
                     except ValueError:
                         raise DataFormatError(
                             f"line {line_no}, column {name!r}: non-numeric {raw!r}"
                         ) from None
+                    if not math.isfinite(value):
+                        raise DataFormatError(
+                            f"line {line_no}, column {name!r}: non-finite {raw!r}")
+                    row.append(value)
                 else:
                     row.append(raw)
             cells.append(row)
@@ -398,14 +411,15 @@ def _currency_to_float(raw: str) -> float | None:
     code = _CURRENCY_CODE_RE.match(s)
     if code:
         s = s[code.end():].strip()
-    if _NUMERIC_RE.match(s):
-        return float(s)
+    if _NUMERIC_RE.match(s) and math.isfinite(value := float(s)):
+        return value
     return None
 
 
 def clean_currency(frame: TabularFrame, columns: list[str]) -> TabularFrame:
     """Convert text money columns to numbers, stripping $ , spaces and an
-    optional 1-3 letter currency code. Unconvertible cells become missing."""
+    optional 1-3 letter currency code. Unconvertible cells, and amounts too
+    large for a float, become missing."""
     out = frame
     for name in columns:
         if out.kind_of(name) != TEXT:

@@ -8,7 +8,6 @@ those two, and small reporting helpers.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -376,20 +375,6 @@ def class_report(labels) -> ClassReport:
 # class rebalancing
 
 
-def _dense_rows(vectors, dim: int) -> np.ndarray:
-    """SparseVectors as the rows of one (len, dim) matrix, in one scatter.
-
-    Each (row, slot) pair is set once, so every value is placed exactly."""
-    nnz = [v.nnz for v in vectors]
-    total = sum(nnz)
-    rows = np.repeat(np.arange(len(vectors)), nnz)
-    slots = np.fromiter(chain.from_iterable(v.indices for v in vectors), np.int64, total)
-    dense = np.zeros((len(vectors), dim))
-    dense[rows, slots] = np.fromiter(chain.from_iterable(v.values for v in vectors),
-                                     np.float64, total)
-    return dense
-
-
 def rebalance(texts, labels, target_size: int, factor: int, num_rings: int, seed: int,
               dim: int, min_doc_freq: int) -> tuple[list, int]:
     """Bring each class toward target_size: ((text, label) rows, augment failures).
@@ -403,7 +388,7 @@ def rebalance(texts, labels, target_size: int, factor: int, num_rings: int, seed
     if factor < 1:
         raise ConfigError("factor must be >= 1")
     cfg = RingConfig(target_size, num_rings, seed)
-    vectors, _ = textfeat.vectorize_corpus(texts, None, dim, min_doc_freq)
+    corpus, _ = textfeat.tfidf_rows(texts, None, dim, min_doc_freq)
     by_label: dict = {}
     for i, label in enumerate(labels):
         by_label.setdefault(label, []).append(i)
@@ -414,7 +399,7 @@ def rebalance(texts, labels, target_size: int, factor: int, num_rings: int, seed
     for label, _count in class_report(labels).counts:
         idx = by_label[label]
         if len(idx) > target_size:
-            kept = ring_undersample(_dense_rows([vectors[i] for i in idx], dim), cfg)
+            kept = ring_undersample(textfeat.dense_rows(corpus, dim, idx), cfg)
             rows.extend((texts[idx[j]], label) for j in kept)
         elif len(idx) < target_size and factor > 1:
             result = augment([(texts[i], label) for i in idx], augmenter, factor, seed)

@@ -1,11 +1,13 @@
 """Text feature pipeline: tokenization, stopwords, hashed term frequencies,
-smoothed IDF with a document-frequency cutoff, vector assembly into a dense
-feature matrix (``feature_matrix``), and a lexicon polarity tagger.
+smoothed IDF with a document-frequency cutoff, dense feature matrices
+(``feature_matrix``), and a lexicon polarity tagger.
 
-``vectorize_corpus`` weights a whole corpus in one array pass: tokens map to
+``tfidf_rows`` weights a whole corpus in one array pass: tokens map to
 vocabulary ids as each document is tokenized, every distinct token is hashed
 once by a vectorized FNV-1a, and the per-(document, slot) counts and document
-frequencies come from ``np.unique`` and ``np.bincount``."""
+frequencies come from ``np.unique`` and ``np.bincount``. Only this module reads
+its CSR arrays: ``dense_rows`` scatters rows of them into a dense matrix, and
+``vectorize_corpus`` slices them into ``SparseVector``s."""
 
 from __future__ import annotations
 
@@ -149,7 +151,7 @@ def idf_fit(corpus: list[SparseVector], min_doc_freq: int) -> IdfModel:
 
 
 def _idf_model(df: np.ndarray, n: int, min_doc_freq: int) -> IdfModel:
-    """The one idf formula, for idf_fit and vectorize_corpus alike."""
+    """The one idf formula, for idf_fit and tfidf_rows alike."""
     idf = np.zeros(len(df))
     kept = df >= min_doc_freq
     idf[kept] = np.log((n + 1) / (df[kept] + 1))
@@ -197,23 +199,15 @@ def sentiment_tag(tokens: list[str], lexicon: dict[str, str]) -> str:
     return "neutral"
 
 
-def build_all_text(frame: TabularFrame, row_index: int,
-                   columns=DEFAULT_ALL_TEXT_COLUMNS) -> str:
-    """Single-space join of the row's selected text cells, missing cells skipped."""
-    pieces = []
-    for name in columns:
-        cell = frame.cells[row_index][frame.col_index(name)]
-        if cell is None:
-            continue
-        piece = str(cell)
-        if piece:
-            pieces.append(piece)
-    return " ".join(pieces)
-
-
 def all_text_column(frame: TabularFrame,
                     columns=DEFAULT_ALL_TEXT_COLUMNS) -> list[str]:
-    return [build_all_text(frame, i, columns) for i in range(frame.num_rows)]
+    """Each row's selected text cells, missing and empty ones skipped, space-joined."""
+    pieces = [[] for _ in range(frame.num_rows)]
+    for name in columns:
+        for row, cell in zip(pieces, frame.column(name)):
+            if cell is not None and (piece := str(cell)):
+                row.append(piece)
+    return [" ".join(row) for row in pieces]
 
 
 def load_stoplist(path) -> set[str]:
@@ -226,13 +220,14 @@ def load_stoplist(path) -> set[str]:
     return words
 
 
-def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
-                     dim: int = DEFAULT_HASH_DIM,
-                     min_doc_freq: int = 3) -> tuple[list[SparseVector], IdfModel]:
+def tfidf_rows(texts: list[str], stoplist: set[str] | None = None,
+               dim: int = DEFAULT_HASH_DIM,
+               min_doc_freq: int = 3) -> tuple[tuple, IdfModel]:
     """tokenize -> stopword filter -> hashed tf -> idf, over a whole corpus.
 
-    Same vectors and model as ``idf_transform(idf_fit(tf), v)`` over each
-    document's ``hashed_tf``, computed as one CSR pass."""
+    ((indptr, indices, values), model): document i's nonzero weights sit at
+    the strictly increasing slots indices[indptr[i]:indptr[i + 1]]. They and
+    the model equal ``idf_transform(idf_fit(tf), v)`` over each ``hashed_tf``."""
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__  # a new token gets the next id
     ids = array("q")
@@ -256,8 +251,28 @@ def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
     weights = counts * np.array(model.idf)[col]
     kept = weights != 0.0
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row[kept], minlength=n))))
-    indices, values = col[kept].tolist(), weights[kept].tolist()
-    bounds = indptr.tolist()
+    return (indptr, col[kept], weights[kept]), model
+
+
+def dense_rows(rows: tuple, width: int, subset) -> np.ndarray:
+    """The ``tfidf_rows`` rows numbered in ``subset``, in that order, as a zero
+    (len, width) matrix holding their weights, written by one fancy-index
+    assignment. Each (row, slot) is set once, so every value is exact."""
+    indptr, indices, values = rows
+    starts, lengths = indptr[:-1][subset], np.diff(indptr)[subset]
+    # the chosen rows' entries, concatenated: starts[r], starts[r] + 1, ...
+    at = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    dense = np.zeros((len(lengths), width))
+    dense[np.repeat(np.arange(len(lengths)), lengths), indices[at]] = values[at]
+    return dense
+
+
+def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
+                     dim: int = DEFAULT_HASH_DIM,
+                     min_doc_freq: int = 3) -> tuple[list[SparseVector], IdfModel]:
+    """``tfidf_rows`` with each document's row as a ``SparseVector``."""
+    (indptr, indices, values), model = tfidf_rows(texts, stoplist, dim, min_doc_freq)
+    bounds, indices, values = indptr.tolist(), indices.tolist(), values.tolist()
     return [SparseVector(dim, tuple(indices[a:b]), tuple(values[a:b]))
             for a, b in zip(bounds[:-1], bounds[1:])], model
 
@@ -266,13 +281,17 @@ def feature_matrix(frame: TabularFrame, text_columns, numeric_columns,
                    stoplist: set[str] | None, dim: int,
                    min_doc_freq: int) -> tuple[np.ndarray, IdfModel]:
     """(features, IdfModel): per frame row, the hashed TF-IDF block of the joined
-    text columns, then the numeric columns in order (a missing cell is 0.0)."""
-    texts = all_text_column(frame, text_columns)
-    vectors, model = vectorize_corpus(texts, stoplist, dim, min_doc_freq)
-    columns = [frame.column(name) for name in numeric_columns]
-    features = np.zeros((frame.num_rows, dim + len(numeric_columns)))
-    for i, vec in enumerate(vectors):
-        numerics = [(name, float(column[i] or 0.0))
-                    for name, column in zip(numeric_columns, columns)]
-        features[i] = assemble(vec, numerics).to_dense()
+    text columns, then the numeric columns in order (a missing cell is 0.0).
+    The first non-finite numeric cell in row-major order fails the matrix."""
+    rows, model = tfidf_rows(all_text_column(frame, text_columns), stoplist, dim, min_doc_freq)
+    # `v or 0.0` turns a missing cell and -0.0 into 0.0
+    numerics = np.array([[v or 0.0 for v in frame.column(name)] for name in numeric_columns],
+                        dtype=np.float64).reshape(len(numeric_columns), frame.num_rows).T
+    bad = np.argwhere(~np.isfinite(numerics))
+    if len(bad):
+        i, j = bad[0]
+        raise DataFormatError(
+            f"non-finite numeric feature {numeric_columns[j]!r}: {float(numerics[i, j])}")
+    features = dense_rows(rows, dim + len(numeric_columns), range(frame.num_rows))
+    features[:, dim:] = numerics
     return features, model

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from deskbench import dataio
 from deskbench.errors import DataFormatError
 
@@ -22,3 +24,15 @@ def load_parts(manifest_path) -> tuple[dataio.DatasetManifest, list[dataio.Dense
             f"manifest declares {manifest.num_rows} rows, parts hold {total}"
         )
     return manifest, parts
+
+
+LONG_WORDS = ("k" * 4000, "é" * 2000, "日" * 1334 + "z")  # 4000+ UTF-8 bytes each
+WORDS = ("movie", "film", "the", "and", "café", "señor", "日本語", "жизнь", "x1", "ok")
+STOPWORDS = ("the", "and", "café", "ok", LONG_WORDS[0])
+
+
+def documents():
+    """Texts for the text flows: empty ones, ones of WORDS (non-ASCII words and
+    words in STOPWORDS) and ones of arbitrary characters."""
+    word = st.one_of(st.sampled_from(WORDS), st.text(alphabet="abcéß日ж _-!1", max_size=8))
+    return st.one_of(st.just(""), st.lists(word, max_size=12).map(" ".join), st.text(max_size=20))

@@ -499,10 +499,27 @@ def rebalance_oracle(texts, labels, target_size, factor, num_rings, seed, dim, m
     return out_rows, failures
 
 
+def all_text_column_oracle(frame, columns=textfeat.DEFAULT_ALL_TEXT_COLUMNS):
+    """The joined text of each row as textfeat built it cell by cell, looking
+    up each cell's column by name: present, non-empty cells, space-joined."""
+    texts = []
+    for row_index in range(frame.num_rows):
+        pieces = []
+        for name in columns:
+            cell = frame.cells[row_index][frame.col_index(name)]
+            if cell is None:
+                continue
+            piece = str(cell)
+            if piece:
+                pieces.append(piece)
+        texts.append(" ".join(pieces))
+    return texts
+
+
 def feature_matrix_oracle(frame, text_columns, numeric_columns, stoplist, dim, min_doc_freq):
     """The feature matrix as `deskbench pipeline` built it inline: one
     assembled sparse row per document, densified into a preallocated matrix."""
-    texts = textfeat.all_text_column(frame, text_columns)
+    texts = all_text_column_oracle(frame, text_columns)
     vectors, idf_model = textfeat.vectorize_corpus(texts, stoplist, dim, min_doc_freq)
     numeric_columns = list(numeric_columns)
     numeric_values = {name: frame.column(name) for name in numeric_columns}

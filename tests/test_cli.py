@@ -374,6 +374,20 @@ class TestPipeline:
         assert report["rows_dropped_by_dedupe"] == 1
         assert report["rows_out"] == 2
 
+    def test_non_finite_target_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "movies.csv"
+        raw.write_text("title,rating,director\nA,7.5,X\nB,nan,X\nC,,X\nD,inf,Y\n",
+                       encoding="utf-8")
+        rc = run_cli("pipeline", "--data", raw,
+                     "--schema", json.dumps({"title": "text", "rating": "number",
+                                             "director": "text"}),
+                     "--target-column", "rating", "--context-columns", "director",
+                     "--text-columns", "title", "--dim", 8, "--min-doc-freq", 1,
+                     "--outdir", tmp_path)
+        assert rc == 2
+        assert "line 3, column 'rating': non-finite 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "features.csv").exists()
+
 
 class TestBalance:
     def test_undersample_and_augment(self, tmp_path):
@@ -524,6 +538,11 @@ class TestExitCodes:
                        "--rounds", 1, "--outdir", tmp_path) == 1
         eff = json.loads((tmp_path / "effective-config.json").read_text())
         assert eff["worker_ids"] == ["a", "b"]
+
+    def test_zero_workers_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("bench-master", "--workers", 0, "--algo", "logistic",
+                       "--rounds", 1, "--outdir", tmp_path) == 1
+        assert "at least one worker required" in capsys.readouterr().err
 
     def test_unreachable_master(self, tmp_path, dense_csv):
         # grab a port nothing listens on

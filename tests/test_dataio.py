@@ -233,6 +233,26 @@ class TestParseDenseMemory:
         # one growing matrix, not a list of rows and then their vstack
         assert peak < 1.5 * ds.features.nbytes
 
+    @pytest.mark.parametrize("rows", [4097, 8193])
+    def test_load_peak_just_past_a_capacity_step(self, tmp_path, rows):
+        # one-digit fields: split returns cached one-character strings, so
+        # tracing stays cheap and the matrix dominates what is traced
+        table = np.random.default_rng(rows).integers(0, 10, size=(rows, 201))
+        table[:, 0] %= 2
+        text = np.full((rows, 402), ord(","), dtype=np.uint8)
+        text[:, 0::2] = table + ord("0")
+        text[:, -1] = ord("\n")
+        (tmp_path / "d.csv").write_bytes(text.tobytes())
+        tracemalloc.start()
+        try:
+            back = dataio.load_dense(tmp_path / "d.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.features, table[:, 1:])
+        # a doubled matrix would hold nearly two
+        assert peak < 1.3 * back.features.nbytes
+
 
 class TestGenerateSynthetic:
     def test_deterministic(self):
@@ -335,6 +355,12 @@ class TestParseTabular:
                 [("a", "number"), ("b", "text"), ("c", "text")],
             )
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_number_cell_rejected(self, raw):
+        with pytest.raises(DataFormatError, match=rf"line 3, column 'a': non-finite '{raw}'"):
+            dataio.parse_tabular(as_stream(f"a,b\n1,x\n{raw},y\n"),
+                                 [("a", "number"), ("b", "text")])
+
     def test_doubled_quotes(self):
         frame = dataio.parse_tabular(
             as_stream('t\n"say ""hi"""\n'), [("t", "text")]
@@ -436,6 +462,8 @@ class TestCleanCurrency:
             ("USD1234", 1234.0),
             ("nan", None),
             ("garbage words", None),
+            ("$1e999", None),
+            ("-$1e999", None),
         ],
     )
     def test_conversions(self, raw, expected):

@@ -29,6 +29,7 @@ from deskbench.prep import (
     ring_undersample,
 )
 
+from helpers import documents
 from oracles import centroid_distances_oracle, rebalance_oracle, ring_undersample_oracle
 
 
@@ -512,7 +513,7 @@ REVIEW_WORDS = ("good", "bad", "movie", "food", "service", "place", "quiet", "th
 def balance_cases(draw):
     """(texts, labels, target, factor, rings, seed, dim, min_doc_freq): a few
     classes on both sides of the target, empty texts, synonym-table words."""
-    text = st.one_of(st.just(""), st.lists(st.sampled_from(REVIEW_WORDS), max_size=6).map(" ".join))
+    text = st.one_of(documents(), st.lists(st.sampled_from(REVIEW_WORDS), max_size=6).map(" ".join))
     rows = draw(st.lists(st.tuples(text, st.sampled_from("abc")), max_size=14))
     texts = [t for t, _ in rows]
     labels = [label for _, label in rows]
@@ -539,12 +540,33 @@ class TestRebalance:
 
     @given(st.lists(st.lists(st.sampled_from(REVIEW_WORDS), max_size=8).map(" ".join),
                     min_size=1, max_size=12),
-           st.sampled_from([1, 2, 16]))
+           st.sampled_from([1, 2, 16]), st.lists(st.booleans(), min_size=12, max_size=12))
+    @example(["good movie", "bad", "quiet place", "the food", "x service"], 16,
+             [True, False, True, False, True] + [False] * 7)
     @settings(max_examples=60, deadline=None)
-    def test_dense_rows_match_per_row_to_dense(self, texts, dim):
+    def test_dense_rows_match_per_row_to_dense(self, texts, dim, mask):
+        rows, _ = textfeat.tfidf_rows(texts, None, dim, 0)
         vectors, _ = textfeat.vectorize_corpus(texts, None, dim, 0)
-        dense = prep._dense_rows(vectors, dim)
-        assert dense.tobytes() == np.stack([v.to_dense() for v in vectors]).tobytes()
+        subset = [i for i in range(len(texts)) if mask[i]]
+        for chosen in (range(len(texts)), subset):
+            picked = [vectors[i] for i in chosen]
+            expected = np.zeros((len(picked), dim))
+            for row, vec in zip(expected, picked):
+                row[:] = vec.to_dense()
+            dense = textfeat.dense_rows(rows, dim, chosen)
+            assert dense.shape == expected.shape
+            assert dense.tobytes() == expected.tobytes()
+
+    def test_builds_no_sparse_vectors(self, monkeypatch):
+        built = []
+        check = textfeat.SparseVector.__post_init__
+        monkeypatch.setattr(textfeat.SparseVector, "__post_init__",
+                            lambda vec: built.append(check(vec)))
+        texts = [f"good movie {i}" for i in range(7)] + ["bad food"] * 3 + ["quiet place"]
+        rebalance(texts, ["big"] * 7 + ["at"] * 3 + ["small"], 3, 3, 2, 0, 16, 1)
+        assert built == []
+        textfeat.vectorize_corpus(["good movie"], None, 16, 1)  # the counter counts
+        assert built == [None]
 
     def test_classes_above_at_and_below_target(self):
         texts = [f"good movie {i}" for i in range(7)] + ["bad food"] * 3 + ["quiet place"]
@@ -562,6 +584,6 @@ class TestRebalance:
         def unreachable(*args):
             raise AssertionError("vectorized despite bad parameters")
 
-        monkeypatch.setattr("deskbench.textfeat.vectorize_corpus", unreachable)
+        monkeypatch.setattr("deskbench.textfeat.tfidf_rows", unreachable)
         with pytest.raises(ConfigError, match=message):
             rebalance(["good", "bad", "movie"], ["a", "b", "c"], 5, factor, rings, 0, 8, 1)

@@ -9,8 +9,9 @@ from deskbench import textfeat
 from deskbench.dataio import TabularFrame
 from deskbench.errors import ConfigError, DataFormatError
 
-from oracles import (feature_matrix_oracle, fnv1a_64_oracle, sparse_vector_check_oracle,
-                     tokenize_oracle, vectorize_corpus_oracle)
+from helpers import LONG_WORDS, STOPWORDS, documents
+from oracles import (all_text_column_oracle, feature_matrix_oracle, fnv1a_64_oracle,
+                     sparse_vector_check_oracle, tokenize_oracle, vectorize_corpus_oracle)
 
 
 def sparse_from_json(text: str) -> textfeat.SparseVector:
@@ -233,21 +234,30 @@ class TestAllText:
 
     def test_all_missing(self):
         frame = self.frame([None] * 7)
-        assert textfeat.build_all_text(frame, 0) == ""
+        assert textfeat.all_text_column(frame) == [""]
 
     def test_two_cells(self):
         frame = TabularFrame([("a", "text"), ("b", "text")], [["A", "B"]])
-        assert textfeat.build_all_text(frame, 0, ("a", "b")) == "A B"
+        assert textfeat.all_text_column(frame, ("a", "b")) == ["A B"]
 
     def test_default_order(self):
         row = ["Title", "Genre", "Director", "Writer", "Prod", "Actors", "Desc"]
         frame = self.frame(row)
-        assert textfeat.build_all_text(frame, 0) == " ".join(row)
+        assert textfeat.all_text_column(frame) == [" ".join(row)]
 
     def test_unknown_column(self):
         frame = TabularFrame([("a", "text")], [["x"]])
         with pytest.raises(DataFormatError):
-            textfeat.build_all_text(frame, 0, ("a", "nope"))
+            textfeat.all_text_column(frame, ("a", "nope"))
+
+    @given(st.lists(st.tuples(st.one_of(st.none(), st.sampled_from(["", " ", "ab"]), st.text()),
+                              st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.5]))),
+                    max_size=5),
+           st.lists(st.sampled_from(["t", "n"]), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cell_by_cell_oracle(self, rows, columns):
+        frame = TabularFrame([("t", "text"), ("n", "number")], [list(row) for row in rows])
+        assert textfeat.all_text_column(frame, columns) == all_text_column_oracle(frame, columns)
 
 
 class TestPipelineFixture:
@@ -274,17 +284,10 @@ class TestPipelineFixture:
             assert sparse_from_json(vec.to_json()) == vec
 
 
-LONG_WORDS = ("k" * 4000, "é" * 2000, "日" * 1334 + "z")  # 4000+ UTF-8 bytes each
-WORDS = ("movie", "film", "the", "and", "café", "señor", "日本語", "жизнь", "x1", "ok")
-STOPWORDS = ("the", "and", "café", "ok", LONG_WORDS[0])
-
-
 @st.composite
 def corpora(draw):
     """(texts, stoplist, dim, min_doc_freq), dense in collisions and edge cases."""
-    word = st.one_of(st.sampled_from(WORDS), st.text(alphabet="abcéß日ж _-!1", max_size=8))
-    doc = st.one_of(st.just(""), st.lists(word, max_size=12).map(" ".join), st.text(max_size=20))
-    texts = draw(st.lists(doc, max_size=10))
+    texts = draw(st.lists(documents(), max_size=10))
     if texts and draw(st.integers(0, 19)) == 0:  # long tokens cost ms each; keep them rare
         where = draw(st.integers(0, len(texts) - 1))
         texts[where] += " " + draw(st.sampled_from(LONG_WORDS))
@@ -335,7 +338,7 @@ def feature_cases(draw):
     """(frame, text_columns, numeric_columns, stoplist, dim, min_doc_freq) with
     missing, zero and non-finite numeric cells."""
     n = draw(st.integers(0, 6))
-    text = st.one_of(st.none(), st.just(""), st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join))
+    text = st.one_of(st.none(), documents())
     number = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.5, 1e300]),
                        st.floats(allow_nan=False, allow_infinity=False))
     cells = [[draw(text), draw(text), draw(number), draw(number)] for _ in range(n)]
@@ -365,10 +368,25 @@ class TestFeatureMatrix:
     @example((TabularFrame([("t1", "text"), ("n1", "number")],
                            [["the movie", None], ["film", 0.0], ["", float("inf")]]),
               ("t1",), ("n1",), {"the"}, 1, 1))
+    @example((TabularFrame([("t1", "text"), ("n1", "number"), ("n2", "number")],
+                           [["film", -0.0, float("inf")], ["", float("nan"), None]]),
+              ("t1",), ("n1", "n2"), None, 2, 0))
     @settings(max_examples=60, deadline=None)
     def test_matches_per_row_oracle(self, case):
         assert matrix_outcome(textfeat.feature_matrix, *case) == \
             matrix_outcome(feature_matrix_oracle, *case)
+
+    def test_builds_no_sparse_vectors(self, monkeypatch):
+        built = []
+        check = textfeat.SparseVector.__post_init__
+        monkeypatch.setattr(textfeat.SparseVector, "__post_init__",
+                            lambda vec: built.append(check(vec)))
+        frame = TabularFrame([("t", "text"), ("n", "number")],
+                             [["good movie", 1.0], ["bad film", None], ["", 2.0]])
+        textfeat.feature_matrix(frame, ("t",), ("n",), None, 16, 1)
+        assert built == []
+        textfeat.vectorize_corpus(["good movie"], None, 16, 1)  # the counter counts
+        assert built == [None]
 
     def test_text_block_then_numeric_columns(self):
         frame = TabularFrame([("t", "text"), ("year", "number"), ("gross", "number")],

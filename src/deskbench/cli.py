@@ -541,7 +541,7 @@ def _cmd_bench_master(params, outdir):
     algo = _normalize_algo(params["algo"])
     if algo not in distbench.ALGO_CODES:
         raise ConfigError(f"only {sorted(distbench.ALGO_CODES)} travel the wire")
-    if params["worker_ids"]:
+    if params["worker_ids"] is not None:
         try:
             ids = [int(v) for v in params["worker_ids"]]
         except ValueError as exc:

@@ -10,6 +10,8 @@ runs it once per epoch, and the distributed worker and the local bench
 run it once per round, for the logistic and the hinge loss alike. Its
 small-batch step is bound by numpy call overhead, so it makes few numpy
 calls, each floating-point operation kept in its order (bit-identical).
+Pegasos takes one example per step, on Python scalars: numpy sees only
+the vectors, and the bits are those of the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .dataio import DenseDataset
 from .errors import ConfigError, DataFormatError
 
 MODEL_KINDS = ("logistic", "svm")
+# train_pegasos turns its row picks into Python ints this many at a time, so
+# a long run never holds a list of all of them
+_PICK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -175,12 +180,14 @@ def train_pegasos(ds: DenseDataset, cfg: SgdConfig, step_hook=None) -> LinearMod
     (norm-bound assertions in tests); it must not mutate w.
     """
     y01, X = _require_binary(ds)
-    c = _example_weights(y01, cfg.class_weights)
-    y = np.where(y01 == 1, 1.0, -1.0)
+    # per-row signs and class weights: lists of two shared float objects
+    w0, w1 = (1.0, 1.0) if cfg.class_weights is None else map(float, cfg.class_weights)
+    y = [1.0 if v else -1.0 for v in y01.tolist()]
+    c = [w1 if v else w0 for v in y01.tolist()]
     n, f = X.shape
     T = cfg.epochs_or_iters
     lam = cfg.lambda_
-    radius = 1.0 / np.sqrt(lam)
+    radius = 1.0 / math.sqrt(lam)
     rng = np.random.default_rng(cfg.seed)
     picks = rng.integers(0, n, size=T)
     w = np.zeros(f, dtype=np.float64)
@@ -188,23 +195,25 @@ def train_pegasos(ds: DenseDataset, cfg: SgdConfig, step_hook=None) -> LinearMod
     suffix_start = T // 2 + 1
     w_sum = np.zeros(f, dtype=np.float64)
     b_sum = 0.0
-    for t in range(1, T + 1):
-        i = picks[t - 1]
-        eta = 1.0 / (lam * t)
-        margin = y[i] * (X[i] @ w + b)
-        w *= 1.0 - eta * lam
-        if margin < 1.0:
-            w += eta * c[i] * y[i] * X[i]
-            b += eta * c[i] * y[i]
-        if cfg.project:
-            norm = math.sqrt(float(w @ w))
-            if norm > radius:
-                w *= radius / norm
-        if t >= suffix_start:
-            w_sum += w
-            b_sum += b
-        if step_hook is not None:
-            step_hook(t, w)
+    for start in range(0, T, _PICK_BLOCK):
+        for t, i in enumerate(picks[start:start + _PICK_BLOCK].tolist(), start + 1):
+            x = X[i]
+            eta = 1.0 / (lam * t)
+            margin = y[i] * (np.dot(x, w) + b)
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                s = eta * c[i] * y[i]
+                w += s * x
+                b += s
+            if cfg.project:
+                norm = math.sqrt(np.dot(w, w))
+                if norm > radius:
+                    w *= radius / norm
+            if t >= suffix_start:
+                w_sum += w
+                b_sum += b
+            if step_hook is not None:
+                step_hook(t, w)
     count = T - suffix_start + 1
     return LinearModel(weights=w_sum / count, bias=b_sum / count, kind="svm")
 

@@ -9,7 +9,11 @@ running-variance stat is the unbiased batch variance).
 
 There are two code paths. forward is the eval forward: running statistics,
 no dropout, and the model is left as it was. The training forward is private
-to loss_and_gradients: batch statistics, one EMA step, dropout masks.
+to loss_and_gradients: batch statistics, one EMA step, dropout masks. It
+works in place on its own buffers, never on the caller's batch. train keeps
+the trainable arrays as views of one flat vector, so one Adam update is a
+few elementwise passes over it. Every operation keeps its order: training
+is bit-identical to the per-array oracle trainer in the tests.
 """
 
 from __future__ import annotations
@@ -126,12 +130,14 @@ def _check_batch(model: MlpModel, batch) -> np.ndarray:
     return X
 
 
-def _normalize(z, mu, var, block, eps):
-    """BN with the given statistics, then the block's scale and shift.
-    Returns (inv_std, x_hat, bn_out)."""
+def _normalize(d, var, block, eps):
+    """BN of the centred activations d (overwritten with x_hat) with variance
+    var, then the block's scale and shift. Returns (inv_std, x_hat, bn_out)."""
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (z - mu) * inv_std
-    return inv_std, x_hat, block["gamma"] * x_hat + block["beta"]
+    d *= inv_std
+    bn_out = block["gamma"] * d
+    bn_out += block["beta"]
+    return inv_std, d, bn_out
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
@@ -139,9 +145,9 @@ def forward(model: MlpModel, batch) -> np.ndarray:
     Never changes the model."""
     h = _check_batch(model, batch)
     for block in model.blocks:
-        z = h @ block["w"] + block["b"]
-        _, _, bn_out = _normalize(z, block["run_mean"], block["run_var"], block, model.bn_eps)
-        h = np.maximum(bn_out, 0.0)
+        d = h @ block["w"] + block["b"] - block["run_mean"]
+        _, _, bn_out = _normalize(d, block["run_var"], block, model.bn_eps)
+        h = np.maximum(bn_out, 0.0, out=bn_out)
     return h @ model.out_w + model.out_b
 
 
@@ -155,35 +161,34 @@ def _train_forward(model: MlpModel, X, rng):
     caches = []
     h = X
     for block in model.blocks:
-        z = h @ block["w"] + block["b"]
-        mu, var = z.mean(axis=0), z.var(axis=0)  # biased var normalizes
+        d = h @ block["w"]
+        d += block["b"]
+        mu = np.add.reduce(d, axis=0) / B  # z.mean(axis=0)
+        d -= mu
+        var = np.add.reduce(d * d, axis=0) / B  # z.var(axis=0), biased: it normalizes
         block["run_mean"] = (1 - m) * block["run_mean"] + m * mu
         block["run_var"] = (1 - m) * block["run_var"] + m * (var * B / (B - 1))
-        inv_std, x_hat, bn_out = _normalize(z, mu, var, block, model.bn_eps)
+        inv_std, x_hat, bn_out = _normalize(d, var, block, model.bn_eps)
         out = np.maximum(bn_out, 0.0)
         mask = None
         if p > 0:
             mask = (rng.random(out.shape) >= p) / (1.0 - p)
-            out = out * mask
+            out *= mask
         caches.append((h, inv_std, x_hat, bn_out, mask))
         h = out
     return h @ model.out_w + model.out_b, h, caches
 
 
 def _weighted_ce(logits, labels, class_weights):
+    """Mean class-weighted CE and its logit gradient (c * (probs - onehot)) / B."""
     probs = softmax(logits)
-    B = logits.shape[0]
-    picked = probs[np.arange(B), labels]
-    ce = -np.log(np.maximum(picked, 1e-300))
-    if class_weights is None:
-        c = np.ones(B)
-    else:
-        c = np.asarray(class_weights, dtype=np.float64)[labels]
-    loss = float(np.mean(c * ce))
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(B), labels] = 1.0
-    dlogits = (c[:, None] * (probs - onehot)) / B
-    return loss, dlogits
+    B, rows = logits.shape[0], np.arange(logits.shape[0])
+    c = np.ones(B) if class_weights is None else np.asarray(class_weights, np.float64)[labels]
+    loss = float(np.mean(c * -np.log(np.maximum(probs[rows, labels], 1e-300))))
+    probs[rows, labels] -= 1.0
+    probs *= c[:, None]
+    probs /= B
+    return loss, probs
 
 
 def _check_labels(labels, output_size):
@@ -202,7 +207,8 @@ def loss_and_gradients(model: MlpModel, batch, labels, class_weights=None, rng=N
     The forward uses batch-statistics BN and dropout masks, and the BN
     running statistics take one EMA step. Returns (loss, grads) with grads
     mirroring the parameter structure:
-    {"blocks": [{w,b,gamma,beta}...], "out_w", "out_b"}.
+    {"blocks": [{w,b,gamma,beta}...], "out_w", "out_b"}. The gradients are
+    fresh arrays; the batch is never written to.
     """
     y = _check_labels(labels, model.arch.output_size)
     X = _check_batch(model, batch)
@@ -217,14 +223,21 @@ def loss_and_gradients(model: MlpModel, batch, labels, class_weights=None, rng=N
     dh = dlogits @ model.out_w.T
     for block, (x, inv_std, x_hat, bn_out, mask) in zip(reversed(model.blocks),
                                                          reversed(caches)):
+        # dh, x_hat and dz are this step's own buffers: updated in place
         if mask is not None:
-            dh = dh * mask
-        d_bn = dh * (bn_out > 0)
-        dx_hat = d_bn * block["gamma"]
-        dz = inv_std / B * (B * dx_hat - dx_hat.sum(axis=0)
-                            - x_hat * (dx_hat * x_hat).sum(axis=0))
+            dh *= mask
+        d_bn = np.multiply(dh, bn_out > 0, out=dh)
+        dgamma, dbeta = (d_bn * x_hat).sum(axis=0), d_bn.sum(axis=0)
+        # dz = inv_std / B * (B * dx_hat - sum(dx_hat) - x_hat * sum(dx_hat * x_hat))
+        dz = np.multiply(d_bn, block["gamma"], out=d_bn)  # dx_hat
+        sum_dx = dz.sum(axis=0)
+        x_hat *= (dz * x_hat).sum(axis=0)
+        dz *= B
+        dz -= sum_dx
+        dz -= x_hat
+        dz *= inv_std / B
         grads["blocks"].append({"w": x.T @ dz, "b": dz.sum(axis=0),
-                                "gamma": (d_bn * x_hat).sum(axis=0), "beta": d_bn.sum(axis=0)})
+                                "gamma": dgamma, "beta": dbeta})
         if block is not model.blocks[0]:  # no gradient for the input batch
             dh = dz @ block["w"].T
     grads["blocks"].reverse()
@@ -235,14 +248,6 @@ def _flatten(out_w, out_b, blocks) -> list:
     """The trainable arrays, or their gradients, in one fixed order."""
     return [out_w, out_b] + [block[name] for block in blocks
                              for name in ("w", "b", "gamma", "beta")]
-
-
-def _adam_step(param, grad, state, cfg, t):
-    state["m"] = cfg.adam_beta1 * state["m"] + (1 - cfg.adam_beta1) * grad
-    state["v"] = cfg.adam_beta2 * state["v"] + (1 - cfg.adam_beta2) * grad**2
-    m_hat = state["m"] / (1 - cfg.adam_beta1**t)
-    v_hat = state["v"] / (1 - cfg.adam_beta2**t)
-    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
 def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
@@ -267,13 +272,20 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
     val_idx, train_idx = perm[:val_count], perm[val_count:]
     if cfg.batch_size > train_idx.size:
         raise ConfigError("batch_size exceeds the number of training rows")
-    X_train, y_train = ds.features[train_idx], y[train_idx]
     X_val, y_val = ds.features[val_idx], y[val_idx]
 
+    # One Adam update over one flat parameter vector, whose views the model's
+    # arrays become; the gradient, m, v and a temporary are of its length.
     params = _flatten(model.out_w, model.out_b, model.blocks)
+    param = np.concatenate(params, axis=None)
+    params = [view.reshape(p.shape) for view, p in
+              zip(np.split(param, np.cumsum([p.size for p in params[:-1]])), params)]
+    model.out_w, model.out_b, *rest = params
+    for block, i in zip(model.blocks, range(0, len(rest), 4)):
+        block.update(zip(("w", "b", "gamma", "beta"), rest[i:i + 4]))
     # coupled L2 on the affine weight matrices, the only 2-d parameters
-    decay = [cfg.weight_decay if param.ndim == 2 else 0.0 for param in params]
-    adam = [{"m": np.zeros_like(param), "v": np.zeros_like(param)} for param in params]
+    decayed = [i for i, p in enumerate(params) if p.ndim == 2 and cfg.weight_decay > 0]
+    grad, m, v, tmp = (np.zeros_like(param) for _ in range(4))
 
     curve = []
     t = 0
@@ -282,17 +294,28 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
         epoch_loss = 0.0
         epoch_rows = 0
         for start in range(0, order.size, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+            idx = train_idx[order[start:start + cfg.batch_size]]
             if idx.size < 2:
                 continue
             loss, grads = loss_and_gradients(
-                model, X_train[idx], y_train[idx], cfg.class_weights, rng
+                model, ds.features.take(idx, axis=0), y[idx], cfg.class_weights, rng
             )
             t += 1
-            for param, grad, wd, state in zip(params, _flatten(**grads), decay, adam):
-                if wd > 0:
-                    grad = grad + wd * param
-                _adam_step(param, grad, state, cfg, t)
+            grads = _flatten(**grads)
+            for i in decayed:
+                grads[i] += cfg.weight_decay * params[i]
+            np.concatenate(grads, axis=None, out=grad)
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+            # param -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+            m *= cfg.adam_beta1
+            m += np.multiply(grad, 1 - cfg.adam_beta1, out=tmp)
+            v *= cfg.adam_beta2
+            v += np.multiply(np.square(grad, out=tmp), 1 - cfg.adam_beta2, out=tmp)
+            # the denominator takes grad's buffer, which is spent
+            denom = np.sqrt(np.divide(v, 1 - cfg.adam_beta2**t, out=grad), out=grad)
+            denom += cfg.adam_eps
+            np.multiply(np.divide(m, 1 - cfg.adam_beta1**t, out=tmp), cfg.learning_rate, out=tmp)
+            param -= np.divide(tmp, denom, out=tmp)
             epoch_loss += loss * idx.size
             epoch_rows += idx.size
         val_loss, _ = _weighted_ce(forward(model, X_val), y_val, cfg.class_weights)

@@ -7,6 +7,7 @@ augmentation of minority classes, the ``rebalance`` flow that combines
 those two, and small reporting helpers.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,9 @@ def impute_fit(frame: TabularFrame, target_column: str,
                context_columns=DEFAULT_CONTEXT_COLUMNS) -> ImputePlan:
     """Learn per-context-value target means plus a global fallback mean.
 
-    Only rows with a present target contribute. A multi-valued context
-    cell ("Drama, War") credits the row's target to each listed value.
+    Only rows with a present target contribute, and a present target must
+    be finite. A multi-valued context cell ("Drama, War") credits the row's
+    target to each listed value.
     """
     if frame.kind_of(target_column) != NUMBER:
         raise DataFormatError(f"target column {target_column!r} is not numeric")
@@ -61,6 +63,9 @@ def impute_fit(frame: TabularFrame, target_column: str,
 
     targets = frame.column(target_column)
     present = [(i, float(v)) for i, v in enumerate(targets) if v is not None]
+    for i, v in present:
+        if not math.isfinite(v):
+            raise DataFormatError(f"row {i}, column {target_column!r}: non-finite {v!r}")
     if not present:
         raise DataFormatError(f"column {target_column!r} has no present values to fit on")
     global_mean = float(np.mean([v for _, v in present]))

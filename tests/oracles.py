@@ -789,6 +789,23 @@ def mlp_forward_cache_oracle(model, batch, mode, rng, freeze_bn, update_running=
     return logits, h, caches
 
 
+def mlp_weighted_ce_oracle(logits, labels, class_weights):
+    """The weighted CE and its logit gradient through an explicit one-hot."""
+    probs = mlp.softmax(logits)
+    B = logits.shape[0]
+    picked = probs[np.arange(B), labels]
+    ce = -np.log(np.maximum(picked, 1e-300))
+    if class_weights is None:
+        c = np.ones(B)
+    else:
+        c = np.asarray(class_weights, dtype=np.float64)[labels]
+    loss = float(np.mean(c * ce))
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(B), labels] = 1.0
+    dlogits = (c[:, None] * (probs - onehot)) / B
+    return loss, dlogits
+
+
 def mlp_eval_forward_oracle(model, batch):
     return mlp_forward_cache_oracle(model, batch, "eval", None, False)[0]
 
@@ -797,7 +814,7 @@ def mlp_loss_and_gradients_oracle(model, batch, labels, class_weights=None, rng=
     y = mlp._check_labels(labels, model.arch.output_size)
     logits, hidden, caches = mlp_forward_cache_oracle(model, batch, "train", rng, False,
                                                       update_running=True)
-    loss, dlogits = mlp._weighted_ce(logits, y, class_weights)
+    loss, dlogits = mlp_weighted_ce_oracle(logits, y, class_weights)
     grads = {"out_w": hidden.T @ dlogits, "out_b": dlogits.sum(axis=0), "blocks": []}
     dh = dlogits @ model.out_w.T
     B = dlogits.shape[0]
@@ -825,6 +842,16 @@ def mlp_loss_and_gradients_oracle(model, batch, labels, class_weights=None, rng=
         dh = dz @ block["w"].T
     grads["blocks"].reverse()
     return loss, grads
+
+
+def _adam_step_oracle(param, grad, state, cfg, t):
+    """One Adam update of one parameter array, as mlp.train made it before
+    it updated one flat parameter vector."""
+    state["m"] = cfg.adam_beta1 * state["m"] + (1 - cfg.adam_beta1) * grad
+    state["v"] = cfg.adam_beta2 * state["v"] + (1 - cfg.adam_beta2) * grad**2
+    m_hat = state["m"] / (1 - cfg.adam_beta1**t)
+    v_hat = state["v"] / (1 - cfg.adam_beta2**t)
+    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
 def mlp_train_oracle(ds, arch, cfg):
@@ -866,14 +893,14 @@ def mlp_train_oracle(ds, arch, cfg):
                 for block, g in zip(model.blocks, grads["blocks"]):
                     g["w"] += cfg.weight_decay * block["w"]
             t += 1
-            mlp._adam_step(model.out_w, grads["out_w"], adam["out_w"], cfg, t)
-            mlp._adam_step(model.out_b, grads["out_b"], adam["out_b"], cfg, t)
+            _adam_step_oracle(model.out_w, grads["out_w"], adam["out_w"], cfg, t)
+            _adam_step_oracle(model.out_b, grads["out_b"], adam["out_b"], cfg, t)
             for block, g, state in zip(model.blocks, grads["blocks"], adam["blocks"]):
                 for name in ("w", "b", "gamma", "beta"):
-                    mlp._adam_step(block[name], g[name], state[name], cfg, t)
+                    _adam_step_oracle(block[name], g[name], state[name], cfg, t)
             epoch_loss += loss * idx.size
             epoch_rows += idx.size
         val_logits = mlp_eval_forward_oracle(model, X_val)
-        val_loss, _ = mlp._weighted_ce(val_logits, y_val, cfg.class_weights)
+        val_loss, _ = mlp_weighted_ce_oracle(val_logits, y_val, cfg.class_weights)
         curve.append((epoch_loss / epoch_rows, val_loss))
     return model, curve

@@ -544,6 +544,13 @@ class TestExitCodes:
                        "--rounds", 1, "--outdir", tmp_path) == 1
         assert "at least one worker required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ids", ["", " , "])
+    def test_empty_worker_ids_is_usage_error(self, tmp_path, capsys, ids):
+        # the flag was given, so the complaint is the empty list, not a missing flag
+        assert run_cli("bench-master", "--worker-ids", ids, "--algo", "logistic",
+                       "--rounds", 1, "--outdir", tmp_path) == 1
+        assert "at least one worker required" in capsys.readouterr().err
+
     def test_unreachable_master(self, tmp_path, dense_csv):
         # grab a port nothing listens on
         probe = socket.socket()

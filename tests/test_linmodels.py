@@ -134,6 +134,19 @@ class TestPegasos:
         model = lm.train_pegasos(ds, cfg)
         assert bits(model.weights, model.bias) == bits(*train_pegasos_oracle(ds, cfg))
 
+    @pytest.mark.parametrize("project", [True, False])
+    def test_pick_blocks_bit_identical_to_norm_oracle(self, project):
+        # the row picks become Python ints a block at a time; cross two
+        # block boundaries at the width the benchmarks train on
+        steps = 2 * lm._PICK_BLOCK + 1
+        ds = generate_synthetic(150, 200, separation=1.0, seed=31)
+        cfg = lm.SgdConfig(lambda_=1e-3, epochs_or_iters=steps, seed=32,
+                           class_weights=(1.0, 3.0), project=project)
+        seen = []
+        model = lm.train_pegasos(ds, cfg, step_hook=lambda t, w: seen.append(t))
+        assert seen == list(range(1, steps + 1))
+        assert bits(model.weights, model.bias) == bits(*train_pegasos_oracle(ds, cfg))
+
     @pytest.mark.parametrize("features", [33, 200, 257])
     def test_wide_bit_identical_to_norm_oracle(self, features):
         # BLAS splits longer dot products into blocks; cover the widths the

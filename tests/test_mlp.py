@@ -203,6 +203,22 @@ class TestLossAndGradients:
                 worst = max(worst, rel)
         assert worst < 1e-4
 
+    def test_batch_untouched_and_gradients_fresh(self):
+        # the step works in place on its own buffers only: the caller's batch
+        # keeps its bytes, and a later step leaves earlier gradients alone
+        arch = tiny_arch(num_hidden_blocks=2, dropout_p=0.5)
+        model = mlp.init_model(arch, np.random.default_rng(21))
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(8, 6))
+        before = X.tobytes()
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+        _, first = mlp.loss_and_gradients(model, X, labels, rng=rng)
+        kept = [g.tobytes() for g in mlp._flatten(**first)]
+        _, second = mlp.loss_and_gradients(model, X, labels, rng=rng)
+        assert X.tobytes() == before
+        assert [g.tobytes() for g in mlp._flatten(**first)] == kept
+        assert [g.tobytes() for g in mlp._flatten(**second)] != kept
+
     def test_gradient_shapes_mirror_parameters(self):
         model = mlp.init_model(tiny_arch(num_hidden_blocks=2), np.random.default_rng(17))
         _, grads = mlp.loss_and_gradients(
@@ -321,7 +337,18 @@ class TestTrainMatchesOracle:
     @given(mlp_cases())
     @settings(max_examples=40, deadline=None)
     def test_bit_identical(self, case):
-        ds, arch, cfg = case
+        self.check(*case)
+
+    def test_dense_benchmark_shape(self):
+        # the dense_cv network, wide enough for BLAS to block its products;
+        # 2 full batches and a trailing one-row batch of 257 training rows
+        ds = generate_synthetic(285, 200, separation=1.0, seed=23)
+        arch = mlp.MlpArchitecture(input_size=200, hidden_size=64, num_hidden_blocks=2,
+                                   output_size=2, dropout_p=0.1)
+        cfg = mlp.MlpTrainConfig(learning_rate=3e-3, epochs=1, batch_size=128, seed=24)
+        self.check(ds, arch, cfg)
+
+    def check(self, ds, arch, cfg):
         model, curve = mlp.train(ds, arch, cfg)
         ref, ref_curve = mlp_train_oracle(ds, arch, cfg)
         assert repr(curve) == repr(ref_curve)

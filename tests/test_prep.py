@@ -116,6 +116,14 @@ class TestImpute:
         with pytest.raises(DataFormatError):
             impute_fit(frame, "rating", ("genre",))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_fit_rejects_non_finite_target(self, bad):
+        # frames built in memory skip parse_tabular's finiteness check
+        columns = [("rating", NUMBER), ("genre", TEXT)]
+        frame = TabularFrame(columns, [[7.5, "Drama"], [bad, "War"], [None, "War"]])
+        with pytest.raises(DataFormatError, match=r"row 1, column 'rating': non-finite"):
+            impute_fit(frame, "rating", ("genre",))
+
     def test_fit_rejects_text_target(self):
         frame = movie_frame()
         with pytest.raises(DataFormatError):

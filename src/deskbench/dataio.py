@@ -4,10 +4,16 @@ part splitting, and the multi-part manifest."""
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
+import os
 import re
+import signal
+import stat
+import struct
+import threading
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -29,6 +35,9 @@ _CURRENCY_CODE_RE = re.compile(r"^[A-Za-z]{1,3}(?![A-Za-z])")
 # parse_dense doubles its matrix while it is smaller than this, then grows it
 # by an eighth, so a large file just past a step holds at most 1.125 matrices.
 _DOUBLING_BYTES = 4 << 20
+# parse_dense gives each usable core a byte range of a regular file, but no
+# range is smaller than this: a fork and its pipe cost a few milliseconds.
+_MIN_RANGE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +206,198 @@ def _field_error(fields: list[str], line_no: int) -> DataFormatError:
     raise AssertionError(f"line {line_no} converted cleanly on the second scan")
 
 
+def _parse_rows(lines, width: int | None, label_map: str):
+    """Parse `label,f1,...,fF` lines into (labels, matrix, width). The matrix
+    has at least len(labels) rows; the rows past them are spare capacity."""
+    labels = array("d")  # C doubles, not one float object per row
+    matrix = np.empty(0)  # grown geometrically; no view of it outlives a resize
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if line == "":
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields) - 1
+            if width < 1:
+                raise DataFormatError(f"line {line_no}: no feature fields")
+        if len(fields) != width + 1:
+            raise DataFormatError(
+                f"line {line_no}: expected {width + 1} fields, got {len(fields)}"
+            )
+        labels.append(_parse_label(fields[0], label_map, line_no))
+        try:
+            vec = np.fromiter(map(float, fields[1:]), np.float64, width)
+        except ValueError:
+            raise _field_error(fields, line_no) from None
+        if not np.isfinite(vec).all():
+            raise _field_error(fields, line_no)
+        if len(labels) > matrix.shape[0]:
+            rows = matrix.shape[0]
+            rows += max(16, rows if matrix.nbytes < _DOUBLING_BYTES else rows // 8)
+            matrix.resize((rows, width), refcheck=False)
+        matrix[len(labels) - 1] = vec
+    return labels, matrix, width
+
+
+class _RangeReader(io.RawIOBase):
+    """Bytes [pos, end) of a file descriptor, read with os.pread, so the
+    offset that the descriptor shares with forked children never moves."""
+
+    def __init__(self, fd: int, pos: int, end: int):
+        super().__init__()
+        self._fd, self._pos, self._end = fd, pos, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self._fd, min(len(buf), self._end - self._pos), self._pos)
+        buf[:len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _parse_range(fd: int, start: int, end: int, num_features, label_map):
+    raw = io.BufferedReader(_RangeReader(fd, start, end))
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as lines:
+        return _parse_rows(lines, num_features, label_map)
+
+
+def _range_cuts(stream) -> list[int] | None:
+    """Offsets start < c1 < ... < end that split a binary file stream, from
+    its position to the end of the file, into at most one range per usable
+    core and none under _MIN_RANGE_BYTES. Each cut lies just past a b"\\n",
+    so a line, a \\r\\n and a UTF-8 sequence are never split. None when the
+    stream is not a regular file read as it is stored, when forking is
+    unavailable or unsafe (other threads), or when one range would do."""
+    if not isinstance(stream, (io.FileIO, io.BufferedReader, io.BufferedRandom)) \
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or threading.active_count() > 1:
+        return None
+    try:
+        fd = stream.fileno()
+        info = os.fstat(fd)
+        start = stream.tell()
+        if not stat.S_ISREG(info.st_mode):
+            return None
+        end = info.st_size
+        k = min(len(os.sched_getaffinity(0)), (end - start) // _MIN_RANGE_BYTES)
+        cuts = [start]
+        for i in range(1, k):
+            pos = max(cuts[-1], start + (end - start) * i // k)
+            while pos < end:
+                chunk = os.pread(fd, io.DEFAULT_BUFFER_SIZE, pos)
+                if not chunk:
+                    break
+                newline = chunk.find(b"\n")
+                if newline >= 0:
+                    cuts.append(pos + newline + 1)
+                    break
+                pos += len(chunk)
+    except (OSError, ValueError):
+        return None
+    cuts = [c for c in cuts if c < end] + [end]
+    return cuts if len(cuts) > 2 else None
+
+
+def _send(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fd: int, buf):
+    """Fill buf from the pipe fd and return it; EOFError if the pipe ends first."""
+    view = memoryview(buf).cast("B")
+    while view:
+        n = os.readv(fd, [view])
+        if n == 0:
+            raise EOFError("a range child sent a short result")
+        view = view[n:]
+    return buf
+
+
+def _fork_range(fd: int, start: int, end: int, num_features, label_map):
+    """Fork a child that parses bytes [start, end) of fd and sends (rows,
+    width, labels, C-order matrix) down a pipe. Returns (pid, read end).
+    The child leaves only by os._exit: 0 after a complete send, else 1."""
+    parent = os.getpid()
+    r, w = os.pipe()
+    code, pid = 1, None
+    try:
+        pid = os.fork()
+        if pid == 0:
+            gc.disable()  # no collection copies the parent's pages or runs its finalizers
+            os.close(r)
+            labels, matrix, width = _parse_range(fd, start, end, num_features, label_map)
+            rows = len(labels)
+            _send(w, struct.pack("=qq", rows, width or 0))
+            if rows:
+                _send(w, labels)
+                _send(w, matrix[:rows])
+            code = 0
+    finally:
+        if os.getpid() != parent:
+            os._exit(code)
+        os.close(w)
+        if pid is None:
+            os.close(r)
+    return pid, r
+
+
+def _parse_ranges(stream, num_features, label_map):
+    """(labels, matrix, width) of a regular file parsed in line-aligned byte
+    ranges, ranges 1.. in forked children, or None when the ranges do not
+    apply or any of them fails. A failed range is never reported here: the
+    caller's serial parse raises its error with the right line number."""
+    cuts = _range_cuts(stream)
+    if cuts is None:
+        return None
+    fd = stream.fileno()
+    children = []  # (pid, read end of its pipe), in range order
+    result = None
+    try:
+        for start, end in zip(cuts[1:-1], cuts[2:]):
+            children.append(_fork_range(fd, start, end, num_features, label_map))
+        labels, matrix, width = _parse_range(fd, cuts[0], cuts[1], num_features, label_map)
+        heads = [struct.unpack("=qq", _recv(r, bytearray(16))) for _, r in children]
+        widths = {w for w in [width, *(w for _, w in heads)] if w}
+        if len(widths) > 1:
+            return None  # the serial parse names the first line off the width
+        width = widths.pop() if widths else width
+        n = len(labels)
+        total = n + sum(rows for rows, _ in heads)
+        if total > n:
+            matrix.resize((total, width), refcheck=False)
+        for (_, r), (rows, _) in zip(children, heads):
+            if rows:
+                labels.frombytes(_recv(r, bytearray(8 * rows)))
+                _recv(r, matrix[n:n + rows])
+                n += rows
+        result = labels, matrix, width
+    except Exception:
+        result = None
+    finally:
+        # always reap; on a failure or an interrupt, stop children still parsing
+        for pid, r in children:
+            os.close(r)
+            if result is None:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        for pid, _ in children:
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:  # reaped elsewhere: its status is unknown
+                status = -1
+            if status != 0:
+                result = None
+    if result is not None:
+        stream.seek(cuts[-1])
+    return result
+
+
 def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDataset:
     """Parse `label,f1,...,fF` lines. Streaming, with line-granular errors.
 
@@ -207,42 +408,27 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
     Each line's feature fields are converted in one pass by the builtin
     `float` and checked for finiteness as one array. Only a line that fails
     is scanned field by field, to name its first bad column.
+
+    A regular file opened in binary mode (a `FileIO`, `BufferedReader` or
+    `BufferedRandom`) with at least 2 * _MIN_RANGE_BYTES left is cut at line
+    ends into one byte range per usable core. Ranges after the first are
+    parsed by the same loop in forked children, which send their rows back
+    through pipes; the result is bit-identical to a serial parse. Text
+    streams, pipes, small files and processes running other threads are
+    parsed serially. Any failure of a range (a bad line, a width change, a
+    decode error, a child that dies) discards the ranges and parses the
+    whole stream serially, which raises the error with its line number.
     """
     if label_map not in LABEL_MAPS:
         raise ConfigError(f"label_map must be one of {LABEL_MAPS}")
     if num_features is not None and num_features < 1:
         raise ConfigError("num_features must be >= 1")
 
-    labels = array("d")  # C doubles, not one float object per row
-    matrix = np.empty(0)  # grown geometrically; no view of it outlives a resize
-    width = num_features
-    with _text_lines(stream) as lines:
-        for line_no, line in enumerate(lines, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if line == "":
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields) - 1
-                if width < 1:
-                    raise DataFormatError(f"line {line_no}: no feature fields")
-            if len(fields) != width + 1:
-                raise DataFormatError(
-                    f"line {line_no}: expected {width + 1} fields, got {len(fields)}"
-                )
-            labels.append(_parse_label(fields[0], label_map, line_no))
-            try:
-                vec = np.fromiter(map(float, fields[1:]), np.float64, width)
-            except ValueError:
-                raise _field_error(fields, line_no) from None
-            if not np.isfinite(vec).all():
-                raise _field_error(fields, line_no)
-            if len(labels) > matrix.shape[0]:
-                rows = matrix.shape[0]
-                rows += max(16, rows if matrix.nbytes < _DOUBLING_BYTES else rows // 8)
-                matrix.resize((rows, width), refcheck=False)
-            matrix[len(labels) - 1] = vec
-
+    parsed = _parse_ranges(stream, num_features, label_map)
+    if parsed is None:
+        with _text_lines(stream) as lines:
+            parsed = _parse_rows(lines, num_features, label_map)
+    labels, matrix, width = parsed
     if not labels:
         raise DataFormatError("empty dense stream")
     matrix.resize((len(labels), width), refcheck=False)
@@ -260,6 +446,9 @@ def write_dense(ds: DenseDataset, stream) -> None:
 
 def load_dense(path, num_features: int | None = None,
                label_map: str = "zero_one") -> DenseDataset:
+    """parse_dense of the file at path, opened in binary mode, so a file of
+    at least 2 MiB is parsed in byte ranges across the usable cores, with a
+    fall back to the serial parse on any failure."""
     with open(path, "rb") as fh:
         return parse_dense(fh, num_features, label_map)
 

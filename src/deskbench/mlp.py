@@ -183,12 +183,14 @@ def _weighted_ce(logits, labels, class_weights):
     """Mean class-weighted CE and its logit gradient (c * (probs - onehot)) / B."""
     probs = softmax(logits)
     B, rows = logits.shape[0], np.arange(logits.shape[0])
-    c = np.ones(B) if class_weights is None else np.asarray(class_weights, np.float64)[labels]
-    loss = float(np.mean(c * -np.log(np.maximum(probs[rows, labels], 1e-300))))
+    nll = -np.log(np.maximum(probs[rows, labels], 1e-300))
     probs[rows, labels] -= 1.0
-    probs *= c[:, None]
+    if class_weights is not None:  # unit weights would multiply by 1.0, exactly
+        c = np.asarray(class_weights, np.float64)[labels]
+        nll *= c
+        probs *= c[:, None]
     probs /= B
-    return loss, probs
+    return float(np.mean(nll)), probs
 
 
 def _check_labels(labels, output_size):
@@ -212,11 +214,16 @@ def loss_and_gradients(model: MlpModel, batch, labels, class_weights=None, rng=N
     """
     y = _check_labels(labels, model.arch.output_size)
     X = _check_batch(model, batch)
-    B = X.shape[0]
-    if B < 2:
+    if X.shape[0] < 2:
         raise DataFormatError("training-step BN needs a batch of >= 2 rows")
     if model.arch.dropout_p > 0 and rng is None:
         raise ConfigError("training step with dropout needs an rng")
+    return _loss_and_gradients(model, X, y, class_weights, rng)
+
+
+def _loss_and_gradients(model: MlpModel, X, y, class_weights, rng):
+    """loss_and_gradients on a batch and int64 labels already checked."""
+    B = X.shape[0]
     logits, hidden, caches = _train_forward(model, X, rng)
     loss, dlogits = _weighted_ce(logits, y, class_weights)
     grads = {"out_w": hidden.T @ dlogits, "out_b": dlogits.sum(axis=0), "blocks": []}
@@ -297,7 +304,7 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
             idx = train_idx[order[start:start + cfg.batch_size]]
             if idx.size < 2:
                 continue
-            loss, grads = loss_and_gradients(
+            loss, grads = _loss_and_gradients(
                 model, ds.features.take(idx, axis=0), y[idx], cfg.class_weights, rng
             )
             t += 1

@@ -8,6 +8,7 @@ exercised exactly as a shell user would hit them.
 import csv
 import dataclasses
 import json
+import os
 import re
 import socket
 import threading
@@ -509,6 +510,26 @@ class TestExitCodes:
         bad.write_text("1 not,numeric\n", encoding="utf-8")
         assert run_cli("cv", "--algo", "logreg", "--data", bad,
                        "--outdir", tmp_path) == 2
+
+    def test_bad_line_in_second_range_exits_as_serial(self, tmp_path, dense_csv, capsys,
+                                                      monkeypatch):
+        lines = dense_csv.read_bytes().splitlines(keepends=True)
+        lines[199] = lines[199].replace(b",", b",x", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        monkeypatch.setattr(dataio, "_MIN_RANGE_BYTES", 1)
+        outcomes = []
+        for cores in (2, 1):  # two ranges, then the serial parse
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            with open(bad, "rb") as fh:
+                cuts = dataio._range_cuts(fh)
+            rc = run_cli("cv", "--algo", "logreg", "--data", bad,
+                         "--outdir", tmp_path / f"out{cores}")
+            outcomes.append((cuts, rc, capsys.readouterr().err))
+        (cuts, rc, err), (no_cuts, *serial) = outcomes
+        assert len(b"".join(lines[:199])) >= cuts[1] and no_cuts is None
+        assert (rc, err) == tuple(serial)
+        assert rc == 2 and "line 200, column 2: non-numeric field" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (("gen", "--rows", "abc", "--features", 3, "--out", "g.csv"), "--rows"),

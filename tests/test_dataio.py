@@ -1,7 +1,15 @@
 import gc
 import io
+import os
+import signal
+import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +23,26 @@ from helpers import load_parts
 from oracles import manifest_json_oracle, parse_dense_oracle, write_dense_oracle
 
 
-def as_stream(text: str) -> io.BytesIO:
-    return io.BytesIO(text.encode("utf-8"))
+def as_stream(text) -> io.BytesIO:
+    return io.BytesIO(text.encode("utf-8") if isinstance(text, str) else text)
+
+
+@contextmanager
+def forced_ranges(cores=3):
+    """parse_dense cuts any regular file, however small, into `cores` ranges."""
+    with mock.patch.object(dataio, "_MIN_RANGE_BYTES", 1), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))):
+        yield
+
+
+@contextmanager
+def file_in_ranges(text):
+    """The text (or bytes) in a file opened rb, parsed in three ranges."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "d.csv")
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        with open(path, "rb") as fh, forced_ranges():
+            yield fh
 
 
 def concat_datasets(parts: list[dataio.DenseDataset]) -> dataio.DenseDataset:
@@ -84,6 +110,7 @@ STREAMS = {
     "bytes": as_stream,
     "text": io.StringIO,
     "text-universal": lambda text: io.StringIO(text, newline=""),
+    "file-ranges": file_in_ranges,
 }
 GOOD_LABELS = {
     "zero_one": ["0", "1", "1.0", " 1 ", "-0.0", "0e5"],
@@ -136,7 +163,8 @@ def dense_streams(draw):
 def parse_outcome(parse, make_stream, text, num_features, label_map):
     """(labels, features, shape) bytes of a parse, or (type, message) of its error."""
     try:
-        ds = parse(make_stream(text), num_features, label_map)
+        with make_stream(text) as stream:
+            ds = parse(stream, num_features, label_map)
     except Exception as exc:  # both parsers must fail the same way
         return type(exc), str(exc)
     return ds.labels.tobytes(), ds.features.tobytes(), ds.features.shape
@@ -150,7 +178,7 @@ def assert_same_as_oracle(text, num_features, label_map, stream_kind):
 
 class TestParseDenseMatchesOracle:
     @given(dense_streams(), st.sampled_from(sorted(STREAMS)))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)  # about 100 per stream kind
     def test_generated_streams(self, case, stream_kind):
         assert_same_as_oracle(*case, stream_kind)
 
@@ -184,7 +212,179 @@ class TestParseDenseMatchesOracle:
         dataio.write_dense(dataio.DenseDataset(rng.integers(0, 2, rows).astype(float),
                                                rng.standard_normal((rows, 2))), buf)
         for label_map in ("zero_one", "raw"):
-            assert_same_as_oracle(buf.getvalue() + tail, None, label_map, "bytes")
+            for stream_kind in ("bytes", "file-ranges"):
+                assert_same_as_oracle(buf.getvalue() + tail, None, label_map, stream_kind)
+
+
+GOOD_ROWS = "1,0.5,2\n" * 5
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids that os.fork returned to this process."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def in_parent(pid=os.getpid()):
+    return os.getpid() == pid
+
+
+class TestParseDenseRanges:
+    """The range path: a regular file cut at line ends, ranges after the
+    first parsed in forked children, any failure answered by the serial
+    parse of the whole stream."""
+
+    @pytest.mark.parametrize("tail", [
+        "1,0.5,x\n",                 # bad field
+        "1,0.5\n",                   # width change
+        "1,0.5,2,3\n",
+        "1,0.5,2\r0,1,x\n",          # lone CR, then a bad line
+        "1,0.5,2\r0,1,1\r",           # lone CRs, valid
+        "1,0.5,2\r\n0,1,1\r\n",
+        "\n" * 30,                    # blank-only later ranges
+        "\ufeff1,0.5,2\n",           # BOM
+        "1,\u0663,2\n" * 3,          # non-ASCII digits
+        "2,0.5,2\n",
+        "1,1e999,2\n",
+        b"1,0.5,\xff\n",             # invalid UTF-8 byte
+        b"1,0.5,\xe2\x82\n",         # truncated UTF-8 sequence
+    ])
+    @pytest.mark.parametrize("num_features", [None, 2])
+    def test_item_in_a_later_range(self, tail, num_features):
+        head = GOOD_ROWS if isinstance(tail, str) else GOOD_ROWS.encode()
+        data = head + tail
+        with file_in_ranges(data) as fh:
+            cuts = dataio._range_cuts(fh)
+        assert len(cuts) == 4 and len(GOOD_ROWS) >= cuts[1]  # the tail is past range 0
+        for label_map in dataio.LABEL_MAPS:
+            assert_same_as_oracle(data, num_features, label_map, "file-ranges")
+
+    @pytest.mark.parametrize("text", [
+        "\n" * 40 + "1,0.5,2\n1,0.5,2\n",  # blank-only first range
+        "\n" * 40,
+        "x,0.5,2\n" + GOOD_ROWS,             # bad line in the parent's range
+    ])
+    def test_blank_or_bad_first_range(self, text):
+        for num_features in (None, 2):
+            assert_same_as_oracle(text, num_features, "zero_one", "file-ranges")
+
+    def test_valid_file_takes_the_ranges(self, forks):
+        text = "0,1,2\n" + GOOD_ROWS * 3
+        with file_in_ranges(text) as fh:
+            fh.readline()  # the ranges start at the stream's position
+            labels, matrix, width = dataio._parse_ranges(fh, None, "zero_one")
+            assert fh.read() == b""  # where a serial parse leaves it
+        assert len(forks) == 2
+        serial = as_stream(text)
+        serial.readline()
+        ref = parse_dense_oracle(serial, None, "zero_one")
+        assert bytes(labels) == ref.labels.tobytes()
+        assert matrix[:len(labels)].tobytes() == ref.features.tobytes()
+
+    def assert_serial_result(self, text):
+        with file_in_ranges(text) as fh:
+            ds = dataio.parse_dense(fh, None, "zero_one")
+        ref = parse_dense_oracle(as_stream(text), None, "zero_one")
+        assert ds.features.tobytes() == ref.features.tobytes()
+        assert ds.labels.tobytes() == ref.labels.tobytes()
+
+    def test_child_exit_gives_serial_result(self, monkeypatch, forks):
+        parse_range = dataio._parse_range
+        monkeypatch.setattr(dataio, "_parse_range", lambda *args: parse_range(*args)
+                            if in_parent() else os._exit(1))
+        self.assert_serial_result(GOOD_ROWS * 3)
+        assert len(forks) == 2
+
+    def test_child_failing_after_a_full_send_gives_serial_parse(self, monkeypatch, forks):
+        exit_, text_lines, serial = os._exit, dataio._text_lines, []
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(1))
+        monkeypatch.setattr(dataio, "_text_lines",
+                            lambda stream: serial.append(1) or text_lines(stream))
+        self.assert_serial_result(GOOD_ROWS * 3)
+        assert len(forks) == 2 and serial == [1]
+
+    def test_child_killed_mid_send_gives_serial_result(self, monkeypatch, forks):
+        send = dataio._send
+
+        def dying_send(fd, data):
+            view = memoryview(data).cast("B")
+            if len(view) <= 16:
+                return send(fd, view)
+            send(fd, view[:len(view) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(dataio, "_send", dying_send)
+        self.assert_serial_result(GOOD_ROWS * 3)
+        assert len(forks) == 2
+
+    def test_parent_range_exception_gives_serial_result(self, monkeypatch, forks):
+        parse_range = dataio._parse_range
+
+        def failing(*args):
+            if in_parent():
+                raise MemoryError
+            return parse_range(*args)
+
+        monkeypatch.setattr(dataio, "_parse_range", failing)
+        self.assert_serial_result(GOOD_ROWS * 3)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("where", ["_parse_range", "_recv"])
+    def test_interrupt_stops_children_and_reraises(self, monkeypatch, forks, where):
+        parse_range = dataio._parse_range
+
+        def child_hangs(*args):
+            if not in_parent():
+                time.sleep(60)
+            return parse_range(*args)
+
+        monkeypatch.setattr(dataio, "_parse_range", child_hangs)
+        real = getattr(dataio, where)
+
+        def interrupted(*args):
+            if in_parent():
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(dataio, where, interrupted)
+        started = time.monotonic()
+        with file_in_ranges(GOOD_ROWS * 3) as fh, pytest.raises(KeyboardInterrupt):
+            dataio.parse_dense(fh, None, "zero_one")
+        assert time.monotonic() - started < 30  # killed, not waited for
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_other_thread_keeps_the_parse_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            self.assert_serial_result(GOOD_ROWS * 3)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_pipe_is_parsed_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a pipe"))
+        r, w = os.pipe()
+        with open(r, "rb") as fh, forced_ranges():
+            with open(w, "wb") as out:
+                out.write(GOOD_ROWS.encode())
+            ds = dataio.parse_dense(fh, None, "zero_one")
+        ref = parse_dense_oracle(as_stream(GOOD_ROWS), None, "zero_one")
+        assert ds.features.tobytes() == ref.features.tobytes()
 
 
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 0.1, 1e16,

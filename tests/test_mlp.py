@@ -286,6 +286,15 @@ class TestTrain:
         assert set(np.unique(preds)) <= {0, 1}
         assert np.all((scores >= 0) & (scores <= 1))
 
+    def test_labels_checked_once_per_fit(self, monkeypatch):
+        calls = []
+        check = mlp._check_labels
+        monkeypatch.setattr(mlp, "_check_labels",
+                            lambda *args: calls.append(1) or check(*args))
+        # 270 training rows in batches of 32: 9 steps per epoch, 27 in all
+        mlp.train(self.small_ds(), tiny_arch(), self.cfg(epochs=3))
+        assert len(calls) == 1
+
     def test_wrong_width_dataset(self):
         ds = self.small_ds(f=5)
         with pytest.raises(DataFormatError):

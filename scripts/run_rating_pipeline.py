@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from deskbench import dataio, evaluation, gbt, prep, textfeat
+from deskbench import dataio, evaluation, gbt, prep
 
 GENRES = ("Drama", "Comedy", "War", "Scifi", "Romance")
 DIRECTORS = ("Jones", "Smith", "Lee", "Nguyen", "Garcia", "Okafor")
@@ -53,24 +53,13 @@ def main():
     parser.add_argument("--outdir", default="rating-pipeline-out")
     args = parser.parse_args()
 
-    frame = synth_movies(args.rows, args.seed)
-    missing = sum(1 for v in frame.column("rating") if v is None)
-    print(f"{frame.num_rows} movies, {missing} missing ratings")
-
-    frame = dataio.clean_currency(frame, ["gross"])
-    plan = prep.impute_fit(frame, "rating", ("director", "genre"))
-    frame = prep.impute_apply(frame, plan)
-    frame = prep.normalize_year(frame, "year")
-    print(f"imputed via {len(plan.group_means)} context columns, "
-          f"global mean {plan.global_mean:.2f}")
-
-    features, idf = textfeat.feature_matrix(
-        frame, ("genre", "director", "description"), ("gross", "year"), None,
-        args.dim, min_doc_freq=2)
-    labels = np.array([float(v) for v in frame.column("rating")])
-    ds = dataio.DenseDataset(labels, features)
-    print(f"feature matrix {ds.features.shape}, "
-          f"{int(np.count_nonzero(idf.idf))} active idf slots")
+    ds, report = prep.pipeline(
+        synth_movies(args.rows, args.seed), "rating", context_columns=("director", "genre"),
+        currency_columns=("gross",), year_column="year",
+        text_columns=("genre", "director", "description"), numeric_columns=("gross", "year"),
+        dim=args.dim, min_doc_freq=2)
+    print(f"{report['rows_in']} movies, {report['imputed_cells']} ratings imputed, "
+          f"feature matrix {ds.features.shape}, {report['idf']['active_slots']} active idf slots")
 
     cfg = gbt.GbtConfig(max_depth=4, eta=0.1, num_round=60,
                         min_child_weight=2.0, seed=args.seed)

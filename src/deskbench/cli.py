@@ -14,10 +14,9 @@ Exit codes: 0 success, 1 usage or config error, 2 data error,
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import artifacts, dataio, distbench, evaluation, gbt, linmodels, mlp, prep, textfeat
 from .errors import ConfigError, DataFormatError, ProtocolError
@@ -414,56 +413,21 @@ def _cmd_pipeline(params, outdir):
     schema = params["schema"]
     if isinstance(schema, dict):
         schema = [(name, kind) for name, kind in schema.items()]
-    elif isinstance(schema, list):
+    elif isinstance(schema, list) and all(isinstance(p, list) and len(p) == 2 for p in schema):
         schema = [(str(name), str(kind)) for name, kind in schema]
     else:
         raise ConfigError("--schema must be a JSON object or list of pairs")
     frame = dataio.load_tabular(params["data"], schema)
-    rows_in = frame.num_rows
-    report = {"rows_in": rows_in}
-
-    if params["currency_columns"]:
-        frame = dataio.clean_currency(frame, list(params["currency_columns"]))
-    if params["dedupe_column"]:
-        frame = prep.dedupe_spam(frame, params["dedupe_column"], params["min_tokens"])
-        report["rows_dropped_by_dedupe"] = rows_in - frame.num_rows
-
-    target = params["target_column"]
-    have = {name for name, _ in frame.columns}
-    contexts = params["context_columns"]
-    if contexts is None:
-        contexts = tuple(c for c in prep.DEFAULT_CONTEXT_COLUMNS if c in have)
-    report["imputed_cells"] = sum(1 for v in frame.column(target) if v is None)
-    plan = prep.impute_fit(frame, target, contexts)
-    frame = prep.impute_apply(frame, plan)
-
-    if params["year_column"]:
-        frame = prep.normalize_year(frame, params["year_column"])
-
-    text_columns = params["text_columns"]
-    if text_columns is None:
-        text_columns = tuple(c for c in textfeat.DEFAULT_ALL_TEXT_COLUMNS if c in have)
-    if not text_columns:
-        raise ConfigError("no text columns available; pass --text-columns")
     stoplist = textfeat.load_stoplist(params["stoplist"]) if params["stoplist"] else None
-    numeric_columns = list(params["numeric_columns"])
-    features, idf_model = textfeat.feature_matrix(
-        frame, text_columns, numeric_columns, stoplist, params["dim"], params["min_doc_freq"])
-    labels = np.array([float(v) for v in frame.column(target)])
-
+    ds, report = prep.pipeline(
+        frame, params["target_column"], params["context_columns"], params["currency_columns"],
+        params["dedupe_column"], params["min_tokens"], params["year_column"],
+        params["text_columns"], params["numeric_columns"], stoplist, params["dim"],
+        params["min_doc_freq"])
     out_path = outdir / params["out"]
-    dataio.save_dense(dataio.DenseDataset(labels, features), out_path)
-    report.update({
-        "rows_out": frame.num_rows,
-        "feature_dim": features.shape[1],
-        "text_columns": list(text_columns),
-        "numeric_columns": numeric_columns,
-        "idf": {"dim": idf_model.dim, "num_docs": idf_model.num_docs,
-                "min_doc_freq": idf_model.min_doc_freq,
-                "active_slots": int(np.count_nonzero(idf_model.idf))},
-    })
+    dataio.save_dense(ds, out_path)
     write_json(outdir / "pipeline-report.json", report)
-    print(f"wrote {out_path} ({frame.num_rows} rows, {features.shape[1]} features)")
+    print(f"wrote {out_path} ({ds.num_rows} rows, {ds.num_features} features)")
 
 
 @_command("balance", "ring-undersample majority classes, augment the rest",
@@ -586,14 +550,22 @@ def _cmd_bench_worker(params, outdir):
         reconnect_attempts=params["reconnect_attempts"])
 
 
-def _load_record(cls, path: str):
-    """One bench result written as dataclasses.asdict(cls(...))."""
+def _load_record(cls, path: str, auc_field: str):
+    """One bench result written as dataclasses.asdict(cls(...)), with a finite
+    wall_clock_s and an auc_field that is null or finite."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     try:
-        return cls(**data)
+        record = cls(**data)
     except TypeError as exc:
         raise DataFormatError(f"{path} is not a {cls.__name__} record: {exc}") from exc
+    for name in ("wall_clock_s", auc_field):
+        value = getattr(record, name)
+        if value is None and name == auc_field:
+            continue
+        if type(value) not in (int, float) or not math.isfinite(value):  # bool is not a number
+            raise DataFormatError(f"{path}: {name} is not a finite number: {value!r}")
+    return record
 
 
 @_command("report", "render the local-vs-distributed comparison CSV", COMMON_OPTS + (
@@ -602,8 +574,8 @@ def _load_record(cls, path: str):
     Opt("out", default="comparison.csv", help="output name inside --outdir"),
 ))
 def _cmd_report(params, outdir):
-    local = _load_record(distbench.LocalBenchResult, params["local"])
-    dist = _load_record(distbench.BenchRecord, params["dist"])
+    local = _load_record(distbench.LocalBenchResult, params["local"], "auc_roc")
+    dist = _load_record(distbench.BenchRecord, params["dist"], "holdout_auc")
     rows = distbench.bench_compare(local, dist)
     out_path = outdir / params["out"]
     out_path.write_text(distbench.render_comparison_csv(rows), encoding="utf-8")

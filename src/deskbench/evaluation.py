@@ -263,16 +263,14 @@ def make_folds(ds: DenseDataset, k: int, seed: int) -> list[np.ndarray]:
 
 
 def kfold_cv(ds: DenseDataset, k: int, trainer, seed: int) -> tuple[list[EvalReport], EvalReport]:
-    folds = make_folds(ds, k, seed)
-    reports: list[EvalReport | None] = [None] * k
-    for i, fold in enumerate(folds):
+    reports = []
+    for fold in make_folds(ds, k, seed):
         mask = np.ones(ds.num_rows, dtype=bool)
         mask[fold] = False
         train_ds = ds.take(np.flatnonzero(mask))
         test_ds = ds.take(np.sort(fold))
-        reports[i] = evaluate_split(train_ds, test_ds, trainer)
-    done = [r for r in reports if r is not None]
-    return done, average_reports(done)
+        reports.append(evaluate_split(train_ds, test_ds, trainer))
+    return reports, average_reports(reports)
 
 
 def build_assignment_plan(algorithms, partitions) -> AssignmentPlan:

@@ -4,7 +4,8 @@ Covers the cleanup stages that run before feature extraction: filling
 missing numeric cells from categorical context, removing spam/duplicate
 text rows, distance-ring undersampling of majority classes, paraphrase
 augmentation of minority classes, the ``rebalance`` flow that combines
-those two, and small reporting helpers.
+those two, the ``pipeline`` flow from a raw table to a dense dataset, and
+small reporting helpers.
 """
 
 import math
@@ -12,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import textfeat
-from .dataio import NUMBER, TEXT, TabularFrame
+from . import dataio, textfeat
+from .dataio import NUMBER, TEXT, DenseDataset, TabularFrame
 from .errors import ConfigError, DataFormatError
 
 # Context columns tried, in order, when filling a missing numeric cell.
@@ -413,3 +414,48 @@ def rebalance(texts, labels, target_size: int, factor: int, num_rings: int, seed
         else:
             rows.extend((texts[i], label) for i in idx)
     return rows, failures
+
+
+# ---------------------------------------------------------------------------
+# raw table to dense dataset
+
+
+def pipeline(frame: TabularFrame, target_column: str, context_columns=None,
+             currency_columns=(), dedupe_column=None, min_tokens: int = 3,
+             year_column=None, text_columns=None, numeric_columns=(),
+             stoplist: set[str] | None = None, dim: int = textfeat.DEFAULT_HASH_DIM,
+             min_doc_freq: int = 3) -> tuple[DenseDataset, dict]:
+    """``deskbench pipeline``'s flow, a table to (dataset, report dict): currency
+    cleanup, dedupe, contextual imputation of the target (the labels), year
+    scaling, then the hashed TF-IDF of text_columns and the numeric_columns.
+    Context and text columns default to the known ones present in the frame."""
+    report = {"rows_in": frame.num_rows}
+    if currency_columns:
+        frame = dataio.clean_currency(frame, list(currency_columns))
+    if dedupe_column:
+        frame = dedupe_spam(frame, dedupe_column, min_tokens)
+        report["rows_dropped_by_dedupe"] = report["rows_in"] - frame.num_rows
+    have = {name for name, _ in frame.columns}
+    if context_columns is None:
+        context_columns = tuple(c for c in DEFAULT_CONTEXT_COLUMNS if c in have)
+    report["imputed_cells"] = sum(1 for v in frame.column(target_column) if v is None)
+    frame = impute_apply(frame, impute_fit(frame, target_column, context_columns))
+    if year_column:
+        frame = normalize_year(frame, year_column)
+    if text_columns is None:
+        text_columns = tuple(c for c in textfeat.DEFAULT_ALL_TEXT_COLUMNS if c in have)
+    if not text_columns:
+        raise ConfigError("no text columns available; pass --text-columns")
+    features, idf_model = textfeat.feature_matrix(
+        frame, text_columns, numeric_columns, stoplist, dim, min_doc_freq)
+    labels = np.array([float(v) for v in frame.column(target_column)])
+    report.update({
+        "rows_out": frame.num_rows,
+        "feature_dim": features.shape[1],
+        "text_columns": list(text_columns),
+        "numeric_columns": list(numeric_columns),
+        "idf": {"dim": idf_model.dim, "num_docs": idf_model.num_docs,
+                "min_doc_freq": idf_model.min_doc_freq,
+                "active_slots": int(np.count_nonzero(idf_model.idf))},
+    })
+    return DenseDataset(labels, features), report

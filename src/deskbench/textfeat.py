@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import TabularFrame
+from .dataio import NUMBER, TabularFrame
 from .errors import ConfigError, DataFormatError
 
 DEFAULT_HASH_DIM = 5000
@@ -282,7 +282,11 @@ def feature_matrix(frame: TabularFrame, text_columns, numeric_columns,
                    min_doc_freq: int) -> tuple[np.ndarray, IdfModel]:
     """(features, IdfModel): per frame row, the hashed TF-IDF block of the joined
     text columns, then the numeric columns in order (a missing cell is 0.0).
-    The first non-finite numeric cell in row-major order fails the matrix."""
+    A numeric column whose kind is not number, or the first non-finite numeric
+    cell in row-major order, fails the matrix."""
+    for name in numeric_columns:
+        if frame.kind_of(name) != NUMBER:
+            raise DataFormatError(f"column {name!r} is not numeric")
     rows, model = tfidf_rows(all_text_column(frame, text_columns), stoplist, dim, min_doc_freq)
     # `v or 0.0` turns a missing cell and -0.0 into 0.0
     numerics = np.array([[v or 0.0 for v in frame.column(name)] for name in numeric_columns],

@@ -7,6 +7,7 @@ exercised exactly as a shell user would hit them.
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -359,6 +360,31 @@ class TestPipeline:
         assert report["imputed_cells"] == 2
         assert report["feature_dim"] == 66
 
+    # features.csv and pipeline-report.json digests, pinned before the flow moved
+    @pytest.mark.parametrize("flags, digests", [
+        (("--context-columns", "director,genre", "--text-columns", "title,genre,description"),
+         ["2a194b6505b310d0fd3420f185b17def4b878c1e295b0862edf08c0a703a3a2b",
+          "0601c017a1a6d0631ed1e52a2b5885d7c91616e10d7eefcc882264587f4cee80"]),
+        (("--context-columns", "director,genre", "--text-columns", "title,genre,description",
+          "--dedupe-column", "description", "--min-tokens", 7),
+         ["fe699ab6de836737d1d9f2916e360a2c97d2b070656adbf869d495a57533fe14",
+          "0dfb83d06c7fdd2b49081ea60836bbb6e249baa0bed2b0f6a66d51e7e7f46f16"]),
+        ((),  # the default context and text columns
+         ["7dc6f835f8de8c1b0e0f01fddb4626610526b36f1a894e2a3135e244d59bf893",
+          "7674845e7f011e1e1074f0959fcf4bd86ed600851e7abff8d5750e350433e420"]),
+    ])
+    def test_movie_fixture_bytes(self, tmp_path, flags, digests):
+        raw = tmp_path / "movies.csv"
+        raw.write_text(MOVIE_CSV, encoding="utf-8")
+        out = tmp_path / "out"
+        rc = run_cli("pipeline", "--data", raw, "--schema", MOVIE_SCHEMA,
+                     "--target-column", "rating", "--currency-columns", "gross",
+                     "--year-column", "year", "--numeric-columns", "gross,year",
+                     "--dim", 64, "--min-doc-freq", 1, *flags, "--outdir", out)
+        assert rc == 0
+        assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("features.csv", "pipeline-report.json")] == digests
+
     def test_dedupe_stage_drops_rows(self, tmp_path):
         raw = tmp_path / "dups.csv"
         raw.write_text(
@@ -388,6 +414,16 @@ class TestPipeline:
         assert rc == 2
         assert "line 3, column 'rating': non-finite 'nan'" in capsys.readouterr().err
         assert not (tmp_path / "features.csv").exists()
+
+
+    def test_text_numeric_column_is_named(self, tmp_path, capsys):
+        raw = tmp_path / "movies.csv"
+        raw.write_text(MOVIE_CSV, encoding="utf-8")
+        rc = run_cli("pipeline", "--data", raw, "--schema", MOVIE_SCHEMA,
+                     "--target-column", "rating", "--numeric-columns", "title",
+                     "--dim", 8, "--min-doc-freq", 1, "--outdir", tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "data error: column 'title' is not numeric"
 
 
 class TestBalance:
@@ -539,6 +575,12 @@ class TestExitCodes:
         (("pipeline", "--data", "DATA", "--schema", "{bad", "--target-column", "y"),
          "--schema"),
         (("gridsearch", "--algo", "logreg", "--data", "DATA", "--grid", "{bad"), "--grid"),
+        (("pipeline", "--data", "DATA", "--schema", "[1,2]", "--target-column", "y"),
+         "--schema"),
+        (("pipeline", "--data", "DATA", "--schema", '[["a"]]', "--target-column", "y"),
+         "--schema"),
+        (("pipeline", "--data", "DATA", "--schema", '[["a","text",3]]',
+          "--target-column", "y"), "--schema"),
     ])
     def test_malformed_flag_value_is_usage_error(self, tmp_path, dense_csv, capsys, argv, flag):
         argv = [dense_csv if arg == "DATA" else arg for arg in argv]
@@ -596,16 +638,22 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("which", ["local", "dist"])
-    @pytest.mark.parametrize("change", ["extra-key", "missing-key"])
+    @pytest.mark.parametrize("change", ["extra-key", "missing-key", "string-wall-clock",
+                                        "null-wall-clock", "string-auc"])
     def test_report_rejects_bad_record(self, tmp_path, capsys, which, change):
         records = {
             "local": dataclasses.asdict(distbench.LocalBenchResult("logistic", "m", 2, 1.0)),
             "dist": dataclasses.asdict(distbench.BenchRecord("logistic", "m", 1)),
         }
-        if change == "extra-key":
-            records[which]["extra"] = 1
+        key, value = {
+            "extra-key": ("extra", 1), "missing-key": ("algo", None),
+            "string-wall-clock": ("wall_clock_s", "1.0"), "null-wall-clock": ("wall_clock_s", None),
+            "string-auc": ("auc_roc" if which == "local" else "holdout_auc", "0.9"),
+        }[change]
+        if change == "missing-key":
+            del records[which][key]
         else:
-            del records[which]["algo"]
+            records[which][key] = value
         paths = {}
         for name, record in records.items():
             paths[name] = tmp_path / f"{name}-bench.json"
@@ -615,7 +663,7 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
-        assert str(paths[which]) in err
+        assert str(paths[which]) in err and key in err
 
     def test_interrupt_flushes_marker(self, tmp_path, monkeypatch):
         def boom(params, outdir):

@@ -38,6 +38,10 @@ _DOUBLING_BYTES = 4 << 20
 # parse_dense gives each usable core a byte range of a regular file, but no
 # range is smaller than this: a fork and its pipe cost a few milliseconds.
 _MIN_RANGE_BYTES = 1 << 20
+# write_dense gives each usable core a row range of at least this many cells
+# (labels and features), so the rating flow's 500x259 features.csv stays serial.
+_MIN_WRITE_CELLS = 1 << 17
+_RELAY_BYTES = 1 << 16  # the most of a child's formatted range held at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +267,14 @@ def _parse_range(fd: int, start: int, end: int, num_features, label_map):
         return _parse_rows(lines, num_features, label_map)
 
 
+def _fork_cores() -> int:
+    """Usable cores if this process may fork (POSIX, no other thread), else 1."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _range_cuts(stream) -> list[int] | None:
     """Offsets start < c1 < ... < end that split a binary file stream, from
     its position to the end of the file, into at most one range per usable
@@ -270,9 +282,7 @@ def _range_cuts(stream) -> list[int] | None:
     so a line, a \\r\\n and a UTF-8 sequence are never split. None when the
     stream is not a regular file read as it is stored, when forking is
     unavailable or unsafe (other threads), or when one range would do."""
-    if not isinstance(stream, (io.FileIO, io.BufferedReader, io.BufferedRandom)) \
-            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
-            or threading.active_count() > 1:
+    if not isinstance(stream, (io.FileIO, io.BufferedReader, io.BufferedRandom)):
         return None
     try:
         fd = stream.fileno()
@@ -281,7 +291,7 @@ def _range_cuts(stream) -> list[int] | None:
         if not stat.S_ISREG(info.st_mode):
             return None
         end = info.st_size
-        k = min(len(os.sched_getaffinity(0)), (end - start) // _MIN_RANGE_BYTES)
+        k = min(_fork_cores(), (end - start) // _MIN_RANGE_BYTES)
         cuts = [start]
         for i in range(1, k):
             pos = max(cuts[-1], start + (end - start) * i // k)
@@ -317,10 +327,10 @@ def _recv(fd: int, buf):
     return buf
 
 
-def _fork_range(fd: int, start: int, end: int, num_features, label_map):
-    """Fork a child that parses bytes [start, end) of fd and sends (rows,
-    width, labels, C-order matrix) down a pipe. Returns (pid, read end).
-    The child leaves only by os._exit: 0 after a complete send, else 1."""
+def _fork(fn, *args):
+    """Fork a child that runs fn(*args) and sends each buffer of the list it
+    returns down a pipe. Returns (pid, read end). The child leaves only by
+    os._exit: 0 after a complete send, else 1."""
     parent = os.getpid()
     r, w = os.pipe()
     code, pid = 1, None
@@ -329,12 +339,8 @@ def _fork_range(fd: int, start: int, end: int, num_features, label_map):
         if pid == 0:
             gc.disable()  # no collection copies the parent's pages or runs its finalizers
             os.close(r)
-            labels, matrix, width = _parse_range(fd, start, end, num_features, label_map)
-            rows = len(labels)
-            _send(w, struct.pack("=qq", rows, width or 0))
-            if rows:
-                _send(w, labels)
-                _send(w, matrix[:rows])
+            for buf in fn(*args):
+                _send(w, buf)
             code = 0
     finally:
         if os.getpid() != parent:
@@ -343,6 +349,34 @@ def _fork_range(fd: int, start: int, end: int, num_features, label_map):
         if pid is None:
             os.close(r)
     return pid, r
+
+
+def _reap(children, kill: bool) -> bool:
+    """Close the pipe of each (pid, read end) and wait for every child, after
+    a SIGKILL if kill. True when every child exited with status 0."""
+    for pid, r in children:
+        os.close(r)
+        if kill:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    clean = True
+    for pid, _ in children:
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # reaped elsewhere: its status is unknown
+            status = -1
+        clean = clean and status == 0
+    return clean
+
+
+def _parsed_range(fd: int, start: int, end: int, num_features, label_map):
+    """The buffers a parse child sends: (rows, width), labels, C-order matrix."""
+    labels, matrix, width = _parse_range(fd, start, end, num_features, label_map)
+    rows = len(labels)
+    head = struct.pack("=qq", rows, width or 0)
+    return [head, labels, matrix[:rows]] if rows else [head]
 
 
 def _parse_ranges(stream, num_features, label_map):
@@ -358,7 +392,7 @@ def _parse_ranges(stream, num_features, label_map):
     result = None
     try:
         for start, end in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork_range(fd, start, end, num_features, label_map))
+            children.append(_fork(_parsed_range, fd, start, end, num_features, label_map))
         labels, matrix, width = _parse_range(fd, cuts[0], cuts[1], num_features, label_map)
         heads = [struct.unpack("=qq", _recv(r, bytearray(16))) for _, r in children]
         widths = {w for w in [width, *(w for _, w in heads)] if w}
@@ -379,20 +413,8 @@ def _parse_ranges(stream, num_features, label_map):
         result = None
     finally:
         # always reap; on a failure or an interrupt, stop children still parsing
-        for pid, r in children:
-            os.close(r)
-            if result is None:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-        for pid, _ in children:
-            try:
-                status = os.waitpid(pid, 0)[1]
-            except ChildProcessError:  # reaped elsewhere: its status is unknown
-                status = -1
-            if status != 0:
-                result = None
+        if not _reap(children, kill=result is None):
+            result = None
     if result is not None:
         stream.seek(cuts[-1])
     return result
@@ -435,12 +457,70 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
     return DenseDataset(np.array(labels), matrix)
 
 
+def _write_rows(ds: DenseDataset, start: int, end: int, out) -> None:
+    for label, row in zip(ds.labels[start:end].tolist(), ds.features[start:end]):
+        out.write(",".join(map(repr, [label, *row.tolist()])))
+        out.write("\n")
+
+
+def _formatted_range(ds: DenseDataset, start: int, end: int):
+    """The buffers a write child sends: the byte length, then the bytes."""
+    text = io.StringIO()
+    _write_rows(ds, start, end, text)
+    data = text.getvalue().encode("ascii")
+    return [struct.pack("=q", len(data)), data]
+
+
+def _relay(r: int, out, ds: DenseDataset, start: int, end: int) -> None:
+    """Copy rows [start, end) from a write child's pipe to out. If the child
+    fails, cut what it sent off a seekable out and write the rows here; on an
+    out that cannot seek, raise EOFError once any of its bytes went out."""
+    mark = out.tell() if out.seekable() else None
+    sent = 0
+    try:
+        (size,) = struct.unpack("=q", _recv(r, bytearray(8)))
+        while sent < size:
+            chunk = os.read(r, min(size - sent, _RELAY_BYTES))
+            if not chunk:
+                raise EOFError("a range child sent a short result")
+            out.write(chunk.decode("ascii"))
+            sent += len(chunk)
+    except EOFError:
+        if sent:
+            if mark is None:
+                raise
+            out.seek(mark)
+            out.truncate()
+        _write_rows(ds, start, end, out)
+
+
 def write_dense(ds: DenseDataset, stream) -> None:
-    """Write `label,f1,...,fF` lines, LF endings, shortest round-trip floats."""
+    """Write `label,f1,...,fF` lines, LF endings, shortest round-trip floats.
+
+    If this process may fork (POSIX, no other thread), a dataset of at least
+    2 * _MIN_WRITE_CELLS cells (rows * (features + 1)) is cut into one row
+    range per usable core, none under _MIN_WRITE_CELLS cells. Forked children
+    format the ranges after the first while this process writes the first,
+    then it relays their bytes in order, 64 KiB at a time. The bytes are a
+    serial write's on any text or binary stream: a failed child's range is
+    written here, after its partial bytes are cut off a seekable stream (a
+    stream that cannot seek raises EOFError). Any exception kills every child.
+    """
+    cells = ds.num_rows * (ds.num_features + 1)
+    k = max(1, min(_fork_cores(), cells // _MIN_WRITE_CELLS, ds.num_rows))
+    cuts = [ds.num_rows * i // k for i in range(k + 1)]
+    children = []  # (pid, read end of its pipe), in range order
+    done = False
     with _text_lines(stream) as out:
-        for label, row in zip(ds.labels.tolist(), ds.features):
-            out.write(",".join(map(repr, [label, *row.tolist()])))
-            out.write("\n")
+        try:
+            for start, end in zip(cuts[1:-1], cuts[2:]):
+                children.append(_fork(_formatted_range, ds, start, end))
+            _write_rows(ds, cuts[0], cuts[1], out)
+            for (_, r), start, end in zip(children, cuts[1:-1], cuts[2:]):
+                _relay(r, out, ds, start, end)
+            done = True
+        finally:
+            _reap(children, kill=not done)
         out.flush()
 
 
@@ -448,12 +528,15 @@ def load_dense(path, num_features: int | None = None,
                label_map: str = "zero_one") -> DenseDataset:
     """parse_dense of the file at path, opened in binary mode, so a file of
     at least 2 MiB is parsed in byte ranges across the usable cores, with a
-    fall back to the serial parse on any failure."""
+    fall back to the serial parse on any failure. A save_dense file reads
+    back bit-identical, whether either side used ranges or not."""
     with open(path, "rb") as fh:
         return parse_dense(fh, num_features, label_map)
 
 
 def save_dense(ds: DenseDataset, path) -> None:
+    """write_dense to a file: 2 * 2**17 cells or more are formatted in row
+    ranges across the usable cores, bytes unchanged, any failed range redone."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_dense(ds, fh)
 

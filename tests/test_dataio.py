@@ -418,6 +418,154 @@ class TestWriteDenseMatchesOracle:
         assert buf.getvalue() == "1.0\n-0.0\n"
 
 
+@contextmanager
+def forced_write_ranges(cores=3):
+    """write_dense cuts any dataset into up to `cores` row ranges."""
+    with mock.patch.object(dataio, "_MIN_WRITE_CELLS", 1), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))):
+        yield
+
+
+def oracle_text(ds) -> str:
+    buf = io.StringIO()
+    write_dense_oracle(ds, buf)
+    return buf.getvalue()
+
+
+def cut_dataset(rows=7, cols=3) -> dataio.DenseDataset:
+    """Normal draws with the special values on both sides of each cut of a
+    three-range write of 7 rows (cuts after rows 2 and 4)."""
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, cols + 1))
+    edges = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e-05]
+    for i in range(1, min(rows, 5)):
+        table[i] = np.resize(np.roll(edges, i), cols + 1)
+    return dataio.DenseDataset(table[:, 0], table[:, 1:])
+
+
+def ranged_write(ds, stream, cores=3):
+    """Write ds to stream in forced ranges; return what the stream holds."""
+    with forced_write_ranges(cores):
+        dataio.write_dense(ds, stream)
+    value = stream.getvalue()
+    assert stream.tell() == len(value)
+    return value.decode("utf-8") if isinstance(value, bytes) else value
+
+
+class TestWriteDenseRanges:
+    """The row-range path: ranges after the first formatted in forked
+    children and relayed in order, a failed child's range written by the
+    parent, or the write raises."""
+
+    @pytest.mark.parametrize("make", [io.StringIO, io.BytesIO])
+    def test_special_values_on_the_cuts(self, make, forks):
+        ds = cut_dataset()
+        assert ranged_write(ds, make()) == oracle_text(ds)
+        assert len(forks) == 2
+
+    def test_files(self, tmp_path, forks):
+        ds, path = cut_dataset(), tmp_path / "d.csv"
+        with forced_write_ranges():
+            dataio.save_dense(ds, path)
+            with open(tmp_path / "e.csv", "wb") as fh:
+                dataio.write_dense(ds, fh)
+                assert fh.tell() == path.stat().st_size
+        assert path.read_bytes() == (tmp_path / "e.csv").read_bytes() \
+            == oracle_text(ds).encode()
+        assert len(forks) == 4
+
+    @given(dense_datasets())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_datasets(self, ds):
+        assert ranged_write(ds, io.StringIO()) == oracle_text(ds)
+
+    def test_zero_feature_columns(self, forks):
+        ds = dataio.DenseDataset(np.array([1.0, -0.0, 5e-324, 0.0, 1e16]), np.zeros((5, 0)))
+        assert ranged_write(ds, io.BytesIO()) == "1.0\n-0.0\n5e-324\n0.0\n1e+16\n"
+        assert len(forks) == 2
+
+    def test_fewer_rows_than_cores(self, forks):
+        ds = cut_dataset(rows=2)
+        assert ranged_write(ds, io.StringIO(), cores=3) == oracle_text(ds)
+        assert len(forks) == 1
+
+    def test_child_exit_before_its_length(self, monkeypatch, forks):
+        monkeypatch.setattr(dataio, "_formatted_range", lambda *args: os._exit(1))
+        ds = cut_dataset()
+        assert ranged_write(ds, io.BytesIO()) == oracle_text(ds)
+        assert len(forks) == 2
+
+    @pytest.fixture()
+    def killed_mid_send(self, monkeypatch):
+        send = dataio._send
+
+        def dying_send(fd, data):
+            view = memoryview(data).cast("B")
+            if len(view) <= 8:
+                return send(fd, view)
+            send(fd, view[:len(view) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(dataio, "_send", dying_send)
+
+    def test_child_killed_mid_send_on_a_file(self, killed_mid_send, tmp_path, forks):
+        ds = cut_dataset()
+        with forced_write_ranges():
+            dataio.save_dense(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == oracle_text(ds).encode()
+        assert len(forks) == 2
+
+    def test_child_killed_mid_send_on_a_pipe_raises(self, killed_mid_send, forks):
+        r, w = os.pipe()  # the few hundred bytes fit in the pipe's buffer
+        with open(r, "rb"), open(w, "wb") as out, forced_write_ranges():
+            with pytest.raises(EOFError):
+                dataio.write_dense(cut_dataset(), out)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("where", ["_write_rows", "_recv"])
+    def test_interrupt_kills_children_and_reraises(self, monkeypatch, forks, where):
+        monkeypatch.setattr(dataio, "_formatted_range", lambda *args: time.sleep(60))
+        real = getattr(dataio, where)
+
+        def interrupted(*args):
+            if in_parent():
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(dataio, where, interrupted)
+        started = time.monotonic()
+        with forced_write_ranges(), pytest.raises(KeyboardInterrupt):
+            dataio.write_dense(cut_dataset(), io.StringIO())
+        assert time.monotonic() - started < 30  # killed, not waited for
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_other_thread_keeps_the_write_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            ds = cut_dataset()
+            assert ranged_write(ds, io.StringIO()) == oracle_text(ds)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_rating_features_shape_stays_serial(self, monkeypatch):
+        # features.csv of the rating flow: 500 x (1 + 258), mostly zeros
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a small write"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        rng = np.random.default_rng(259)
+        features = np.where(rng.random((500, 258)) < 0.04, rng.random((500, 258)), 0.0)
+        ds = dataio.DenseDataset(rng.uniform(1, 10, 500), features)
+        out = io.StringIO()
+        dataio.write_dense(ds, out)
+        assert out.getvalue() == oracle_text(ds)
+
+
 class TestParseDenseMemory:
     def test_load_peak_below_one_and_a_half_matrices(self, tmp_path):
         ds = dataio.generate_synthetic(4000, 200, 1.0, seed=8)

@@ -49,18 +49,19 @@ class SgdConfig:
     project: bool = True
 
     def __post_init__(self):
-        if not (self.lambda_ > 0):
-            raise ConfigError("lambda must be > 0")
+        # the chained comparisons also reject NaN and infinity
+        if not 0 < self.lambda_ < math.inf:
+            raise ConfigError("lambda must be finite and > 0")
         if self.epochs_or_iters < 1:
             raise ConfigError("epochs_or_iters must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not (self.learning_rate > 0):
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.class_weights is not None:
             w0, w1 = self.class_weights
-            if not (w0 > 0 and w1 > 0):
-                raise ConfigError("class_weights must both be > 0")
+            if not (0 < w0 < math.inf and 0 < w1 < math.inf):
+                raise ConfigError("class_weights must both be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ is bit-identical to the per-array oracle trainer in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,11 @@ class MlpTrainConfig:
     class_weights: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise ConfigError("learning_rate must be > 0")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        # the chained comparisons also reject NaN and infinity
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
@@ -68,14 +70,15 @@ class MlpTrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not (0.0 < getattr(self, name) < 1.0):
                 raise ConfigError(f"{name} must be in (0, 1)")
-        if not (self.adam_eps > 0 and self.bn_eps > 0):
-            raise ConfigError("adam_eps and bn_eps must be > 0")
+        for name in ("adam_eps", "bn_eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
         if not (0.0 < self.bn_momentum <= 1.0):
             raise ConfigError("bn_momentum must be in (0, 1]")
         if self.class_weights is not None:
             w0, w1 = self.class_weights
-            if not (w0 > 0 and w1 > 0):
-                raise ConfigError("class_weights must both be > 0")
+            if not (0 < w0 < math.inf and 0 < w1 < math.inf):
+                raise ConfigError("class_weights must both be finite and > 0")
 
 
 @dataclass(eq=False)

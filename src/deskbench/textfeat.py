@@ -72,8 +72,8 @@ class SparseVector:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
-        if self.indices:
-            out[list(self.indices)] = self.values
+        nnz = len(self.indices)
+        out[np.fromiter(self.indices, np.intp, nnz)] = np.fromiter(self.values, np.float64, nnz)
         return out
 
     def to_json(self) -> str:
@@ -270,9 +270,14 @@ def dense_rows(rows: tuple, width: int, subset) -> np.ndarray:
 def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
                      dim: int = DEFAULT_HASH_DIM,
                      min_doc_freq: int = 3) -> tuple[list[SparseVector], IdfModel]:
-    """``tfidf_rows`` with each document's row as a ``SparseVector``."""
+    """``tfidf_rows`` with each document's row as a ``SparseVector``. The
+    vectors share one int object per slot and one float object per distinct
+    weight: weights are positive and finite, so equal values have equal bits."""
     (indptr, indices, values), model = tfidf_rows(texts, stoplist, dim, min_doc_freq)
-    bounds, indices, values = indptr.tolist(), indices.tolist(), values.tolist()
+    weights, which = np.unique(values, return_inverse=True)
+    indices = np.array(range(dim), dtype=object)[indices].tolist()
+    values = np.array(weights.tolist(), dtype=object)[which].tolist()
+    bounds = indptr.tolist()
     return [SparseVector(dim, tuple(indices[a:b]), tuple(values[a:b]))
             for a, b in zip(bounds[:-1], bounds[1:])], model
 

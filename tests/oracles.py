@@ -400,6 +400,14 @@ def sparse_vector_check_oracle(dim, indices, values) -> None:
         raise ConfigError("explicit zeros are not allowed")
 
 
+def sparse_to_dense_oracle(vec) -> np.ndarray:
+    """SparseVector.to_dense before it filled through np.fromiter."""
+    out = np.zeros(vec.dim)
+    if vec.indices:
+        out[list(vec.indices)] = vec.values
+    return out
+
+
 def fnv1a_64_oracle(data: bytes) -> int:
     """Scalar 64-bit FNV-1a, one byte at a time."""
     h = 0xCBF29CE484222325

@@ -7,6 +7,7 @@ exercised exactly as a shell user would hit them.
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -758,3 +759,30 @@ class TestMergeParams:
         ns = type("NS", (), {"doc_freq": None})()
         assert cli.merge_params(opts, ns, {"doc-freq": 2}, tmp_path) == {"doc_freq": 2}
         assert cli.merge_params(opts, ns, {"doc_freq": 4}, tmp_path) == {"doc_freq": 4}
+
+
+SGD = functools.partial(linmodels.SgdConfig, lambda_=1e-4, epochs_or_iters=1)
+
+
+class TestNonFiniteHyperparameters:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("make, field", [
+        (gbt.GbtConfig, "lambda_"), (gbt.GbtConfig, "gamma"),
+        (gbt.GbtConfig, "min_child_weight"),
+        (SGD, "lambda_"), (SGD, "learning_rate"), (SGD, "class_weights"),
+        (mlp.MlpTrainConfig, "learning_rate"), (mlp.MlpTrainConfig, "weight_decay"),
+        (mlp.MlpTrainConfig, "adam_eps"), (mlp.MlpTrainConfig, "bn_eps"),
+        (mlp.MlpTrainConfig, "class_weights"),
+    ])
+    def test_config_names_the_field(self, make, field, value):
+        with pytest.raises(ConfigError, match=field.rstrip("_")):
+            make(**{field: (1.0, value) if field == "class_weights" else value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gbt_train_exits_1_without_artifact(self, tmp_path, capsys, regression_csv, value):
+        rc = run_cli("train", "--algo", "gbt", "--data", regression_csv, "--lambda", value,
+                     "--num-round", 2, "--outdir", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "usage error: lambda must be finite and >= 0"
+        assert not (tmp_path / "model.json").exists()

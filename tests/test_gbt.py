@@ -367,3 +367,119 @@ class TestSplitSearchMatchesOracle:
         assert ranks.dtype == np.uint32 and int(ranks.max()) == 65_536
         cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=1, min_child_weight=1.0)
         assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
+
+
+def boundary_share(X, rows, cfg):
+    """Share of X[rows]'s (position, column) pairs where a split can go: the
+    sorted value changes and both children are heavy enough."""
+    h = np.arange(1, rows.size)
+    heavy = (h >= cfg.min_child_weight) & (rows.size - h >= cfg.min_child_weight)
+    values = np.sort(X[rows], axis=0)
+    return float(((values[1:] != values[:-1]) & heavy[:, None]).mean())
+
+
+def few_valued(rng, n, count):
+    """A column of n rows holding exactly `count` distinct values."""
+    column = np.resize(rng.choice([0.0, 0.405, 0.811, 1.099, 1.386], count, replace=False), n)
+    return rng.permutation(column)
+
+
+class TestBoundaryScoring:
+    """Nodes scored at their boundaries alone (few-valued blocks) and at every
+    position (continuous blocks), against the per-feature loop."""
+
+    CFG = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=2, min_child_weight=2.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rating_shape(self, seed):
+        # 25 columns with 2-5 distinct values, then a 63- and a 249-valued one
+        rng = np.random.default_rng(seed)
+        n = 400
+        X = np.column_stack([few_valued(rng, n, int(rng.integers(2, 6))) for _ in range(25)]
+                            + [rng.permutation(np.resize(np.arange(63) / 62.0, n)),
+                               rng.permutation(np.resize(np.arange(1, 250) * 1e5, n))])
+        y = X[:, 0] * 2.0 + X[:, 25] + rng.normal(size=n)
+        g = rng.normal(size=n)
+        for rows in (np.arange(n), rng.permutation(n)[:150]):
+            assert boundary_share(X, rows, self.CFG) <= gbt._SPARSE_BOUNDARY_SHARE
+            assert_same_split(best_split(X, g, rows, self.CFG),
+                              exact_greedy_split_oracle(X, g, rows, self.CFG))
+        assert_same_model(gbt.fit(X, y, self.CFG), gbt_fit_oracle(X, y, self.CFG))
+
+    def test_equal_gains_in_few_valued_columns(self):
+        # column 0's two boundaries have mirrored gradients, so the same gain;
+        # columns 1 and 3 are copies that split off the positive gradients
+        # like column 0's first boundary, and column 2 is noise
+        k, m = 30, 40
+        col0 = np.repeat([0.0, 1.0, 2.0], [k, m, k])
+        g = np.repeat([1.0, 0.0, -1.0], [k, m, k])
+        copy = np.where(g > 0.0, 0.0, 1.0)
+        noise = np.random.default_rng(4).choice([3.0, 5.0], size=2 * k + m)
+        X = np.column_stack([col0, copy, noise, copy])
+        rows = np.arange(2 * k + m)
+        assert boundary_share(X, rows, self.CFG) <= gbt._SPARSE_BOUNDARY_SHARE
+        gains = [best_split(X[:, [j]], g, rows, self.CFG)[0] for j in range(4)]
+        assert gains[0] == gains[1] == gains[3] > gains[2]
+        split = best_split(X, g, rows, self.CFG)
+        assert split[1:3] == (0, 0.5)
+        assert_same_split(split, exact_greedy_split_oracle(X, g, rows, self.CFG))
+        # without column 0 the tie is between the copies: the lower one wins
+        X[:, 0] = 7.0
+        split = best_split(X, g, rows, self.CFG)
+        assert split[1] == 1
+        assert_same_split(split, exact_greedy_split_oracle(X, g, rows, self.CFG))
+
+    @pytest.mark.parametrize("two_valued", [1, 4])
+    def test_block_mixing_two_valued_and_all_distinct(self, two_valued):
+        # one two-valued column and an all-distinct one is about half
+        # boundaries (every position scored); four and one is about a
+        # quarter (boundaries alone)
+        rng = np.random.default_rng(two_valued)
+        n = 120
+        X = np.column_stack([rng.choice([0.0, 1.0], size=n) for _ in range(two_valued)]
+                            + [rng.normal(size=n)])
+        X = X[:, rng.permutation(X.shape[1])]
+        rows = rng.permutation(n)[:100]
+        share = boundary_share(X, rows, self.CFG)
+        assert (share <= gbt._SPARSE_BOUNDARY_SHARE) == (two_valued == 4)
+        for g in (rng.normal(size=n), X @ rng.normal(size=X.shape[1])):
+            assert_same_split(best_split(X, g, rows, self.CFG),
+                              exact_greedy_split_oracle(X, g, rows, self.CFG))
+
+    @pytest.mark.parametrize("sparse_first", [True, False])
+    def test_blocks_on_both_sides_of_the_share(self, sparse_first):
+        # blocks of four columns: four few-valued columns, then three
+        # continuous ones and a copy of a few-valued column, so the best gains
+        # of the two blocks can tie and the earlier block must keep the split
+        rng = np.random.default_rng(8)
+        n = 90
+        few = np.column_stack([few_valued(rng, n, c) for c in (2, 3, 2, 4)])
+        dense = np.column_stack([rng.normal(size=(n, 3)), few[:, 1]])
+        blocks = [few, dense] if sparse_first else [dense, few]
+        X = np.column_stack(blocks)
+        rows = np.arange(n)
+        with mock.patch.object(gbt, "_COLUMN_BLOCK", 4):
+            shares = [boundary_share(b, rows, self.CFG) for b in blocks]
+            assert (shares[0] <= gbt._SPARSE_BOUNDARY_SHARE) == sparse_first
+            assert (shares[1] <= gbt._SPARSE_BOUNDARY_SHARE) != sparse_first
+            for g in (few[:, 1] - few[:, 1].mean(), rng.normal(size=n)):
+                assert_same_split(best_split(X, g, rows, self.CFG),
+                                  exact_greedy_split_oracle(X, g, rows, self.CFG))
+            y = few[:, 1] * 3.0 + rng.normal(size=n) * 0.1
+            assert_same_model(gbt.fit(X, y, self.CFG), gbt_fit_oracle(X, y, self.CFG))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_overflowing_gradients(self, scale):
+        # gradients whose squares (1e150) or sums (1e300) overflow make gains
+        # of NaN and +-inf; a NaN must not hide a positive gain
+        rng = np.random.default_rng(9)
+        n = 60
+        X = np.column_stack([rng.choice([0.0, 1.0], size=n), rng.normal(size=n)])
+        rows = np.arange(n)
+        gradients = (np.full(n, scale), rng.choice([-scale, scale], size=n),
+                     rng.normal(size=n) * scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in gradients:
+                for cols in ([0], [1], [0, 1]):
+                    assert_same_split(best_split(X[:, cols], g, rows, self.CFG),
+                                      exact_greedy_split_oracle(X[:, cols], g, rows, self.CFG))

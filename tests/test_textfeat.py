@@ -11,7 +11,8 @@ from deskbench.errors import ConfigError, DataFormatError
 
 from helpers import LONG_WORDS, STOPWORDS, documents
 from oracles import (all_text_column_oracle, feature_matrix_oracle, fnv1a_64_oracle,
-                     sparse_vector_check_oracle, tokenize_oracle, vectorize_corpus_oracle)
+                     sparse_to_dense_oracle, sparse_vector_check_oracle, tokenize_oracle,
+                     vectorize_corpus_oracle)
 
 
 def sparse_from_json(text: str) -> textfeat.SparseVector:
@@ -331,6 +332,30 @@ class TestVectorizeCorpus:
         texts = ["one two", "", "two three three"]
         textfeat.vectorize_corpus(texts, {"one"}, 16, 1)
         assert calls == texts
+
+    def test_vectors_share_slot_and_weight_objects(self):
+        # dim 5000 puts slots above CPython's cached small ints
+        texts = [f"storm love city {'night ' * (i % 3)}movie {i % 7}" for i in range(40)]
+        vectors, _ = textfeat.vectorize_corpus(texts, None, 5000, 1)
+        assert vectors == vectorize_corpus_oracle(texts, None, 5000, 1)[0]
+        values = [v for vec in vectors for v in vec.values]
+        indices = [i for vec in vectors for i in vec.indices]
+        assert {type(v) for v in values} == {float} and {type(i) for i in indices} == {int}
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
+        assert len({id(i) for i in indices}) == len(set(indices)) < len(indices)
+        assert max(indices) > 256
+
+    @pytest.mark.parametrize("vec", [
+        textfeat.SparseVector(4, (), ()),
+        textfeat.SparseVector(1, (0,), (2.5,)),
+        textfeat.SparseVector(3, (0, 2), (5e-324, 1.0)),
+        textfeat.SparseVector(5, (0, 4), (-1.5, -5e-324)),
+        textfeat.SparseVector(6, (1, 3, 5), (3, -7, 2**53 + 1)),
+        textfeat.SparseVector(7, (2, 6), (1, 0.1)),
+    ], ids=["empty", "dim-1", "subnormal", "negative", "ints", "mixed"])
+    def test_to_dense_matches_oracle(self, vec):
+        got, want = vec.to_dense(), sparse_to_dense_oracle(vec)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -29,8 +29,8 @@ def f64_to_b64(values) -> str:
     return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
 
 
-def b64_to_f64(text: str, shape=None) -> np.ndarray:
-    """Decode base64 little-endian float64 bytes, optionally reshaping."""
+def b64_to_f64(text: str, shape) -> np.ndarray:
+    """Decode base64 little-endian float64 bytes into an array of shape."""
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except Exception as exc:
@@ -38,11 +38,9 @@ def b64_to_f64(text: str, shape=None) -> np.ndarray:
     if len(raw) % 8 != 0:
         raise DataFormatError(f"weight payload length {len(raw)} is not a multiple of 8")
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if shape is not None:
-        if arr.size != int(np.prod(shape)):
-            raise DataFormatError(f"weight payload has {arr.size} values, expected shape {shape}")
-        arr = arr.reshape(shape)
-    return arr
+    if arr.size != int(np.prod(shape)):
+        raise DataFormatError(f"weight payload has {arr.size} values, expected shape {shape}")
+    return arr.reshape(shape)
 
 
 # MLP hidden-block fields and their shapes, by "fan_in" and "hidden" size

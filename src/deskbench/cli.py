@@ -7,8 +7,8 @@ paths given as flags resolve against the working directory as usual.
 Each run echoes the merged parameters to effective-config.json in the
 output directory so the run can be replayed byte for byte.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 protocol or runtime error.
+Exit codes are those of errors.py: 0 success, 1 usage or config error,
+2 data error, 3 protocol or runtime error.
 """
 
 import argparse
@@ -19,12 +19,8 @@ import sys
 from pathlib import Path
 
 from . import artifacts, dataio, distbench, evaluation, gbt, linmodels, mlp, prep, textfeat
-from .errors import ConfigError, DataFormatError, ProtocolError
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_RUNTIME = 3
+from .errors import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, ConfigError,
+                     DataFormatError, ProtocolError)
 
 ALGO_ALIASES = {
     "logreg": "logistic",
@@ -76,6 +72,13 @@ def fold_count(raw) -> int:
     return k
 
 
+def worker_id(raw) -> int:
+    wid = int(raw)
+    if not 0 <= wid < 2**32:
+        raise ValueError("the HELLO frame carries ids in [0, 2**32)")
+    return wid
+
+
 def _opts_by_key(opts) -> dict:
     """Each Opt under its dashed flag name and its underscored dest."""
     return {key: opt for opt in opts for key in (opt.name, opt.dest)}
@@ -102,6 +105,7 @@ def merge_params(opts, args, config_data: dict, config_dir: Path) -> dict:
         else:
             try:
                 value = opt.convert(raw)
+                json.dumps([raw, value], allow_nan=False)  # no NaN or inf, raw or converted
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value {raw!r} for --{opt.name}: {exc}") from exc
             if from_config and opt.is_path and isinstance(value, str):
@@ -113,9 +117,10 @@ def merge_params(opts, args, config_data: dict, config_dir: Path) -> dict:
 
 
 def write_json(path, payload) -> None:
+    # encode first: a NaN or infinity raises ValueError and leaves no file
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _normalize_algo(name) -> str:
@@ -539,7 +544,7 @@ def _cmd_bench_master(params, outdir):
 @_command("bench-worker", "serve one data part to a benchmark master", COMMON_OPTS + (
     Opt("connect", default=DEFAULT_MASTER_ENDPOINT, help="master host:port"),
     Opt("part", required=True, is_path=True, help="dense CSV part to train on"),
-    Opt("worker-id", int, required=True),
+    Opt("worker-id", worker_id, required=True),
     Opt("reconnect-attempts", int, default=3,
         help="attempts to connect to the master; a connection lost after HELLO is final"),
 ))

@@ -210,11 +210,13 @@ def _field_error(fields: list[str], line_no: int) -> DataFormatError:
     raise AssertionError(f"line {line_no} converted cleanly on the second scan")
 
 
-def _parse_rows(lines, width: int | None, label_map: str):
-    """Parse `label,f1,...,fF` lines into (labels, matrix, width). The matrix
-    has at least len(labels) rows; the rows past them are spare capacity."""
+def _parse_rows(lines, label_map: str):
+    """Parse `label,f1,...,fF` lines into (labels, matrix, width of the first
+    line or None). The matrix has at least len(labels) rows; the rows past
+    them are spare capacity."""
     labels = array("d")  # C doubles, not one float object per row
     matrix = np.empty(0)  # grown geometrically; no view of it outlives a resize
+    width = None
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n").rstrip("\r")
         if line == "":
@@ -261,10 +263,10 @@ class _RangeReader(io.RawIOBase):
         return len(data)
 
 
-def _parse_range(fd: int, start: int, end: int, num_features, label_map):
+def _parse_range(fd: int, start: int, end: int, label_map):
     raw = io.BufferedReader(_RangeReader(fd, start, end))
     with io.TextIOWrapper(raw, encoding="utf-8", newline="") as lines:
-        return _parse_rows(lines, num_features, label_map)
+        return _parse_rows(lines, label_map)
 
 
 def _fork_cores() -> int:
@@ -371,15 +373,15 @@ def _reap(children, kill: bool) -> bool:
     return clean
 
 
-def _parsed_range(fd: int, start: int, end: int, num_features, label_map):
+def _parsed_range(fd: int, start: int, end: int, label_map):
     """The buffers a parse child sends: (rows, width), labels, C-order matrix."""
-    labels, matrix, width = _parse_range(fd, start, end, num_features, label_map)
+    labels, matrix, width = _parse_range(fd, start, end, label_map)
     rows = len(labels)
     head = struct.pack("=qq", rows, width or 0)
     return [head, labels, matrix[:rows]] if rows else [head]
 
 
-def _parse_ranges(stream, num_features, label_map):
+def _parse_ranges(stream, label_map):
     """(labels, matrix, width) of a regular file parsed in line-aligned byte
     ranges, ranges 1.. in forked children, or None when the ranges do not
     apply or any of them fails. A failed range is never reported here: the
@@ -392,8 +394,8 @@ def _parse_ranges(stream, num_features, label_map):
     result = None
     try:
         for start, end in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork(_parsed_range, fd, start, end, num_features, label_map))
-        labels, matrix, width = _parse_range(fd, cuts[0], cuts[1], num_features, label_map)
+            children.append(_fork(_parsed_range, fd, start, end, label_map))
+        labels, matrix, width = _parse_range(fd, cuts[0], cuts[1], label_map)
         heads = [struct.unpack("=qq", _recv(r, bytearray(16))) for _, r in children]
         widths = {w for w in [width, *(w for _, w in heads)] if w}
         if len(widths) > 1:
@@ -420,12 +422,12 @@ def _parse_ranges(stream, num_features, label_map):
     return result
 
 
-def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDataset:
+def parse_dense(stream, label_map: str) -> DenseDataset:
     """Parse `label,f1,...,fF` lines. Streaming, with line-granular errors.
 
-    num_features=None infers the width from the first line; every later line
-    must match it. label_map: zero_one keeps {0,1}; plus_minus_one maps
-    -1 -> 0 and +1 -> 1; raw accepts any finite target.
+    The first line sets the width; every later line must match it.
+    label_map: zero_one keeps {0,1}; plus_minus_one maps -1 -> 0 and
+    +1 -> 1; raw accepts any finite target.
 
     Each line's feature fields are converted in one pass by the builtin
     `float` and checked for finiteness as one array. Only a line that fails
@@ -443,13 +445,11 @@ def parse_dense(stream, num_features: int | None, label_map: str) -> DenseDatase
     """
     if label_map not in LABEL_MAPS:
         raise ConfigError(f"label_map must be one of {LABEL_MAPS}")
-    if num_features is not None and num_features < 1:
-        raise ConfigError("num_features must be >= 1")
 
-    parsed = _parse_ranges(stream, num_features, label_map)
+    parsed = _parse_ranges(stream, label_map)
     if parsed is None:
         with _text_lines(stream) as lines:
-            parsed = _parse_rows(lines, num_features, label_map)
+            parsed = _parse_rows(lines, label_map)
     labels, matrix, width = parsed
     if not labels:
         raise DataFormatError("empty dense stream")
@@ -524,14 +524,13 @@ def write_dense(ds: DenseDataset, stream) -> None:
         out.flush()
 
 
-def load_dense(path, num_features: int | None = None,
-               label_map: str = "zero_one") -> DenseDataset:
+def load_dense(path, label_map: str = "zero_one") -> DenseDataset:
     """parse_dense of the file at path, opened in binary mode, so a file of
     at least 2 MiB is parsed in byte ranges across the usable cores, with a
     fall back to the serial parse on any failure. A save_dense file reads
     back bit-identical, whether either side used ranges or not."""
     with open(path, "rb") as fh:
-        return parse_dense(fh, num_features, label_map)
+        return parse_dense(fh, label_map)
 
 
 def save_dense(ds: DenseDataset, path) -> None:
@@ -551,8 +550,8 @@ def generate_synthetic(num_rows: int, num_features: int, separation: float,
     """
     if num_rows < 2 or num_features < 1:
         raise ConfigError("need num_rows >= 2 and num_features >= 1")
-    if separation < 0:
-        raise ConfigError("separation must be >= 0")
+    if not separation >= 0:  # NaN fails this too
+        raise ConfigError(f"separation must be >= 0, got {separation}")
     rng = np.random.default_rng(seed)
     teacher = rng.standard_normal(num_features)
     teacher /= np.linalg.norm(teacher)

@@ -1,19 +1,11 @@
 """Master-worker distributed training over a length-prefixed TCP protocol."""
 
-from .bench import (
-    LocalBenchResult,
-    bench_compare,
-    local_train_rounds,
-    render_comparison_csv,
-    run_local_bench,
-)
-from .codec import ALGO_CODES, MAX_FRAME, Frame, frame_size, read_frame, unpack
+from .bench import LocalBenchResult, bench_compare, render_comparison_csv, run_local_bench
+from .codec import ALGO_CODES
 from .master import BenchRecord, ClusterSpec, run_master
-from .worker import LOCAL_EPOCH_BATCH, epoch_rng, local_epoch, run_worker
+from .worker import run_worker
 
 __all__ = [
-    "ALGO_CODES", "BenchRecord", "ClusterSpec", "Frame", "LOCAL_EPOCH_BATCH",
-    "LocalBenchResult", "MAX_FRAME", "bench_compare", "epoch_rng", "frame_size",
-    "local_epoch", "local_train_rounds", "read_frame", "render_comparison_csv",
-    "run_local_bench", "run_master", "run_worker", "unpack",
+    "ALGO_CODES", "BenchRecord", "ClusterSpec", "LocalBenchResult", "bench_compare",
+    "render_comparison_csv", "run_local_bench", "run_master", "run_worker",
 ]

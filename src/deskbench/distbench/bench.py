@@ -58,10 +58,10 @@ def local_train_rounds(ds: DenseDataset, algo: str, cfg: SgdConfig, rounds: int,
 
 
 def run_local_bench(ds: DenseDataset, algo: str, cfg: SgdConfig, rounds: int,
-                    holdout=None, manifest: str = "", worker_id: int = 1):
-    """Time local_train_rounds; returns (model, LocalBenchResult)."""
+                    holdout=None, manifest: str = ""):
+    """Time local_train_rounds as worker 1; returns (model, LocalBenchResult)."""
     start = time.perf_counter()
-    model = local_train_rounds(ds, algo, cfg, rounds, worker_id)
+    model = local_train_rounds(ds, algo, cfg, rounds)
     elapsed = time.perf_counter() - start
     auc = None
     if holdout is not None:

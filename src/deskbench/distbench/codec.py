@@ -7,7 +7,8 @@ order, then an optional tail of ``count`` little-endian f64s (FLOATS)
 or utf-8 text (TEXT).
 
 Frames above 64 MiB are a protocol error on both ends. unpack() raises
-ProtocolError on any malformed payload, never anything else.
+ProtocolError on any malformed payload, never anything else; the pack_*
+functions raise it for a field value that its struct format cannot hold.
 """
 
 import struct
@@ -41,8 +42,6 @@ LAYOUTS = {
     T_DONE: ("done", (), None),
 }
 
-TYPE_NAMES = {ftype: layout[0] for ftype, layout in LAYOUTS.items()}
-
 ALGO_CODES = {"logistic": 1, "svm": 2}
 ALGO_NAMES = {code: name for name, code in ALGO_CODES.items()}
 
@@ -74,16 +73,15 @@ def update_frame_size(count: int) -> int:
     return frame_size(_fixed_size(T_UPDATE) + 8 * count)
 
 
-HELLO_FRAME_SIZE = frame_size(_fixed_size(T_HELLO))
-CONFIG_FRAME_SIZE = frame_size(_fixed_size(T_CONFIG))
-DONE_FRAME_SIZE = frame_size(_fixed_size(T_DONE))
-
-
 def _pack(ftype: int, tail: bytes = b"", **fields) -> bytes:
     """Length header, type byte, each segment's fields, then the tail bytes."""
-    payload = bytes([ftype]) + b"".join(
-        struct.pack(fmt, *(fields[name] for name in names))
-        for fmt, names in LAYOUTS[ftype][1]) + tail
+    kind, segments, _ = LAYOUTS[ftype]
+    try:
+        payload = bytes([ftype]) + b"".join(
+            struct.pack(fmt, *(fields[name] for name in names))
+            for fmt, names in segments) + tail
+    except struct.error as exc:  # a field value its format cannot hold
+        raise ProtocolError(f"cannot pack {kind} frame: {exc}") from exc
     if len(payload) > MAX_FRAME:
         raise ProtocolError(f"frame payload {len(payload)} exceeds {MAX_FRAME} bytes")
     return struct.pack(">I", len(payload)) + payload

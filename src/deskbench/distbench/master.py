@@ -12,6 +12,7 @@ in the accept window too, so a silent client delays no worker.
 
 import io
 import logging
+import math
 import selectors
 import socket
 import time
@@ -42,12 +43,12 @@ class ClusterSpec:
         ids = [w[0] for w in self.workers]
         if len(set(ids)) != len(ids):
             raise ConfigError("worker ids must be unique")
-        if any(i < 0 for i in ids):
-            raise ConfigError("worker ids must be non-negative")
+        if any(not 0 <= i < 2**32 for i in ids):
+            raise ConfigError("worker ids must be in [0, 2**32), as HELLO carries them")
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
-        if self.round_timeout_s <= 0:
-            raise ConfigError("round_timeout_s must be positive")
+        if not 0 < self.round_timeout_s < math.inf:  # NaN fails this too
+            raise ConfigError("round_timeout_s must be positive and finite")
 
     @property
     def worker_ids(self) -> list:
@@ -266,19 +267,18 @@ def _aggregate(updates: dict) -> np.ndarray:
     return acc / float(total)
 
 
-def run_master(spec: ClusterSpec, algo: str, cfg: SgdConfig, rounds: int | None = None,
+def run_master(spec: ClusterSpec, algo: str, cfg: SgdConfig, rounds: int,
                holdout=None, manifest: str = "", on_listening=None):
     """Run a full distributed training session.
 
     Returns (final LinearModel, BenchRecord). cfg supplies lambda,
-    learning rate, and seed; rounds defaults to spec.max_rounds. If a
+    learning rate, and seed; rounds is at most spec.max_rounds. If a
     holdout DenseDataset is given, the record carries its final AUC.
     on_listening, if set, receives the actually bound (host, port)
     before workers are awaited, which makes ephemeral ports usable.
     """
     if algo not in codec.ALGO_CODES:
         raise ConfigError(f"algo must be one of {sorted(codec.ALGO_CODES)}")
-    rounds = spec.max_rounds if rounds is None else rounds
     if not 1 <= rounds <= spec.max_rounds:
         raise ConfigError(f"rounds must be in [1, {spec.max_rounds}]")
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from ..dataio import DenseDataset, load_dense
-from ..errors import DataFormatError, ProtocolError
+from ..errors import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, DataFormatError, ProtocolError
 from ..linmodels import sgd_epoch
 from . import codec
 from .master import _split_address
@@ -26,10 +26,6 @@ log = logging.getLogger(__name__)
 # agree on this out of band.
 LOCAL_EPOCH_BATCH = 64
 
-EXIT_OK = 0
-EXIT_DATA = 2
-EXIT_PROTOCOL = 3
-
 
 def epoch_rng(seed: int, worker_id: int, round_: int) -> np.random.Generator:
     """The round's generator; shared by workers and the local oracle."""
@@ -37,19 +33,14 @@ def epoch_rng(seed: int, worker_id: int, round_: int) -> np.random.Generator:
 
 
 def local_epoch(algo: str, weights, bias: float, features, y01, lambda_: float,
-                lr: float, rng, batch_size: int = LOCAL_EPOCH_BATCH):
+                lr: float, rng):
     """One local epoch from the given parameters: sgd_epoch on a copy.
 
     Returns (weights, bias) as new arrays; the inputs are not changed.
     """
     w = np.array(weights, dtype=np.float64)
-    b = sgd_epoch(algo, w, float(bias), features, y01, lambda_, lr, batch_size, rng)
+    b = sgd_epoch(algo, w, float(bias), features, y01, lambda_, lr, LOCAL_EPOCH_BATCH, rng)
     return w, b
-
-
-def _check_part(ds: DenseDataset) -> None:
-    if not ds.is_binary():
-        raise DataFormatError("data part labels must be 0/1")
 
 
 def _split_params(values, num_features: int):
@@ -100,7 +91,7 @@ def _serve_once(sock: socket.socket, ds: DenseDataset, worker_id: int) -> int:
                 return EXIT_OK
             elif frame.kind == "error":
                 log.error("master reported: %s", frame.data["message"])
-                return EXIT_PROTOCOL
+                return EXIT_RUNTIME
             else:
                 raise ProtocolError(f"unexpected {frame.kind} frame from master")
 
@@ -122,10 +113,9 @@ def run_worker(connect: str, part_path, worker_id: int,
         _split_address(connect)
     except ValueError as exc:
         log.error("bad master address %r: %s", connect, exc)
-        return EXIT_PROTOCOL
+        return EXIT_RUNTIME
     try:
-        ds = load_dense(part_path)
-        _check_part(ds)
+        ds = load_dense(part_path)  # zero_one: a label other than 0/1 names its line
     except (DataFormatError, ValueError, OSError) as exc:
         log.error("cannot load part %s: %s", part_path, exc)
         try:
@@ -145,4 +135,4 @@ def run_worker(connect: str, part_path, worker_id: int,
         log.error("protocol failure: %s", exc)
     except OSError as exc:
         log.error("connection lost: %s", exc)
-    return EXIT_PROTOCOL
+    return EXIT_RUNTIME

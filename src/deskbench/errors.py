@@ -1,4 +1,9 @@
-"""Shared exception types. CLI exit codes key off these classes."""
+"""Shared exception types, and the process exit codes that key off them."""
+
+EXIT_OK = 0
+EXIT_USAGE = 1    # ConfigError: bad flag, config value or usage
+EXIT_DATA = 2     # DataFormatError: input that cannot be read or parsed
+EXIT_RUNTIME = 3  # ProtocolError, lost connections and other runtime failures
 
 
 class DeskbenchError(Exception):

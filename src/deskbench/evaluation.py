@@ -1,14 +1,13 @@
 """Metrics, k-fold cross-validation, paired-instance assignment, grid search.
 
 Trainers are callables ``trainer(train_ds) -> predictor`` where the predictor
-exposes ``predict(features) -> np.ndarray``.  Classification predictors may
-additionally expose ``score(features)`` returning real-valued ranking scores;
-when absent the hard predictions are used for AUC ranking.
+exposes ``predict(features) -> np.ndarray``. A classifier also exposes
+``score(features)``, real-valued ranking scores for AUC; a regressor does not.
 
 ``evaluate_split`` trains on one split and scores the other; k-fold CV and
-the dense benchmark script both go through it. It alone decides the task: a
-split is a classification when its labels are 0/1 and ``predict`` returns
-integer (or bool) class ids, and a regression otherwise, so a float-valued
+the dense benchmark script both go through it. It alone decides the task,
+from the predictor: one with a ``score`` method is a classifier, whose
+``predict`` returns 0/1 class ids, and one without is a regressor, so a
 regressor on 0/1 targets gets RMSE.
 """
 
@@ -207,10 +206,9 @@ def evaluate_split(train_ds: DenseDataset, test_ds: DenseDataset, trainer) -> Ev
     predictor = trainer(train_ds)
     fitted = time.perf_counter()
     predictions = np.asarray(predictor.predict(test_ds.features))
-    classify = predictions.dtype.kind in "biu" and train_ds.is_binary()
+    classify = hasattr(predictor, "score")
     if classify:
-        score_fn = getattr(predictor, "score", None)
-        scores = np.asarray(score_fn(test_ds.features)) if score_fn else predictions
+        scores = np.asarray(predictor.score(test_ds.features))
     fit_s, predict_s = fitted - start, time.perf_counter() - fitted
     report = EvalReport(wall_clock_s=fit_s + predict_s, fit_s=fit_s, predict_s=predict_s)
     if classify:
@@ -287,8 +285,8 @@ def build_assignment_plan(algorithms, partitions) -> AssignmentPlan:
     return AssignmentPlan(instances=instances)
 
 
-def run_plan(plan: AssignmentPlan, datasets, trainers, seed: int, k: int = 5) -> PlanResult:
-    """Train each instance's pair on its partition with k-fold CV, then average
+def run_plan(plan: AssignmentPlan, datasets, trainers, seed: int) -> PlanResult:
+    """Train each instance's pair on its partition with 5-fold CV, then average
     the two instances each algorithm appears in."""
     datasets = list(datasets)
     if len(datasets) != 5:
@@ -300,7 +298,7 @@ def run_plan(plan: AssignmentPlan, datasets, trainers, seed: int, k: int = 5) ->
     by_algo: dict[str, list[EvalReport]] = {}
     for instance_id, (algo_a, algo_b), part_index in plan.instances:
         for algo in (algo_a, algo_b):
-            _, avg = kfold_cv(datasets[part_index], k, trainers[algo], seed)
+            _, avg = kfold_cv(datasets[part_index], 5, trainers[algo], seed)
             result.per_instance.append((instance_id, algo, avg))
             by_algo.setdefault(algo, []).append(avg)
     for algo, reports in by_algo.items():

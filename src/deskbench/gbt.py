@@ -91,13 +91,11 @@ def _rank_columns(X):
     return cand, ranks
 
 
-def _best_split(X, cand, ranks, g, rows, cfg, G=None):
+def _best_split(X, cand, ranks, g, rows, cfg, G):
     """Exact greedy search at one node: (gain, feature, threshold, left_rows,
-    right_rows) or None. G is the node's gradient sum, float(g[rows].sum()),
-    when the caller has it. A later block wins only on a strictly greater gain."""
+    right_rows) or None. G is the node's gradient sum, float(g[rows].sum()).
+    A later block wins only on a strictly greater gain."""
     g_node = g[rows]
-    if G is None:
-        G = float(g_node.sum())
     H = float(rows.size)
     parent_term = G * G / (H + cfg.lambda_)
     h_left = np.arange(1, rows.size, dtype=np.float64)

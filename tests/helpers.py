@@ -14,10 +14,11 @@ def load_parts(manifest_path) -> tuple[dataio.DatasetManifest, list[dataio.Dense
     manifest_path = Path(manifest_path)
     manifest = dataio.DatasetManifest(**json.loads(manifest_path.read_text(encoding="utf-8")))
     label_map = "zero_one" if manifest.label_kind == "binary" else "raw"
-    parts = [
-        dataio.load_dense(manifest_path.parent / rel, manifest.num_features, label_map)
-        for rel in manifest.parts
-    ]
+    parts = [dataio.load_dense(manifest_path.parent / rel, label_map) for rel in manifest.parts]
+    for rel, part in zip(manifest.parts, parts):
+        if part.num_features != manifest.num_features:
+            raise DataFormatError(f"{rel} has {part.num_features} features, "
+                                  f"manifest declares {manifest.num_features}")
     total = sum(p.num_rows for p in parts)
     if total != manifest.num_rows:
         raise DataFormatError(

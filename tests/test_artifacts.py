@@ -31,7 +31,7 @@ class TestF64Codec:
 
     def test_empty(self):
         assert artifacts.f64_to_b64([]) == ""
-        assert artifacts.b64_to_f64("").size == 0
+        assert artifacts.b64_to_f64("", (0,)).size == 0
 
     def test_round_trip_matrix(self):
         rng = np.random.default_rng(0)
@@ -43,16 +43,16 @@ class TestF64Codec:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                               width=64), max_size=40))
     def test_round_trip_bit_exact(self, values):
-        back = artifacts.b64_to_f64(artifacts.f64_to_b64(values))
+        back = artifacts.b64_to_f64(artifacts.f64_to_b64(values), (len(values),))
         assert np.array_equal(back, np.asarray(values, dtype=np.float64))
 
     def test_bad_base64_rejected(self):
         with pytest.raises(DataFormatError):
-            artifacts.b64_to_f64("not*base64!")
+            artifacts.b64_to_f64("not*base64!", (1,))
 
     def test_partial_float_rejected(self):
         with pytest.raises(DataFormatError):
-            artifacts.b64_to_f64("AAAA")  # 3 bytes
+            artifacts.b64_to_f64("AAAA", (1,))  # 3 bytes
 
     def test_shape_mismatch_rejected(self):
         payload = artifacts.f64_to_b64([1.0, 2.0])
@@ -260,9 +260,10 @@ class TestMatchesPerKindOracle:
 
     @pytest.mark.parametrize("field", sorted(artifacts.BLOCK_FIELDS))
     def test_block_field_shape_checked(self, field):
-        art = artifacts.model_artifact(TestMlpArtifact().model())
-        block = art["layers"]["blocks"][1]
-        block[field] = artifacts.f64_to_b64(artifacts.b64_to_f64(block[field])[:-1])
+        model = TestMlpArtifact().model()
+        art = artifacts.model_artifact(model)
+        art["layers"]["blocks"][1][field] = artifacts.f64_to_b64(
+            model.blocks[1][field].ravel()[:-1])
         with pytest.raises(DataFormatError, match="expected shape"):
             artifacts.artifact_to_model(art)
 

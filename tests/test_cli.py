@@ -784,5 +784,43 @@ class TestNonFiniteHyperparameters:
                      "--num-round", 2, "--outdir", tmp_path)
         assert rc == 1
         err = capsys.readouterr().err.strip()
-        assert err == "usage error: lambda must be finite and >= 0"
+        assert err.startswith(f"usage error: bad value {value!r} for --lambda: "
+                              "Out of range float values are not JSON compliant")
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("gen", "--rows", 10, "--features", 2, "--out", "x.csv", "--separation", "nan"),
+         "--separation"),
+        (("bench-master", "--algo", "logistic", "--rounds", 1, "--workers", 1,
+          "--round-timeout", "inf"), "--round-timeout"),
+        (("bench-master", "--algo", "logistic", "--rounds", 1, "--workers", 1,
+          "--round-timeout", "nan"), "--round-timeout"),
+        (("train", "--algo", "gbt", "--data", "d.csv", "--lambda=-inf"), "--lambda"),
+        (("train", "--algo", "gbt", "--data", "d.csv", "--lambda", "1e999"), "--lambda"),
+        (("gridsearch", "--algo", "gbt", "--data", "d.csv", "--grid", '{"eta": [0.1, NaN]}'),
+         "--grid"),
+        (("train", "--algo", "gbt", "--data", "d.csv", "--config", "eta.json"), "--eta"),
+        (("train", "--algo", "gbt", "--data", "d.csv", "--config", "map.json"), "--label-map"),
+    ], ids=["gen-separation", "master-timeout-inf", "master-timeout-nan", "lambda-inf",
+            "lambda-overflow", "grid-json", "config-file", "config-file-text-flag"])
+    def test_non_finite_flag_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        (tmp_path / "eta.json").write_text('{"eta": Infinity}', encoding="utf-8")
+        (tmp_path / "map.json").write_text('{"label-map": NaN}', encoding="utf-8")
+        rc = run_cli(*[tmp_path / a if a.endswith((".csv", ".json")) else a
+                       for a in map(str, argv)], "--outdir", tmp_path / "out")
+        assert rc == 1
+        assert f"for {flag}: Out of range float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_json_refuses_nan_before_writing(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "r.json", {"auc": float("nan")})
+        assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("wid", [-1, 2**32, 5000000000])
+def test_worker_id_outside_hello_range_is_a_usage_error(tmp_path, capsys, wid):
+    rc = run_cli("bench-worker", "--part", tmp_path / "missing.csv", "--worker-id", wid,
+                 "--connect", "127.0.0.1:9", "--outdir", tmp_path)
+    assert rc == 1
+    assert "--worker-id" in capsys.readouterr().err

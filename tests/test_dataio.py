@@ -55,13 +55,13 @@ def concat_datasets(parts: list[dataio.DenseDataset]) -> dataio.DenseDataset:
 class TestParseDense:
     def test_zero_one_identity(self):
         line = "1," + ",".join(["0"] * 2000) + "\n"
-        ds = dataio.parse_dense(as_stream(line), 2000, "zero_one")
+        ds = dataio.parse_dense(as_stream(line), "zero_one")
         assert ds.num_rows == 1
         assert ds.labels[0] == 1.0
         assert not ds.features.any()
 
     def test_plus_minus_one_sign_map(self):
-        ds = dataio.parse_dense(as_stream("-1,0.5,-0.25\n"), 2, "plus_minus_one")
+        ds = dataio.parse_dense(as_stream("-1,0.5,-0.25\n"), "plus_minus_one")
         assert ds.labels[0] == 0.0
         np.testing.assert_array_equal(ds.features[0], [0.5, -0.25])
 
@@ -74,24 +74,24 @@ class TestParseDense:
             else:
                 lines.append(f"{i % 2},0.0,1.0")
         with pytest.raises(DataFormatError, match="line 7"):
-            dataio.parse_dense(as_stream("\n".join(lines) + "\n"), 2, "zero_one")
+            dataio.parse_dense(as_stream("\n".join(lines) + "\n"), "zero_one")
 
     def test_non_numeric_field_names_line_and_column(self):
         with pytest.raises(DataFormatError, match="line 2, column 3"):
-            dataio.parse_dense(as_stream("1,0,0\n0,1,oops\n"), 2, "zero_one")
+            dataio.parse_dense(as_stream("1,0,0\n0,1,oops\n"), "zero_one")
 
     def test_label_outside_alphabet(self):
         with pytest.raises(DataFormatError, match="alphabet"):
-            dataio.parse_dense(as_stream("2,0,0\n"), 2, "zero_one")
+            dataio.parse_dense(as_stream("2,0,0\n"), "zero_one")
         with pytest.raises(DataFormatError, match="alphabet"):
-            dataio.parse_dense(as_stream("0,0,0\n"), 2, "plus_minus_one")
+            dataio.parse_dense(as_stream("0,0,0\n"), "plus_minus_one")
 
     def test_raw_labels_accept_targets(self):
-        ds = dataio.parse_dense(as_stream("3.5,1,2\n-0.25,0,0\n"), 2, "raw")
+        ds = dataio.parse_dense(as_stream("3.5,1,2\n-0.25,0,0\n"), "raw")
         np.testing.assert_array_equal(ds.labels, [3.5, -0.25])
 
     def test_infers_width_from_first_line(self):
-        ds = dataio.parse_dense(as_stream("1,1,2,3\n0,4,5,6\n"), None, "zero_one")
+        ds = dataio.parse_dense(as_stream("1,1,2,3\n0,4,5,6\n"), "zero_one")
         assert ds.num_features == 3
 
     def test_round_trip_is_identity(self):
@@ -101,7 +101,7 @@ class TestParseDense:
         )
         buf = io.StringIO()
         dataio.write_dense(ds, buf)
-        back = dataio.parse_dense(as_stream(buf.getvalue()), 7, "zero_one")
+        back = dataio.parse_dense(as_stream(buf.getvalue()), "zero_one")
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
 
@@ -131,7 +131,8 @@ def rarely(draw, rate: int) -> bool:
 @st.composite
 def dense_streams(draw):
     """(text, num_features, label_map): mostly valid rows, with rare bad
-    labels, bad fields, wrong widths and blank lines mixed in."""
+    labels, bad fields, wrong widths and blank lines mixed in; num_features
+    is None or a width a caller expects, usually the rows' own."""
     label_map = draw(st.sampled_from(dataio.LABEL_MAPS))
     width = draw(st.integers(1, 4))
     good_field = st.one_of(
@@ -160,20 +161,30 @@ def dense_streams(draw):
     return "".join(lines), num_features, label_map
 
 
-def parse_outcome(parse, make_stream, text, num_features, label_map):
-    """(labels, features, shape) bytes of a parse, or (type, message) of its error."""
+def parse_outcome(parse, make_stream, text):
+    """(labels, features, shape) bytes of parse(stream), or (type, message) of its error."""
     try:
         with make_stream(text) as stream:
-            ds = parse(stream, num_features, label_map)
+            ds = parse(stream)
     except Exception as exc:  # both parsers must fail the same way
         return type(exc), str(exc)
     return ds.labels.tobytes(), ds.features.tobytes(), ds.features.shape
 
 
 def assert_same_as_oracle(text, num_features, label_map, stream_kind):
+    """parse_dense, whose first line sets the width, gives the oracle's
+    outcome. A caller that knows the width (num_features) compares it after
+    the parse, as helpers.load_parts does: that accepts exactly what the
+    oracle accepts with the width declared up front, with the same result."""
     make_stream = STREAMS[stream_kind]
-    assert parse_outcome(dataio.parse_dense, make_stream, text, num_features, label_map) \
-        == parse_outcome(parse_dense_oracle, make_stream, text, num_features, label_map)
+    got = parse_outcome(lambda s: dataio.parse_dense(s, label_map), make_stream, text)
+    assert got == parse_outcome(lambda s: parse_dense_oracle(s, None, label_map),
+                                make_stream, text)
+    if num_features is not None:
+        declared = parse_outcome(lambda s: parse_dense_oracle(s, num_features, label_map),
+                                 make_stream, text)
+        width_ok = len(got) == 3 and got[2][1] == num_features
+        assert declared == got if width_ok else len(declared) == 2
 
 
 class TestParseDenseMatchesOracle:
@@ -281,7 +292,7 @@ class TestParseDenseRanges:
         text = "0,1,2\n" + GOOD_ROWS * 3
         with file_in_ranges(text) as fh:
             fh.readline()  # the ranges start at the stream's position
-            labels, matrix, width = dataio._parse_ranges(fh, None, "zero_one")
+            labels, matrix, width = dataio._parse_ranges(fh, "zero_one")
             assert fh.read() == b""  # where a serial parse leaves it
         assert len(forks) == 2
         serial = as_stream(text)
@@ -292,7 +303,7 @@ class TestParseDenseRanges:
 
     def assert_serial_result(self, text):
         with file_in_ranges(text) as fh:
-            ds = dataio.parse_dense(fh, None, "zero_one")
+            ds = dataio.parse_dense(fh, "zero_one")
         ref = parse_dense_oracle(as_stream(text), None, "zero_one")
         assert ds.features.tobytes() == ref.features.tobytes()
         assert ds.labels.tobytes() == ref.labels.tobytes()
@@ -358,7 +369,7 @@ class TestParseDenseRanges:
         monkeypatch.setattr(dataio, where, interrupted)
         started = time.monotonic()
         with file_in_ranges(GOOD_ROWS * 3) as fh, pytest.raises(KeyboardInterrupt):
-            dataio.parse_dense(fh, None, "zero_one")
+            dataio.parse_dense(fh, "zero_one")
         assert time.monotonic() - started < 30  # killed, not waited for
         assert len(forks) == 2
         with pytest.raises(ChildProcessError):
@@ -382,7 +393,7 @@ class TestParseDenseRanges:
         with open(r, "rb") as fh, forced_ranges():
             with open(w, "wb") as out:
                 out.write(GOOD_ROWS.encode())
-            ds = dataio.parse_dense(fh, None, "zero_one")
+            ds = dataio.parse_dense(fh, "zero_one")
         ref = parse_dense_oracle(as_stream(GOOD_ROWS), None, "zero_one")
         assert ds.features.tobytes() == ref.features.tobytes()
 
@@ -620,6 +631,10 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             dataio.generate_synthetic(10, 0, 0.0, seed=1)
 
+    def test_rejects_nan_separation(self):
+        with pytest.raises(ConfigError, match="separation"):
+            dataio.generate_synthetic(10, 2, float("nan"), seed=1)
+
 
 class TestSplitParts:
     def test_exact_division(self):
@@ -741,7 +756,7 @@ class TestCallerStreams:
         assert not bio.closed
         written = bio.getvalue()
         bio.seek(0)
-        back = dataio.parse_dense(bio, None, "zero_one")
+        back = dataio.parse_dense(bio, "zero_one")
         gc.collect()
         assert not bio.closed
         bio.seek(0)
@@ -766,7 +781,7 @@ class TestCallerStreams:
     def test_failed_parse_keeps_bytes_io_open(self):
         bio = as_stream("1,0.5\n0,x\n")
         with pytest.raises(DataFormatError):
-            dataio.parse_dense(bio, None, "zero_one")
+            dataio.parse_dense(bio, "zero_one")
         gc.collect()
         assert not bio.closed
 

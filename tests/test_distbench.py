@@ -166,9 +166,8 @@ class TestThreeWorkers:
         for r in range(3):
             assert record.round_bytes_sent[r] == 2 * codec.params_frame_size(count)
             assert record.round_bytes_received[r] == 2 * codec.update_frame_size(count)
-        assert record.handshake_bytes_received == 2 * codec.HELLO_FRAME_SIZE
-        assert record.handshake_bytes_sent == 2 * (codec.CONFIG_FRAME_SIZE
-                                                   + codec.DONE_FRAME_SIZE)
+        assert record.handshake_bytes_received == 2 * 21  # HELLO
+        assert record.handshake_bytes_sent == 2 * (34 + 5)  # CONFIG, DONE
         assert record.bytes_sent == (record.handshake_bytes_sent
                                      + sum(record.round_bytes_sent))
 
@@ -738,10 +737,20 @@ class TestClusterSpecValidation:
         with pytest.raises(ConfigError):
             ClusterSpec("h:1", [(1, 4, "a")], round_timeout_s=0.0)
 
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan")])
+    def test_non_finite_timeout(self, timeout):
+        with pytest.raises(ConfigError, match="round_timeout_s"):
+            ClusterSpec("h:1", [(1, 4, "a")], round_timeout_s=timeout)
+
+    @pytest.mark.parametrize("wid", [-1, 2**32])
+    def test_id_outside_hello_range(self, wid):
+        with pytest.raises(ConfigError, match="worker ids"):
+            ClusterSpec("h:1", [(wid, 4, "a")])
+
     def test_run_master_validates_algo_and_rounds(self):
         spec = ClusterSpec("127.0.0.1:0", [(1, 4, "a")], max_rounds=2)
         with pytest.raises(ConfigError):
-            run_master(spec, "gbt", CFG)
+            run_master(spec, "gbt", CFG, 1)
         with pytest.raises(ConfigError):
             run_master(spec, "svm", CFG, rounds=5)
 

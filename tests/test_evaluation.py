@@ -40,6 +40,13 @@ class ConstantPredictor:
         return np.full(features.shape[0], self.value)
 
 
+class ConstantClassifier(ConstantPredictor):
+    """A constant class id, with all scores tied."""
+
+    def score(self, features):
+        return np.zeros(features.shape[0])
+
+
 class MeanRegressor:
     def __init__(self, train_ds):
         self.mean = float(train_ds.labels.mean())
@@ -335,10 +342,15 @@ class TestKfoldCv:
 
     @pytest.mark.parametrize("trainer, regression", [
         (MeanRegressor, True),
+        (lambda ds: ConstantPredictor(1), True),
+        (lambda ds: ConstantPredictor(True), True),
         (NearestCentroid, False),
-        (lambda ds: ConstantPredictor(True), False),
-    ], ids=["float-regressor", "int-class-ids", "bool-class-ids"])
-    def test_task_follows_predictions_on_binary_labels(self, trainer, regression):
+        (lambda ds: ConstantClassifier(True), False),
+    ], ids=["float-regressor", "int-ids-no-score", "bool-ids-no-score",
+            "int-ids-with-score", "bool-ids-with-score"])
+    def test_task_follows_score(self, trainer, regression):
+        """A predictor with score is a classifier; one without, a regressor,
+        whatever the dtype of its predictions on 0/1 labels."""
         reports, avg = ev.kfold_cv(self.binary_ds(), 5, trainer, seed=0)
         for report in reports + [avg]:
             assert (report.rmse is not None) == regression
@@ -376,7 +388,7 @@ class TestAssignmentPlan:
         return [generate_synthetic(60, 4, separation=1.0, seed=seed0 + i) for i in range(5)]
 
     def trainers(self):
-        return {algo: (lambda ds: ConstantPredictor(1)) for algo in self.ALGOS}
+        return {algo: (lambda ds: ConstantClassifier(1)) for algo in self.ALGOS}
 
     def test_run_plan_smoke(self):
         plan = ev.build_assignment_plan(self.ALGOS, self.PARTS)
@@ -389,7 +401,7 @@ class TestAssignmentPlan:
     def test_unbound_algorithms_fail_before_training(self):
         plan = ev.build_assignment_plan(self.ALGOS, self.PARTS)
         calls = []
-        trainers = {algo: (lambda ds: calls.append(ds) or ConstantPredictor(1))
+        trainers = {algo: (lambda ds: calls.append(ds) or ConstantClassifier(1))
                     for algo in ("lr", "mlp", "svm")}
         with pytest.raises(ValueError, match=r"\['rf', 'xgb'\]"):
             ev.run_plan(plan, self.make_datasets(), trainers, seed=0)
@@ -418,13 +430,13 @@ class TestGridSearch:
 
     def test_full_product_36(self):
         grid = {"a": [1, 2, 3], "b": [1, 2, 3], "c": [1, 2], "d": [1, 2]}
-        factory = lambda **params: (lambda ds: ConstantPredictor(1))
+        factory = lambda **params: (lambda ds: ConstantClassifier(1))
         best, points = ev.grid_search(grid, 2, self.ds(), factory, seed=0)
         assert len(points) == 36
 
     def test_lexicographic_order(self):
         grid = {"beta": [10, 20], "alpha": [1, 2]}
-        factory = lambda **params: (lambda ds: ConstantPredictor(1))
+        factory = lambda **params: (lambda ds: ConstantClassifier(1))
         _, points = ev.grid_search(grid, 2, self.ds(), factory, seed=0)
         assert [p.params for p in points] == [
             {"alpha": 1, "beta": 10},
@@ -442,7 +454,7 @@ class TestGridSearch:
 
     def test_tie_goes_to_earliest(self):
         grid = {"x": [1, 2], "y": [1, 2]}
-        factory = lambda **params: (lambda ds: ConstantPredictor(0))
+        factory = lambda **params: (lambda ds: ConstantClassifier(0))
         best, points = ev.grid_search(grid, 2, self.ds(), factory, seed=0)
         assert len({p.score for p in points}) == 1
         assert best == {"x": 1, "y": 1}

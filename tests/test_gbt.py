@@ -236,7 +236,7 @@ GRADIENTS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 def best_split(X, g, rows, cfg):
     """gbt's split search at one node, on the ranks of the whole matrix."""
     cand, ranks = gbt._rank_columns(X)
-    return gbt._best_split(X, cand, ranks, g, rows, cfg)
+    return gbt._best_split(X, cand, ranks, g, rows, cfg, float(g[rows].sum()))
 
 
 def assert_same_split(new, old):

@@ -313,9 +313,9 @@ class TestSgdEpochMatchesOracles:
             for w0, b0 in starts:
                 epoch = (algo, w0, b0, ds.features, ds.labels, cfg.lambda_,
                          cfg.learning_rate)
-                got = local_epoch(*epoch, epoch_rng(cfg.seed, 1, 0), cfg.batch_size)
+                got = local_epoch(*epoch, epoch_rng(cfg.seed, 1, 0))
                 want = local_epoch_oracle(*epoch, epoch_rng(cfg.seed, 1, 0),
-                                          cfg.batch_size)
+                                          LOCAL_EPOCH_BATCH)
                 assert bits(*got) == bits(*want)
 
             rounds = cfg.epochs_or_iters

@@ -4,16 +4,13 @@ part splitting, and the multi-part manifest."""
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import math
 import os
 import re
-import signal
 import stat
 import struct
-import threading
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -21,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import forks
 from .errors import ConfigError, DataFormatError
 
 LABEL_MAPS = ("zero_one", "plus_minus_one", "raw")
@@ -269,14 +267,6 @@ def _parse_range(fd: int, start: int, end: int, label_map):
         return _parse_rows(lines, label_map)
 
 
-def _fork_cores() -> int:
-    """Usable cores if this process may fork (POSIX, no other thread), else 1."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
-            or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _range_cuts(stream) -> list[int] | None:
     """Offsets start < c1 < ... < end that split a binary file stream, from
     its position to the end of the file, into at most one range per usable
@@ -293,7 +283,7 @@ def _range_cuts(stream) -> list[int] | None:
         if not stat.S_ISREG(info.st_mode):
             return None
         end = info.st_size
-        k = min(_fork_cores(), (end - start) // _MIN_RANGE_BYTES)
+        k = min(forks._fork_cores(), (end - start) // _MIN_RANGE_BYTES)
         cuts = [start]
         for i in range(1, k):
             pos = max(cuts[-1], start + (end - start) * i // k)
@@ -310,67 +300,6 @@ def _range_cuts(stream) -> list[int] | None:
         return None
     cuts = [c for c in cuts if c < end] + [end]
     return cuts if len(cuts) > 2 else None
-
-
-def _send(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _recv(fd: int, buf):
-    """Fill buf from the pipe fd and return it; EOFError if the pipe ends first."""
-    view = memoryview(buf).cast("B")
-    while view:
-        n = os.readv(fd, [view])
-        if n == 0:
-            raise EOFError("a range child sent a short result")
-        view = view[n:]
-    return buf
-
-
-def _fork(fn, *args):
-    """Fork a child that runs fn(*args) and sends each buffer of the list it
-    returns down a pipe. Returns (pid, read end). The child leaves only by
-    os._exit: 0 after a complete send, else 1."""
-    parent = os.getpid()
-    r, w = os.pipe()
-    code, pid = 1, None
-    try:
-        pid = os.fork()
-        if pid == 0:
-            gc.disable()  # no collection copies the parent's pages or runs its finalizers
-            os.close(r)
-            for buf in fn(*args):
-                _send(w, buf)
-            code = 0
-    finally:
-        if os.getpid() != parent:
-            os._exit(code)
-        os.close(w)
-        if pid is None:
-            os.close(r)
-    return pid, r
-
-
-def _reap(children, kill: bool) -> bool:
-    """Close the pipe of each (pid, read end) and wait for every child, after
-    a SIGKILL if kill. True when every child exited with status 0."""
-    for pid, r in children:
-        os.close(r)
-        if kill:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-    clean = True
-    for pid, _ in children:
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped elsewhere: its status is unknown
-            status = -1
-        clean = clean and status == 0
-    return clean
 
 
 def _parsed_range(fd: int, start: int, end: int, label_map):
@@ -394,9 +323,9 @@ def _parse_ranges(stream, label_map):
     result = None
     try:
         for start, end in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork(_parsed_range, fd, start, end, label_map))
+            children.append(forks._fork(_parsed_range, fd, start, end, label_map))
         labels, matrix, width = _parse_range(fd, cuts[0], cuts[1], label_map)
-        heads = [struct.unpack("=qq", _recv(r, bytearray(16))) for _, r in children]
+        heads = [struct.unpack("=qq", forks._recv(r, bytearray(16))) for _, r in children]
         widths = {w for w in [width, *(w for _, w in heads)] if w}
         if len(widths) > 1:
             return None  # the serial parse names the first line off the width
@@ -407,15 +336,15 @@ def _parse_ranges(stream, label_map):
             matrix.resize((total, width), refcheck=False)
         for (_, r), (rows, _) in zip(children, heads):
             if rows:
-                labels.frombytes(_recv(r, bytearray(8 * rows)))
-                _recv(r, matrix[n:n + rows])
+                labels.frombytes(forks._recv(r, bytearray(8 * rows)))
+                forks._recv(r, matrix[n:n + rows])
                 n += rows
         result = labels, matrix, width
     except Exception:
         result = None
     finally:
         # always reap; on a failure or an interrupt, stop children still parsing
-        if not _reap(children, kill=result is None):
+        if not forks._reap(children, kill=result is None):
             result = None
     if result is not None:
         stream.seek(cuts[-1])
@@ -478,7 +407,7 @@ def _relay(r: int, out, ds: DenseDataset, start: int, end: int) -> None:
     mark = out.tell() if out.seekable() else None
     sent = 0
     try:
-        (size,) = struct.unpack("=q", _recv(r, bytearray(8)))
+        (size,) = struct.unpack("=q", forks._recv(r, bytearray(8)))
         while sent < size:
             chunk = os.read(r, min(size - sent, _RELAY_BYTES))
             if not chunk:
@@ -507,20 +436,20 @@ def write_dense(ds: DenseDataset, stream) -> None:
     stream that cannot seek raises EOFError). Any exception kills every child.
     """
     cells = ds.num_rows * (ds.num_features + 1)
-    k = max(1, min(_fork_cores(), cells // _MIN_WRITE_CELLS, ds.num_rows))
+    k = max(1, min(forks._fork_cores(), cells // _MIN_WRITE_CELLS, ds.num_rows))
     cuts = [ds.num_rows * i // k for i in range(k + 1)]
     children = []  # (pid, read end of its pipe), in range order
     done = False
     with _text_lines(stream) as out:
         try:
             for start, end in zip(cuts[1:-1], cuts[2:]):
-                children.append(_fork(_formatted_range, ds, start, end))
+                children.append(forks._fork(_formatted_range, ds, start, end))
             _write_rows(ds, cuts[0], cuts[1], out)
             for (_, r), start, end in zip(children, cuts[1:-1], cuts[2:]):
                 _relay(r, out, ds, start, end)
             done = True
         finally:
-            _reap(children, kill=not done)
+            forks._reap(children, kill=not done)
         out.flush()
 
 

@@ -27,6 +27,11 @@ from . import codec
 
 log = logging.getLogger(__name__)
 
+# The longest single wait of _receive. epoll takes at most 2^31 ms (about 25
+# days), and every caller loops until its own deadline, so a longer
+# round_timeout_s waits in steps of this.
+_MAX_WAIT_S = 3600.0
+
 
 @dataclass
 class ClusterSpec:
@@ -128,7 +133,7 @@ def _receive(sel, deadline: float) -> list:
     latest. Returns (conn, item) pairs; item is a decoded Frame, None for a
     clean end of stream, or the error that ended the connection."""
     events = []
-    for key, mask in sel.select(max(deadline - time.monotonic(), 0.0)):
+    for key, mask in sel.select(min(max(deadline - time.monotonic(), 0.0), _MAX_WAIT_S)):
         conn = key.data
         if conn is None:  # the listening socket
             sock, peer = key.fileobj.accept()

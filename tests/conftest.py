@@ -20,6 +20,21 @@ def pegasos_oracle_case():
     return ds, lam, batch_pegasos_oracle(ds, lam, steps=50_000)
 
 
+@pytest.fixture()
+def fork_pids(monkeypatch):
+    """The pids that os.fork returned to this process."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or a zombie."""

@@ -1,6 +1,7 @@
 """Helpers shared across test modules."""
 
 import json
+import os
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -25,6 +26,11 @@ def load_parts(manifest_path) -> tuple[dataio.DatasetManifest, list[dataio.Dense
             f"manifest declares {manifest.num_rows} rows, parts hold {total}"
         )
     return manifest, parts
+
+
+def in_parent(pid=os.getpid()):
+    """True in the test process, False in a child it forked."""
+    return os.getpid() == pid
 
 
 LONG_WORDS = ("k" * 4000, "é" * 2000, "日" * 1334 + "z")  # 4000+ UTF-8 bytes each

@@ -13,7 +13,7 @@ from deskbench.dataio import LABEL_MAPS, DenseDataset, _parse_label, _text_lines
 from deskbench.distbench.codec import Frame
 from deskbench.errors import ConfigError, DataFormatError, ProtocolError
 from deskbench.gbt import GbtModel
-from deskbench.evaluation import _as_int_labels
+from deskbench.evaluation import _as_int_labels, average_reports, evaluate_split, make_folds
 from deskbench.linmodels import LinearModel
 from deskbench.mlp import MlpModel
 from deskbench.textfeat import IdfModel, SparseVector, remove_stopwords
@@ -172,6 +172,18 @@ def gbt_fit_oracle(features, targets, cfg):
         trees.append(_grow_oracle(X, g, all_rows, 0, cfg, deltas))
         preds += deltas
     return GbtModel(base_score=base, trees=trees, num_features=X.shape[1])
+
+
+def kfold_cv_oracle(ds, k, trainer, seed):
+    """k-fold CV as one serial loop over make_folds: (reports, average)."""
+    reports = []
+    for fold in make_folds(ds, k, seed):
+        mask = np.ones(ds.num_rows, dtype=bool)
+        mask[fold] = False
+        train_ds = ds.take(np.flatnonzero(mask))
+        test_ds = ds.take(np.sort(fold))
+        reports.append(evaluate_split(train_ds, test_ds, trainer))
+    return reports, average_reports(reports)
 
 
 def auc_pair_oracle(labels, scores):

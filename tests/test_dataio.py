@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deskbench import dataio
+from deskbench import dataio, forks
 from deskbench.errors import ConfigError, DataFormatError
 
-from helpers import load_parts
+from helpers import in_parent, load_parts
 from oracles import manifest_json_oracle, parse_dense_oracle, write_dense_oracle
 
 
@@ -230,25 +230,6 @@ class TestParseDenseMatchesOracle:
 GOOD_ROWS = "1,0.5,2\n" * 5
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pids that os.fork returned to this process."""
-    pids, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
-
-def in_parent(pid=os.getpid()):
-    return os.getpid() == pid
-
-
 class TestParseDenseRanges:
     """The range path: a regular file cut at line ends, ranges after the
     first parsed in forked children, any failure answered by the serial
@@ -288,13 +269,13 @@ class TestParseDenseRanges:
         for num_features in (None, 2):
             assert_same_as_oracle(text, num_features, "zero_one", "file-ranges")
 
-    def test_valid_file_takes_the_ranges(self, forks):
+    def test_valid_file_takes_the_ranges(self, fork_pids):
         text = "0,1,2\n" + GOOD_ROWS * 3
         with file_in_ranges(text) as fh:
             fh.readline()  # the ranges start at the stream's position
             labels, matrix, width = dataio._parse_ranges(fh, "zero_one")
             assert fh.read() == b""  # where a serial parse leaves it
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
         serial = as_stream(text)
         serial.readline()
         ref = parse_dense_oracle(serial, None, "zero_one")
@@ -308,23 +289,23 @@ class TestParseDenseRanges:
         assert ds.features.tobytes() == ref.features.tobytes()
         assert ds.labels.tobytes() == ref.labels.tobytes()
 
-    def test_child_exit_gives_serial_result(self, monkeypatch, forks):
+    def test_child_exit_gives_serial_result(self, monkeypatch, fork_pids):
         parse_range = dataio._parse_range
         monkeypatch.setattr(dataio, "_parse_range", lambda *args: parse_range(*args)
                             if in_parent() else os._exit(1))
         self.assert_serial_result(GOOD_ROWS * 3)
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
 
-    def test_child_failing_after_a_full_send_gives_serial_parse(self, monkeypatch, forks):
+    def test_child_failing_after_a_full_send_gives_serial_parse(self, monkeypatch, fork_pids):
         exit_, text_lines, serial = os._exit, dataio._text_lines, []
         monkeypatch.setattr(os, "_exit", lambda code: exit_(1))
         monkeypatch.setattr(dataio, "_text_lines",
                             lambda stream: serial.append(1) or text_lines(stream))
         self.assert_serial_result(GOOD_ROWS * 3)
-        assert len(forks) == 2 and serial == [1]
+        assert len(fork_pids) == 2 and serial == [1]
 
-    def test_child_killed_mid_send_gives_serial_result(self, monkeypatch, forks):
-        send = dataio._send
+    def test_child_killed_mid_send_gives_serial_result(self, monkeypatch, fork_pids):
+        send = forks._send
 
         def dying_send(fd, data):
             view = memoryview(data).cast("B")
@@ -333,11 +314,11 @@ class TestParseDenseRanges:
             send(fd, view[:len(view) // 2])
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(dataio, "_send", dying_send)
+        monkeypatch.setattr(forks, "_send", dying_send)
         self.assert_serial_result(GOOD_ROWS * 3)
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
 
-    def test_parent_range_exception_gives_serial_result(self, monkeypatch, forks):
+    def test_parent_range_exception_gives_serial_result(self, monkeypatch, fork_pids):
         parse_range = dataio._parse_range
 
         def failing(*args):
@@ -347,10 +328,10 @@ class TestParseDenseRanges:
 
         monkeypatch.setattr(dataio, "_parse_range", failing)
         self.assert_serial_result(GOOD_ROWS * 3)
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
 
     @pytest.mark.parametrize("where", ["_parse_range", "_recv"])
-    def test_interrupt_stops_children_and_reraises(self, monkeypatch, forks, where):
+    def test_interrupt_stops_children_and_reraises(self, monkeypatch, fork_pids, where):
         parse_range = dataio._parse_range
 
         def child_hangs(*args):
@@ -359,19 +340,20 @@ class TestParseDenseRanges:
             return parse_range(*args)
 
         monkeypatch.setattr(dataio, "_parse_range", child_hangs)
-        real = getattr(dataio, where)
+        owner = forks if where == "_recv" else dataio
+        real = getattr(owner, where)
 
         def interrupted(*args):
             if in_parent():
                 raise KeyboardInterrupt
             return real(*args)
 
-        monkeypatch.setattr(dataio, where, interrupted)
+        monkeypatch.setattr(owner, where, interrupted)
         started = time.monotonic()
         with file_in_ranges(GOOD_ROWS * 3) as fh, pytest.raises(KeyboardInterrupt):
             dataio.parse_dense(fh, "zero_one")
         assert time.monotonic() - started < 30  # killed, not waited for
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -469,12 +451,12 @@ class TestWriteDenseRanges:
     parent, or the write raises."""
 
     @pytest.mark.parametrize("make", [io.StringIO, io.BytesIO])
-    def test_special_values_on_the_cuts(self, make, forks):
+    def test_special_values_on_the_cuts(self, make, fork_pids):
         ds = cut_dataset()
         assert ranged_write(ds, make()) == oracle_text(ds)
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
 
-    def test_files(self, tmp_path, forks):
+    def test_files(self, tmp_path, fork_pids):
         ds, path = cut_dataset(), tmp_path / "d.csv"
         with forced_write_ranges():
             dataio.save_dense(ds, path)
@@ -483,32 +465,32 @@ class TestWriteDenseRanges:
                 assert fh.tell() == path.stat().st_size
         assert path.read_bytes() == (tmp_path / "e.csv").read_bytes() \
             == oracle_text(ds).encode()
-        assert len(forks) == 4
+        assert len(fork_pids) == 4
 
     @given(dense_datasets())
     @settings(max_examples=25, deadline=None)
     def test_generated_datasets(self, ds):
         assert ranged_write(ds, io.StringIO()) == oracle_text(ds)
 
-    def test_zero_feature_columns(self, forks):
+    def test_zero_feature_columns(self, fork_pids):
         ds = dataio.DenseDataset(np.array([1.0, -0.0, 5e-324, 0.0, 1e16]), np.zeros((5, 0)))
         assert ranged_write(ds, io.BytesIO()) == "1.0\n-0.0\n5e-324\n0.0\n1e+16\n"
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
 
-    def test_fewer_rows_than_cores(self, forks):
+    def test_fewer_rows_than_cores(self, fork_pids):
         ds = cut_dataset(rows=2)
         assert ranged_write(ds, io.StringIO(), cores=3) == oracle_text(ds)
-        assert len(forks) == 1
+        assert len(fork_pids) == 1
 
-    def test_child_exit_before_its_length(self, monkeypatch, forks):
+    def test_child_exit_before_its_length(self, monkeypatch, fork_pids):
         monkeypatch.setattr(dataio, "_formatted_range", lambda *args: os._exit(1))
         ds = cut_dataset()
         assert ranged_write(ds, io.BytesIO()) == oracle_text(ds)
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
 
     @pytest.fixture()
     def killed_mid_send(self, monkeypatch):
-        send = dataio._send
+        send = forks._send
 
         def dying_send(fd, data):
             view = memoryview(data).cast("B")
@@ -517,38 +499,39 @@ class TestWriteDenseRanges:
             send(fd, view[:len(view) // 2])
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(dataio, "_send", dying_send)
+        monkeypatch.setattr(forks, "_send", dying_send)
 
-    def test_child_killed_mid_send_on_a_file(self, killed_mid_send, tmp_path, forks):
+    def test_child_killed_mid_send_on_a_file(self, killed_mid_send, tmp_path, fork_pids):
         ds = cut_dataset()
         with forced_write_ranges():
             dataio.save_dense(ds, tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_bytes() == oracle_text(ds).encode()
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
 
-    def test_child_killed_mid_send_on_a_pipe_raises(self, killed_mid_send, forks):
+    def test_child_killed_mid_send_on_a_pipe_raises(self, killed_mid_send, fork_pids):
         r, w = os.pipe()  # the few hundred bytes fit in the pipe's buffer
         with open(r, "rb"), open(w, "wb") as out, forced_write_ranges():
             with pytest.raises(EOFError):
                 dataio.write_dense(cut_dataset(), out)
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
 
     @pytest.mark.parametrize("where", ["_write_rows", "_recv"])
-    def test_interrupt_kills_children_and_reraises(self, monkeypatch, forks, where):
+    def test_interrupt_kills_children_and_reraises(self, monkeypatch, fork_pids, where):
         monkeypatch.setattr(dataio, "_formatted_range", lambda *args: time.sleep(60))
-        real = getattr(dataio, where)
+        owner = forks if where == "_recv" else dataio
+        real = getattr(owner, where)
 
         def interrupted(*args):
             if in_parent():
                 raise KeyboardInterrupt
             return real(*args)
 
-        monkeypatch.setattr(dataio, where, interrupted)
+        monkeypatch.setattr(owner, where, interrupted)
         started = time.monotonic()
         with forced_write_ranges(), pytest.raises(KeyboardInterrupt):
             dataio.write_dense(cut_dataset(), io.StringIO())
         assert time.monotonic() - started < 30  # killed, not waited for
-        assert len(forks) == 2
+        assert len(fork_pids) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

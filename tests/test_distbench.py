@@ -305,6 +305,15 @@ class TestFailureModes:
         assert record.round_bytes_sent[0] == 2 * codec.params_frame_size(5)
         assert sum(record.round_bytes_received) == 3 * codec.update_frame_size(5)
 
+    def test_round_timeout_past_the_longest_epoll_wait(self):
+        ds = generate_synthetic(40, 4, 2.0, seed=13)
+
+        def script(sock, stream, config):
+            while (frame := codec.read_frame(stream)).kind == "params":
+                sock.sendall(honest_update(frame, config, ds))
+
+        assert_matches_oracle(scripted_run(ds, script, rounds=1, timeout_s=1e7), ds, rounds=1)
+
     def test_update_in_small_pieces(self):
         ds = generate_synthetic(40, 4, 2.0, seed=12)
 

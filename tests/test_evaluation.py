@@ -1,5 +1,11 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,10 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deskbench
+from deskbench import cli, dataio, forks, gbt, linmodels
 from deskbench import evaluation as ev
 from deskbench.dataio import DenseDataset, generate_synthetic
 
-from oracles import average_ranks_oracle, confusion_and_accuracy_oracle
+from helpers import in_parent
+from oracles import average_ranks_oracle, confusion_and_accuracy_oracle, kfold_cv_oracle
 
 
 class NearestCentroid:
@@ -357,6 +366,189 @@ class TestKfoldCv:
             assert (report.mae is not None) == regression
             assert (report.accuracy is not None) != regression
             assert (report.confusion is not None) != regression
+
+
+TIMINGS = ("wall_clock_s", "fit_s", "predict_s")
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def untimed(report: dict) -> dict:
+    return {name: value for name, value in report.items() if name not in TIMINGS}
+
+
+def assert_serial_result(ds, k, trainer, seed):
+    """kfold_cv's reports and average equal the serial oracle's but for timings."""
+    reports, avg = ev.kfold_cv(ds, k, trainer, seed)
+    ref, ref_avg = kfold_cv_oracle(ds, k, trainer, seed)
+    assert [untimed(asdict(r)) for r in reports] == [untimed(asdict(r)) for r in ref]
+    assert untimed(asdict(avg)) == untimed(asdict(ref_avg))
+    return reports
+
+
+@pytest.fixture()
+def forced_forks(monkeypatch):
+    """kfold_cv forks after any first fit, on three usable cores, whatever
+    threads BLAS keeps spinning in this process."""
+    monkeypatch.setattr(ev, "_MIN_FORK_FIT_S", 0.0)
+    monkeypatch.setattr(time, "process_time", time.perf_counter)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+
+
+def numbered_ds(n=40, seed=3):
+    """A binary dataset whose first feature is the row number."""
+    ds = generate_synthetic(n, 3, separation=2.0, seed=seed)
+    ds.features[:, 0] = np.arange(n)
+    return ds
+
+
+def fold_of(train_ds, folds) -> int:
+    """The fold a numbered_ds training set leaves out."""
+    held_out = set(range(sum(f.size for f in folds))) - set(train_ds.features[:, 0].astype(int))
+    return next(i for i, fold in enumerate(folds) if held_out == set(fold.tolist()))
+
+
+CLASSIFY = linmodels.make_trainer("logistic", linmodels.SgdConfig(
+    lambda_=1e-4, epochs_or_iters=3, learning_rate=0.1, seed=1))
+REGRESS = gbt.make_trainer(gbt.GbtConfig(max_depth=2, eta=0.3, num_round=3,
+                                         min_child_weight=1.0))
+
+
+class TestKfoldForks:
+    """Folds 1..k-1 in forked children once the first fit passes the gate:
+    the reports of a serial run, the serial error, every child reaped."""
+
+    @pytest.mark.parametrize("k, children", [(2, 0), (3, 1), (5, 2)])
+    @pytest.mark.parametrize("task", ["classify", "regress"])
+    def test_reports_equal_the_serial_oracle(self, forced_forks, fork_pids, k, children, task):
+        ds = generate_synthetic(60, 4, separation=2.0, seed=k)
+        trainer = CLASSIFY
+        if task == "regress":
+            ds = DenseDataset(ds.features @ np.arange(1.0, 5.0), ds.features)
+            trainer = REGRESS
+        reports = assert_serial_result(ds, k, trainer, seed=k)
+        assert len(reports) == k and len(fork_pids) == children
+
+    def test_single_class_test_fold(self, forced_forks, fork_pids):
+        labels = np.zeros(20)
+        labels[[2, 9, 15]] = 1.0
+        ds = DenseDataset(labels, np.random.default_rng(4).normal(size=(20, 3)))
+        reports = assert_serial_result(ds, 5, NearestCentroid, seed=2)
+        assert any(r.auc_roc is None for r in reports) and len(fork_pids) == 2
+
+    def test_side_effects_kept_for_fold_0_and_the_last_group(self, forced_forks, fork_pids):
+        ds = numbered_ds()
+        folds = ev.make_folds(ds, 5, seed=1)
+        seen = []
+
+        def trainer(train_ds):
+            seen.append(fold_of(train_ds, folds))
+            return NearestCentroid(train_ds)
+
+        ev.kfold_cv(ds, 5, trainer, seed=1)
+        assert seen == [0, 3, 4] and len(fork_pids) == 2  # groups [1], [2], [3, 4]
+
+    @pytest.mark.parametrize("failing", [{1}, {2, 4}], ids=["child", "child-and-parent"])
+    def test_trainer_error_is_the_serial_error(self, forced_forks, fork_pids, failing):
+        ds = numbered_ds()
+        folds = ev.make_folds(ds, 5, seed=1)
+
+        def trainer(train_ds):
+            fold = fold_of(train_ds, folds)
+            if fold in failing:
+                raise ValueError(f"fold {fold} refused")
+            return NearestCentroid(train_ds)
+
+        with pytest.raises(ValueError) as serial:
+            kfold_cv_oracle(ds, 5, trainer, seed=1)
+        with pytest.raises(ValueError) as forked:
+            ev.kfold_cv(ds, 5, trainer, seed=1)
+        assert str(forked.value) == str(serial.value) == f"fold {min(failing)} refused"
+        assert len(fork_pids) == 2
+
+    def test_child_killed_mid_send_gives_serial_result(self, forced_forks, fork_pids,
+                                                       monkeypatch):
+        send = forks._send
+
+        def dying_send(fd, data):
+            view = memoryview(data).cast("B")
+            if len(view) <= 8:
+                return send(fd, view)
+            send(fd, view[:len(view) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(forks, "_send", dying_send)
+        assert_serial_result(generate_synthetic(60, 4, 2.0, seed=8), 5, CLASSIFY, seed=8)
+        assert len(fork_pids) == 2
+
+    def test_fork_refused_runs_the_groups_left_here(self, forced_forks, fork_pids,
+                                                    monkeypatch):
+        fork = os.fork  # the counting fork; the second call finds no process to spare
+
+        def one_fork():
+            if fork_pids:
+                raise BlockingIOError("fork: Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", one_fork)
+        assert_serial_result(generate_synthetic(60, 4, 2.0, seed=9), 5, CLASSIFY, seed=9)
+        assert len(fork_pids) == 1
+
+    def test_interrupt_kills_children_and_reraises(self, forced_forks, fork_pids):
+        calls = []
+
+        def trainer(train_ds):
+            if not in_parent():
+                time.sleep(60)
+            calls.append(1)
+            if len(calls) > 1:  # the parent's own group, after fold 0
+                raise KeyboardInterrupt
+            return NearestCentroid(train_ds)
+
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            ev.kfold_cv(numbered_ds(), 5, trainer, seed=1)
+        assert time.monotonic() - started < 30  # killed, not waited for
+        assert len(fork_pids) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", ["fast-fit", "one-core", "busy-cores"])
+    def test_gate_keeps_the_folds_here(self, monkeypatch, fork_pids, case):
+        cores = 1 if case == "one-core" else 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        if case != "fast-fit":
+            monkeypatch.setattr(ev, "_MIN_FORK_FIT_S", 0.0)
+        if case == "busy-cores":  # fold 0 as if a BLAS had kept two cores busy
+            monkeypatch.setattr(time, "process_time", lambda: 2.0 * time.perf_counter())
+        ds = generate_synthetic(60, 4, separation=2.0, seed=5)
+        assert_serial_result(ds, 5, NearestCentroid, seed=5)
+        assert fork_pids == []
+
+    def test_cv_with_default_blas_threads(self, tmp_path):
+        """`deskbench cv --algo mlp` with BLAS left to start its own threads
+        forks its folds, finishes and reports the serial oracle's metrics.
+        The layers are small enough that BLAS runs each product on one thread."""
+        data = tmp_path / "d.csv"
+        dataio.save_dense(generate_synthetic(2400, 20, separation=2.0, seed=6), data)
+        env = {name: value for name, value in os.environ.items()
+               if name not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(deskbench.__file__).resolve().parents[1])
+        counted_cli = ("import sys; from deskbench import cli, forks; fork, n = forks._fork, []; "
+                       "forks._fork = lambda *a: n.append(1) or fork(*a); "
+                       "code = cli.main(sys.argv[1:]); print('forks', len(n)); sys.exit(code)")
+        out = subprocess.run([sys.executable, "-c", counted_cli, "cv", "--algo", "mlp",
+                              "--data", data, "--k", "3", "--hidden-size", "32",
+                              "--epochs", "30", "--seed", "6", "--outdir", tmp_path],
+                             env=env, check=True, timeout=120, capture_output=True, text=True)
+        assert out.stdout.split()[-2:] == ["forks", "1" if len(os.sched_getaffinity(0)) > 1
+                                           else "0"]
+        folds = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["folds"]
+        params = json.loads((tmp_path / "effective-config.json").read_text(encoding="utf-8"))
+        ds = dataio.load_dense(data)
+        trainer, _ = cli._trainer_for("mlp", params, ds)
+        ref, _ = kfold_cv_oracle(ds, 3, trainer, seed=6)
+        assert [untimed(f) for f in folds] == [untimed(asdict(r)) for r in ref]
 
 
 class TestAssignmentPlan:

@@ -313,42 +313,36 @@ def _parsed_range(fd: int, start: int, end: int, label_map):
 def _parse_ranges(stream, label_map):
     """(labels, matrix, width) of a regular file parsed in line-aligned byte
     ranges, ranges 1.. in forked children, or None when the ranges do not
-    apply or any of them fails. A failed range is never reported here: the
-    caller's serial parse raises its error with the right line number."""
+    apply or one is lost or fails: the caller's serial parse then raises
+    any error with its line number."""
     cuts = _range_cuts(stream)
     if cuts is None:
         return None
     fd = stream.fileno()
-    children = []  # (pid, read end of its pipe), in range order
-    result = None
+    shares = [(fd, start, end, label_map) for start, end in zip(cuts[1:-1], cuts[2:])]
     try:
-        for start, end in zip(cuts[1:-1], cuts[2:]):
-            children.append(forks._fork(_parsed_range, fd, start, end, label_map))
-        labels, matrix, width = _parse_range(fd, cuts[0], cuts[1], label_map)
-        heads = [struct.unpack("=qq", forks._recv(r, bytearray(16))) for _, r in children]
-        widths = {w for w in [width, *(w for _, w in heads)] if w}
-        if len(widths) > 1:
-            return None  # the serial parse names the first line off the width
-        width = widths.pop() if widths else width
-        n = len(labels)
-        total = n + sum(rows for rows, _ in heads)
-        if total > n:
-            matrix.resize((total, width), refcheck=False)
-        for (_, r), (rows, _) in zip(children, heads):
-            if rows:
-                labels.frombytes(forks._recv(r, bytearray(8 * rows)))
-                forks._recv(r, matrix[n:n + rows])
-                n += rows
-        result = labels, matrix, width
+        with forks.forked(_parsed_range, shares) as children:
+            labels, matrix, width = _parse_range(fd, cuts[0], cuts[1], label_map)
+            heads = [struct.unpack("=qq", forks._recv(r, bytearray(16))) for r in children.reads]
+            widths = {w for w in [width, *(w for _, w in heads)] if w}
+            if len(widths) > 1:
+                return None  # the serial parse names the first line off the width
+            width = widths.pop() if widths else width
+            n = len(labels)
+            total = n + sum(rows for rows, _ in heads)
+            if total > n:
+                matrix.resize((total, width), refcheck=False)
+            for r, (rows, _) in zip(children.reads, heads):
+                if rows:
+                    labels.frombytes(forks._recv(r, bytearray(8 * rows)))
+                    forks._recv(r, matrix[n:n + rows])
+                    n += rows
     except Exception:
-        result = None
-    finally:
-        # always reap; on a failure or an interrupt, stop children still parsing
-        if not forks._reap(children, kill=result is None):
-            result = None
-    if result is not None:
-        stream.seek(cuts[-1])
-    return result
+        return None
+    if not children.clean:
+        return None
+    stream.seek(cuts[-1])
+    return labels, matrix, width
 
 
 def parse_dense(stream, label_map: str) -> DenseDataset:
@@ -368,9 +362,10 @@ def parse_dense(stream, label_map: str) -> DenseDataset:
     parsed by the same loop in forked children, which send their rows back
     through pipes; the result is bit-identical to a serial parse. Text
     streams, pipes, small files and processes running other threads are
-    parsed serially. Any failure of a range (a bad line, a width change, a
-    decode error, a child that dies) discards the ranges and parses the
-    whole stream serially, which raises the error with its line number.
+    parsed serially. Unlike the other users of forks, the parse does not
+    redo a lost range alone: a lost range or any failure of one (a bad
+    line, a width change, a decode error) discards the ranges and parses
+    the whole stream serially, which raises the error with its line number.
     """
     if label_map not in LABEL_MAPS:
         raise ConfigError(f"label_map must be one of {LABEL_MAPS}")
@@ -400,56 +395,47 @@ def _formatted_range(ds: DenseDataset, start: int, end: int):
     return [struct.pack("=q", len(data)), data]
 
 
-def _relay(r: int, out, ds: DenseDataset, start: int, end: int) -> None:
-    """Copy rows [start, end) from a write child's pipe to out. If the child
-    fails, cut what it sent off a seekable out and write the rows here; on an
-    out that cannot seek, raise EOFError once any of its bytes went out."""
-    mark = out.tell() if out.seekable() else None
-    sent = 0
+def _relay(r: int | None, out, ds: DenseDataset, start: int, end: int) -> None:
+    """Copy rows [start, end) from a write child's pipe to the seekable out.
+    If the share is lost (see forks), cut what its child sent off out and
+    write the rows here."""
+    mark = out.tell()
     try:
         (size,) = struct.unpack("=q", forks._recv(r, bytearray(8)))
-        while sent < size:
-            chunk = os.read(r, min(size - sent, _RELAY_BYTES))
+        while size:
+            chunk = os.read(r, min(size, _RELAY_BYTES))
             if not chunk:
                 raise EOFError("a range child sent a short result")
             out.write(chunk.decode("ascii"))
-            sent += len(chunk)
+            size -= len(chunk)
     except EOFError:
-        if sent:
-            if mark is None:
-                raise
-            out.seek(mark)
-            out.truncate()
+        out.seek(mark)
+        out.truncate()
         _write_rows(ds, start, end, out)
 
 
 def write_dense(ds: DenseDataset, stream) -> None:
     """Write `label,f1,...,fF` lines, LF endings, shortest round-trip floats.
 
-    If this process may fork (POSIX, no other thread), a dataset of at least
-    2 * _MIN_WRITE_CELLS cells (rows * (features + 1)) is cut into one row
-    range per usable core, none under _MIN_WRITE_CELLS cells. Forked children
-    format the ranges after the first while this process writes the first,
-    then it relays their bytes in order, 64 KiB at a time. The bytes are a
-    serial write's on any text or binary stream: a failed child's range is
-    written here, after its partial bytes are cut off a seekable stream (a
-    stream that cannot seek raises EOFError). Any exception kills every child.
+    On a seekable stream, a dataset of at least 2 * _MIN_WRITE_CELLS cells
+    (rows * (features + 1)) is cut into one row range per usable core, none
+    under _MIN_WRITE_CELLS cells, if this process may fork (POSIX, no other
+    thread). Forked children format the ranges after the first while this
+    process writes the first, then it relays their bytes in order, 64 KiB at
+    a time. A lost range (see forks) is written here after its partial bytes
+    are cut off, so the bytes are a serial write's on any text or binary
+    stream. A stream that cannot seek (a pipe) is written serially.
     """
-    cells = ds.num_rows * (ds.num_features + 1)
-    k = max(1, min(forks._fork_cores(), cells // _MIN_WRITE_CELLS, ds.num_rows))
-    cuts = [ds.num_rows * i // k for i in range(k + 1)]
-    children = []  # (pid, read end of its pipe), in range order
-    done = False
     with _text_lines(stream) as out:
-        try:
-            for start, end in zip(cuts[1:-1], cuts[2:]):
-                children.append(forks._fork(_formatted_range, ds, start, end))
+        cells = ds.num_rows * (ds.num_features + 1)
+        cores = forks._fork_cores() if out.seekable() else 1
+        k = max(1, min(cores, cells // _MIN_WRITE_CELLS, ds.num_rows))
+        cuts = [ds.num_rows * i // k for i in range(k + 1)]
+        shares = [(ds, start, end) for start, end in zip(cuts[1:-1], cuts[2:])]
+        with forks.forked(_formatted_range, shares) as children:
             _write_rows(ds, cuts[0], cuts[1], out)
-            for (_, r), start, end in zip(children, cuts[1:-1], cuts[2:]):
+            for r, (_, start, end) in zip(children.reads, shares):
                 _relay(r, out, ds, start, end)
-            done = True
-        finally:
-            forks._reap(children, kill=not done)
         out.flush()
 
 
@@ -464,7 +450,7 @@ def load_dense(path, label_map: str = "zero_one") -> DenseDataset:
 
 def save_dense(ds: DenseDataset, path) -> None:
     """write_dense to a file: 2 * 2**17 cells or more are formatted in row
-    ranges across the usable cores, bytes unchanged, any failed range redone."""
+    ranges across the usable cores, bytes unchanged, a lost range redone."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_dense(ds, fh)
 

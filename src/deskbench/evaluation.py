@@ -299,15 +299,13 @@ def kfold_cv(ds: DenseDataset, k: int, trainer, seed: int) -> tuple[list[EvalRep
     pipe back their pickled reports. Otherwise every fold runs here.
 
     The reports are a serial run's but for the three timings, each measured
-    in the process that ran its fold. Overlapping folds contend for cores,
-    caches and memory: at 4000x200 on a 2-core VM, Pegasos and MLP folds
-    read -11% to +16% against a serial run (the host's noise), and twice as
-    long when the host gave the two processes one core's time. A trainer's
-    side effects are kept only for fold 0 and the last group, so the last
-    fold's always are. A group whose fork the system refuses, or whose child
-    fails or sends a short result, runs here, so an error is the one a
-    serial run raises first. Any exception or interrupt kills and reaps
-    every child.
+    in the process that ran its fold (overlapping folds contend for cores,
+    caches and memory bandwidth; README gives figures). A group refused a
+    fork joins the last group; a lost group (see forks) runs here after it.
+    So an error is the one a serial run raises first, and a trainer's side
+    effects are kept for fold 0, the last group and any lost group, in that
+    order: 5 folds on 3 cores with both children lost train folds 0, 3, 4,
+    1, 2 here.
     """
     folds = make_folds(ds, k, seed)
     wall_s, cpu_s = time.perf_counter(), time.process_time()
@@ -319,31 +317,22 @@ def kfold_cv(ds: DenseDataset, k: int, trainer, seed: int) -> tuple[list[EvalRep
     parallel = reports[0].fit_s >= _MIN_FORK_FIT_S and cpu_s < 1.5 * wall_s
     groups = min(forks._fork_cores(), len(rest)) if parallel else 1
     cuts = [len(rest) * i // groups for i in range(groups + 1)]
-    children = []  # (pid, read end of its pipe), in group order
-    done = False
-    try:
-        for start, end in zip(cuts[:-2], cuts[1:-1]):
-            try:
-                children.append(forks._fork(_pickled_folds, ds, rest[start:end], trainer))
-            except OSError:  # no process to spare: the groups left join the last
-                cuts = cuts[:len(children) + 1] + cuts[-1:]
-                break
+    shares = [(ds, rest[start:end], trainer) for start, end in zip(cuts[:-2], cuts[1:-1])]
+    with forks.forked(_pickled_folds, shares) as children:
+        running = [r for r in children.reads if r is not None]
         try:
-            last = _run_folds(ds, rest[cuts[-2]:], trainer)
+            last = _run_folds(ds, rest[cuts[len(running)]:], trainer)
         except Exception as exc:  # raised below, after an earlier group's error
             last = exc
-        for (_, r), start, end in zip(children, cuts, cuts[1:]):
+        for r, (_, group, _) in zip(running, shares):
             try:
                 (size,) = struct.unpack("=q", forks._recv(r, bytearray(8)))
                 reports += pickle.loads(forks._recv(r, bytearray(size)))
             except EOFError:
-                reports += _run_folds(ds, rest[start:end], trainer)
+                reports += _run_folds(ds, group, trainer)
         if isinstance(last, Exception):
             raise last
         reports += last
-        done = True
-    finally:
-        forks._reap(children, kill=not done)
     return reports, average_reports(reports)
 
 

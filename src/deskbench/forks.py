@@ -1,12 +1,18 @@
 """Forked children that send their results back through pipes, shared by
-the dense parse and write (dataio) and k-fold CV (evaluation)."""
+the dense parse and write (dataio) and k-fold CV (evaluation).
+
+The failure rule is MapReduce's: the caller redoes a lost share itself. A
+share is lost when the system refuses its pipe or fork, or when its child
+fails, dies or sends a short result; `_recv` on it then raises EOFError."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import os
 import signal
 import threading
+import types
 
 
 def _fork_cores() -> int:
@@ -23,8 +29,11 @@ def _send(fd: int, data) -> None:
         view = view[os.write(fd, view):]
 
 
-def _recv(fd: int, buf):
-    """Fill buf from the pipe fd and return it; EOFError if the pipe ends first."""
+def _recv(fd: int | None, buf):
+    """Fill buf from the pipe fd and return it; EOFError if the pipe ends
+    first, or at once for a refused share's None."""
+    if fd is None:
+        raise EOFError("the system refused this share a fork")
     view = memoryview(buf).cast("B")
     while view:
         n = os.readv(fd, [view])
@@ -58,21 +67,36 @@ def _fork(fn, *args):
     return pid, r
 
 
-def _reap(children, kill: bool) -> bool:
-    """Close the pipe of each (pid, read end) and wait for every child, after
-    a SIGKILL if kill. True when every child exited with status 0."""
-    for pid, r in children:
-        os.close(r)
-        if kill:
+@contextlib.contextmanager
+def forked(fn, shares):
+    """Fork a child per share (an argument tuple) that runs fn(*share) as
+    _fork does, and yield `children`: `reads` holds the read ends in share
+    order, None from the first refused fork on. On leaving, close the pipes,
+    SIGKILL the children if the block raised and wait for them all; `clean`
+    then says whether every share was forked and its child exited 0."""
+    children = types.SimpleNamespace(reads=[], clean=False)
+    pids, done = [], False
+    try:
+        for share in shares:
             try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-    clean = True
-    for pid, _ in children:
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped elsewhere: its status is unknown
-            status = -1
-        clean = clean and status == 0
-    return clean
+                pid, r = _fork(fn, *share)
+            except OSError:  # no process or descriptor to spare
+                break
+            pids.append(pid)
+            children.reads.append(r)
+        children.reads += [None] * (len(shares) - len(pids))
+        yield children
+        done = True
+    finally:
+        for pid, r in zip(pids, children.reads):
+            os.close(r)
+            if not done:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        children.clean = len(pids) == len(shares)
+        for pid in pids:
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:  # reaped elsewhere: its status is unknown
+                status = -1
+            children.clean &= status == 0

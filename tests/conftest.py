@@ -1,5 +1,6 @@
 """Fixtures shared across test modules."""
 
+import errno
 import os
 
 import pytest
@@ -33,6 +34,30 @@ def fork_pids(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return pids
+
+
+@pytest.fixture(params=["first-fork", "second-fork", "pipe"])
+def refused_fork(request, monkeypatch, fork_pids):
+    """The system refuses a share its fork: os.fork raises BlockingIOError
+    on its first or its second call, or every os.pipe raises EMFILE. The
+    value is how many forks start before the refusal (0 or 1)."""
+    fork, calls = os.fork, []
+    refused_call = {"first-fork": 1, "second-fork": 2}.get(request.param)
+
+    def refusing_fork():
+        calls.append(1)
+        if len(calls) == refused_call:
+            raise BlockingIOError(errno.EAGAIN, "fork: Resource temporarily unavailable")
+        return fork()
+
+    def refusing_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    if request.param == "pipe":
+        monkeypatch.setattr(os, "pipe", refusing_pipe)
+    else:
+        monkeypatch.setattr(os, "fork", refusing_fork)
+    return int(request.param == "second-fork")
 
 
 @pytest.fixture(autouse=True)

@@ -318,6 +318,10 @@ class TestParseDenseRanges:
         self.assert_serial_result(GOOD_ROWS * 3)
         assert len(fork_pids) == 2
 
+    def test_fork_refused_gives_serial_result(self, refused_fork, fork_pids):
+        self.assert_serial_result(GOOD_ROWS * 3)
+        assert len(fork_pids) == refused_fork
+
     def test_parent_range_exception_gives_serial_result(self, monkeypatch, fork_pids):
         parse_range = dataio._parse_range
 
@@ -508,12 +512,21 @@ class TestWriteDenseRanges:
         assert (tmp_path / "d.csv").read_bytes() == oracle_text(ds).encode()
         assert len(fork_pids) == 2
 
-    def test_child_killed_mid_send_on_a_pipe_raises(self, killed_mid_send, fork_pids):
+    def test_pipe_is_written_serially(self, killed_mid_send, fork_pids):
+        ds = cut_dataset()
         r, w = os.pipe()  # the few hundred bytes fit in the pipe's buffer
-        with open(r, "rb"), open(w, "wb") as out, forced_write_ranges():
-            with pytest.raises(EOFError):
-                dataio.write_dense(cut_dataset(), out)
-        assert len(fork_pids) == 2
+        with open(r, "rb") as fh, forced_write_ranges():
+            with open(w, "wb") as out:
+                dataio.write_dense(ds, out)
+            assert fh.read() == oracle_text(ds).encode()
+        assert fork_pids == []
+
+    def test_fork_refused_writes_the_range_here(self, refused_fork, fork_pids, tmp_path):
+        ds = cut_dataset()
+        with forced_write_ranges():
+            dataio.save_dense(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == oracle_text(ds).encode()
+        assert len(fork_pids) == refused_fork
 
     @pytest.mark.parametrize("where", ["_write_rows", "_recv"])
     def test_interrupt_kills_children_and_reraises(self, monkeypatch, fork_pids, where):

@@ -408,6 +408,15 @@ def fold_of(train_ds, folds) -> int:
     return next(i for i, fold in enumerate(folds) if held_out == set(fold.tolist()))
 
 
+def recording(folds, seen):
+    """NearestCentroid as a trainer that appends the fold each training set
+    leaves out to seen."""
+    def trainer(train_ds):
+        seen.append(fold_of(train_ds, folds))
+        return NearestCentroid(train_ds)
+    return trainer
+
+
 CLASSIFY = linmodels.make_trainer("logistic", linmodels.SgdConfig(
     lambda_=1e-4, epochs_or_iters=3, learning_rate=0.1, seed=1))
 REGRESS = gbt.make_trainer(gbt.GbtConfig(max_depth=2, eta=0.3, num_round=3,
@@ -493,6 +502,22 @@ class TestKfoldForks:
         monkeypatch.setattr(os, "fork", one_fork)
         assert_serial_result(generate_synthetic(60, 4, 2.0, seed=9), 5, CLASSIFY, seed=9)
         assert len(fork_pids) == 1
+
+    def test_fork_refused_keeps_fold_k_minus_1_last(self, forced_forks, refused_fork,
+                                                    fork_pids):
+        ds, seen = numbered_ds(), []
+        trainer = recording(ev.make_folds(ds, 5, seed=1), seen)
+        reports, _ = ev.kfold_cv(ds, 5, trainer, seed=1)
+        assert seen[-1] == 4 and len(fork_pids) == refused_fork
+        ref, _ = kfold_cv_oracle(ds, 5, NearestCentroid, seed=1)
+        assert [untimed(asdict(r)) for r in reports] == [untimed(asdict(r)) for r in ref]
+
+    def test_lost_groups_run_after_the_last_group(self, forced_forks, fork_pids, monkeypatch):
+        monkeypatch.setattr(forks, "_send", lambda fd, data: os.kill(os.getpid(), signal.SIGKILL))
+        ds, seen = numbered_ds(), []
+        trainer = recording(ev.make_folds(ds, 5, seed=1), seen)
+        ev.kfold_cv(ds, 5, trainer, seed=1)
+        assert seen == [0, 3, 4, 1, 2] and len(fork_pids) == 2  # groups [1], [2], [3, 4]
 
     def test_interrupt_kills_children_and_reraises(self, forced_forks, fork_pids):
         calls = []

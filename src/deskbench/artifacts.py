@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .gbt import GbtModel
 from .linmodels import LinearModel
 from .mlp import MlpArchitecture, MlpModel
@@ -87,6 +87,13 @@ def _finite(value, name) -> float:
     return float(value)
 
 
+def _field(doc, name, kind):
+    value = doc.get(name) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kind):  # a bool is no int
+        raise DataFormatError(f"artifact field {name!r} must be a {kind.__name__}")
+    return value
+
+
 def _check_tree(node, num_features):
     if not isinstance(node, dict):
         raise DataFormatError("tree node must be a dict")
@@ -109,30 +116,35 @@ def artifact_to_model(artifact: dict):
     """Rebuild the trained model object from an artifact dict."""
     kind = artifact.get("kind")
     if kind in ("logistic", "svm"):
-        num_features = int(artifact["num_features"])
-        weights = b64_to_f64(artifact["weights_b64"], (num_features,))
-        return LinearModel(weights, float(artifact["bias"]), kind)
+        weights = b64_to_f64(_field(artifact, "weights_b64", str),
+                             (_field(artifact, "num_features", int),))
+        return LinearModel(weights, _finite(artifact.get("bias"), "bias"), kind)
     if kind == "mlp":
-        arch = MlpArchitecture(**artifact["arch"])
-        layers = artifact["layers"]
+        arch = _field(artifact, "arch", dict)
+        try:
+            arch = MlpArchitecture(**arch)
+        except (TypeError, ConfigError) as exc:  # an unknown key or a bad size
+            raise DataFormatError(f"artifact field 'arch': {exc}") from exc
+        layers = _field(artifact, "layers", dict)
         blocks = []
         fan_in = arch.input_size
-        for encoded in layers["blocks"]:
+        for encoded in _field(layers, "blocks", list):
             dims = {"fan_in": fan_in, "hidden": arch.hidden_size}
-            blocks.append({name: b64_to_f64(encoded[name], tuple(dims[d] for d in shape))
+            blocks.append({name: b64_to_f64(_field(encoded, name, str),
+                                            tuple(dims[d] for d in shape))
                            for name, shape in BLOCK_FIELDS.items()})
             fan_in = arch.hidden_size
         if len(blocks) != arch.num_hidden_blocks:
             raise DataFormatError("block count does not match architecture")
-        out_w = b64_to_f64(layers["out_w"], (fan_in, arch.output_size))
-        out_b = b64_to_f64(layers["out_b"], (arch.output_size,))
+        out_w = b64_to_f64(_field(layers, "out_w", str), (fan_in, arch.output_size))
+        out_b = b64_to_f64(_field(layers, "out_b", str), (arch.output_size,))
         return MlpModel(arch, blocks, out_w, out_b,
-                        bn_eps=float(layers.get("bn_eps", 1e-5)),
-                        bn_momentum=float(layers.get("bn_momentum", 0.1)))
+                        bn_eps=_finite(layers.get("bn_eps", 1e-5), "bn_eps"),
+                        bn_momentum=_finite(layers.get("bn_momentum", 0.1), "bn_momentum"))
     if kind == "gbt":
-        num_features = int(artifact["num_features"])
-        trees = [_check_tree(tree, num_features) for tree in artifact["trees"]]
-        return GbtModel(_finite(artifact["base_score"], "base_score"), trees, num_features)
+        num_features = _field(artifact, "num_features", int)
+        trees = [_check_tree(tree, num_features) for tree in _field(artifact, "trees", list)]
+        return GbtModel(_finite(artifact.get("base_score"), "base_score"), trees, num_features)
     raise DataFormatError(f"unknown artifact kind: {kind!r}")
 
 

@@ -268,7 +268,46 @@ class TestMatchesPerKindOracle:
             artifacts.artifact_to_model(art)
 
 
+def edited(art: dict, path: str, value) -> dict:
+    """art with the field at the dotted path set to value, or removed if None."""
+    *parents, name = path.split(".")
+    doc = art
+    for key in parents:
+        doc = doc[key]
+    if value is None:
+        del doc[name]
+    else:
+        doc[name] = value
+    return art
+
+
 class TestDispatch:
+    @pytest.mark.parametrize("model, path, value, field", [
+        ("linear", "weights_b64", None, "weights_b64"),  # was KeyError
+        ("linear", "weights_b64", 7, "weights_b64"),
+        ("linear", "num_features", "7", "num_features"),  # was ValueError
+        ("linear", "num_features", 7.0, "num_features"),
+        ("linear", "bias", "nan", "bias"),  # was ConfigError
+        ("linear", "bias", float("nan"), "bias"),
+        ("linear", "bias", None, "bias"),
+        ("mlp", "arch.bogus", 1, "arch"),  # was TypeError
+        ("mlp", "arch.hidden_size", 0, "arch"),
+        ("mlp", "arch", None, "arch"),
+        ("mlp", "layers.blocks", {}, "blocks"),
+        ("mlp", "layers.out_w", None, "out_w"),
+        ("mlp", "layers.bn_eps", "x", "bn_eps"),
+        ("gbt", "trees", 5, "trees"),  # was TypeError
+        ("gbt", "trees", {"w": 0.0}, "trees"),
+        ("gbt", "num_features", True, "num_features"),
+        ("gbt", "base_score", None, "base_score"),
+    ])
+    def test_malformed_field_named(self, model, path, value, field):
+        trained = {"linear": TestLinearArtifact().model, "mlp": TestMlpArtifact().model,
+                   "gbt": lambda: TestGbtArtifact().model()[0]}[model]()
+        art = edited(artifacts.model_artifact(trained), path, value)
+        with pytest.raises(DataFormatError, match=field):
+            artifacts.artifact_to_model(art)
+
     def test_model_artifact_dispatch(self):
         linear = LinearModel(np.zeros(2), 0.0, "svm")
         assert artifacts.model_artifact(linear)["kind"] == "svm"

@@ -399,9 +399,35 @@ def dense_datasets(draw):
                                np.array(cells, dtype=np.float64).reshape(rows, cols))
 
 
+NONZERO_SPECIALS = [v for v in SPECIAL_VALUES if str(v) != "0.0"]  # all but +0.0
+
+
+@st.composite
+def sparse_datasets(draw):
+    """Mostly +0.0 rows in C, Fortran or column-strided ([:, ::2]) layout. Each
+    row holds special or arbitrary floats at drawn columns; one row has as many
+    as _SPARSE_ROW_SHARE of its width allows (exactly that share at widths 0,
+    8 and 40) and one has a cell more, so both of _write_rows' branches run."""
+    width = draw(st.sampled_from([0, 1, 2, 7, 8, 40]))
+    most = int(dataio._SPARSE_ROW_SHARE * width)
+    counts = [most, min(most + 1, width)]
+    counts += draw(st.lists(st.integers(0, min(width, most + 2)), max_size=4))
+    value = st.one_of(st.sampled_from(NONZERO_SPECIALS), st.floats(width=64))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    table = np.zeros((len(counts), 2 * width))
+    view = table[:, ::2] if layout == "strided" else table[:, :width]
+    for i, k in enumerate(counts):
+        cols = draw(st.permutations(range(width)))[:k]
+        view[i, cols] = draw(st.lists(value, min_size=k, max_size=k))
+    arrange = {"C": np.ascontiguousarray, "F": np.asfortranarray}.get(layout, np.asarray)
+    labels = draw(st.lists(st.sampled_from(SPECIAL_VALUES), min_size=len(counts),
+                           max_size=len(counts)))
+    return dataio.DenseDataset(np.array(labels), arrange(view))
+
+
 class TestWriteDenseMatchesOracle:
-    @given(dense_datasets())
-    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(dense_datasets(), sparse_datasets()))
+    @settings(max_examples=300, deadline=None)
     def test_bytes_identical(self, ds):
         for make in (io.StringIO, io.BytesIO):
             mine, theirs = make(), make()
@@ -475,6 +501,16 @@ class TestWriteDenseRanges:
     @settings(max_examples=25, deadline=None)
     def test_generated_datasets(self, ds):
         assert ranged_write(ds, io.StringIO()) == oracle_text(ds)
+
+    def test_mostly_zero_rows(self, fork_pids):
+        features = np.zeros((len(NONZERO_SPECIALS), 8))
+        for i, value in enumerate(NONZERO_SPECIALS):
+            features[i, [i % 8, (i + 3) % 8]] = value, -value
+        features[3, 0] = 0.1  # three nonzero cells: over the sparse share of 8
+        ds = dataio.DenseDataset(np.arange(len(features), dtype=float), features)
+        with mock.patch.object(dataio, "_WRITE_BLOCK_ROWS", 2):  # blocks cross the range cuts
+            assert ranged_write(ds, io.BytesIO()) == oracle_text(ds)
+        assert len(fork_pids) == 2
 
     def test_zero_feature_columns(self, fork_pids):
         ds = dataio.DenseDataset(np.array([1.0, -0.0, 5e-324, 0.0, 1e16]), np.zeros((5, 0)))

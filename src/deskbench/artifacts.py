@@ -94,6 +94,15 @@ def _field(doc, name, kind):
     return value
 
 
+def _weights(doc, name, shape) -> np.ndarray:
+    """The float64 array of shape that doc's base64 field name holds; every
+    value must be finite."""
+    values = b64_to_f64(_field(doc, name, str), shape)
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"artifact field {name!r} holds a non-finite value")
+    return values
+
+
 def _check_tree(node, num_features):
     if not isinstance(node, dict):
         raise DataFormatError("tree node must be a dict")
@@ -116,8 +125,7 @@ def artifact_to_model(artifact: dict):
     """Rebuild the trained model object from an artifact dict."""
     kind = artifact.get("kind")
     if kind in ("logistic", "svm"):
-        weights = b64_to_f64(_field(artifact, "weights_b64", str),
-                             (_field(artifact, "num_features", int),))
+        weights = _weights(artifact, "weights_b64", (_field(artifact, "num_features", int),))
         return LinearModel(weights, _finite(artifact.get("bias"), "bias"), kind)
     if kind == "mlp":
         arch = _field(artifact, "arch", dict)
@@ -130,14 +138,13 @@ def artifact_to_model(artifact: dict):
         fan_in = arch.input_size
         for encoded in _field(layers, "blocks", list):
             dims = {"fan_in": fan_in, "hidden": arch.hidden_size}
-            blocks.append({name: b64_to_f64(_field(encoded, name, str),
-                                            tuple(dims[d] for d in shape))
+            blocks.append({name: _weights(encoded, name, tuple(dims[d] for d in shape))
                            for name, shape in BLOCK_FIELDS.items()})
             fan_in = arch.hidden_size
         if len(blocks) != arch.num_hidden_blocks:
             raise DataFormatError("block count does not match architecture")
-        out_w = b64_to_f64(_field(layers, "out_w", str), (fan_in, arch.output_size))
-        out_b = b64_to_f64(_field(layers, "out_b", str), (arch.output_size,))
+        out_w = _weights(layers, "out_w", (fan_in, arch.output_size))
+        out_b = _weights(layers, "out_b", (arch.output_size,))
         return MlpModel(arch, blocks, out_w, out_b,
                         bn_eps=_finite(layers.get("bn_eps", 1e-5), "bn_eps"),
                         bn_momentum=_finite(layers.get("bn_momentum", 0.1), "bn_momentum"))

@@ -27,6 +27,7 @@ TEXT = "text"
 NUMBER = "number"
 
 _MISSING_SENTINELS = {"", "na", "n/a"}
+_MISSING_MAX_LEN = max(map(len, _MISSING_SENTINELS))
 _NUMERIC_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?$")
 _CURRENCY_CODE_RE = re.compile(r"^[A-Za-z]{1,3}(?![A-Za-z])")
 
@@ -543,7 +544,9 @@ def save_parts(parts: list[DenseDataset], manifest: DatasetManifest,
 
 
 def _is_missing(raw: str) -> bool:
-    return raw.strip().lower() in _MISSING_SENTINELS
+    raw = raw.strip()
+    # no lowercase mapping shortens a string, so a longer cell is no sentinel
+    return len(raw) <= _MISSING_MAX_LEN and raw.lower() in _MISSING_SENTINELS
 
 
 def parse_tabular(stream, schema: list[tuple[str, str]]) -> TabularFrame:

@@ -7,7 +7,11 @@ vocabulary ids as each document is tokenized, every distinct token is hashed
 once by a vectorized FNV-1a, and the per-(document, slot) counts and document
 frequencies come from ``np.unique`` and ``np.bincount``. Only this module reads
 its CSR arrays: ``dense_rows`` scatters rows of them into a dense matrix, and
-``vectorize_corpus`` slices them into ``SparseVector``s."""
+``vectorize_corpus`` slices them into ``SparseVector``s after checking all rows
+at once with numpy, instead of once per vector.
+
+``tokenize`` splits ASCII text with one byte translation table and
+``str.split``; any other text goes through the Unicode regex."""
 
 from __future__ import annotations
 
@@ -31,6 +35,9 @@ MIN_TOKEN_LEN = 2
 # maximal runs of at least MIN_TOKEN_LEN letters/digits by Unicode class;
 # underscore is a separator
 _TOKEN_RE = re.compile(rf"[^\W_]{{{MIN_TOKEN_LEN},}}", re.UNICODE)
+# every ASCII byte that is not a letter or digit becomes a space; on ASCII,
+# str.isalnum accepts exactly the characters [^\W_] matches
+_ASCII_SEPARATORS = bytes(c if c > 127 or chr(c).isalnum() else ord(" ") for c in range(256))
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -61,10 +68,22 @@ class SparseVector:
         if len(self.indices) != len(self.values):
             raise ConfigError("indices and values must have equal length")
         # the chain -1 < i0 < i1 < ... < dim
-        if not all(map(operator.lt, (-1, *self.indices), (*self.indices, self.dim))):
+        indices = self.indices
+        if indices and not (-1 < indices[0] and indices[-1] < self.dim
+                            and all(map(operator.lt, indices, indices[1:]))):
             raise ConfigError("indices must be strictly increasing in [0, dim)")
         if 0.0 in self.values:
             raise ConfigError("explicit zeros are not allowed")
+
+    @classmethod
+    def _checked_by_caller(cls, dim: int, indices: tuple, values: tuple) -> SparseVector:
+        """A vector built without ``__post_init__``, for callers that have
+        already checked its fields the same way."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "dim", dim)
+        object.__setattr__(vec, "indices", indices)
+        object.__setattr__(vec, "values", values)
+        return vec
 
     @property
     def nnz(self) -> int:
@@ -84,8 +103,16 @@ class SparseVector:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, drop tokens shorter than 2."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase, split on non-alphanumeric runs, drop tokens shorter than 2.
+
+    ASCII text (tested after lowering, so U+212A KELVIN SIGN counts as ``k``)
+    has its separators turned into spaces by one byte table and is split on
+    them; any other text keeps the Unicode regex. Both give the same tokens."""
+    text = text.lower()
+    if text.isascii():
+        return [token for token in text.encode().translate(_ASCII_SEPARATORS).decode().split()
+                if len(token) >= MIN_TOKEN_LEN]
+    return _TOKEN_RE.findall(text)
 
 
 def remove_stopwords(tokens: list[str], stoplist: set[str]) -> list[str]:
@@ -267,19 +294,45 @@ def dense_rows(rows: tuple, width: int, subset) -> np.ndarray:
     return dense
 
 
+def _row_vectors(rows: tuple, dim: int) -> list[SparseVector]:
+    """The CSR rows as ``SparseVector``s. One numpy pass over all rows raises
+    the ``ConfigError`` that ``__post_init__`` would raise first, building them
+    in order; the vectors are then built without it. They share one int object
+    per slot and one float object per distinct weight: equal finite nonzero
+    weights have equal bits."""
+    indptr, indices, values = rows
+    n = len(indptr) - 1
+    if n and dim < 1:
+        raise ConfigError("dim must be >= 1")
+
+    def first_row(bad: np.ndarray) -> int:  # the row of the first bad entry, or n
+        return np.searchsorted(indptr, bad.argmax(), side="right") - 1 if bad.any() else n
+
+    # each entry's predecessor in its row, -1 at a row's first entry
+    before = np.empty_like(indices)
+    before[1:] = indices[:-1]
+    before[indptr[:-1][np.diff(indptr) > 0]] = -1
+    slot_row = first_row((indices <= before) | (indices >= dim))
+    weight_row = first_row(values == 0.0)
+    if slot_row < n and slot_row <= weight_row:  # a row's slots are checked first
+        raise ConfigError("indices must be strictly increasing in [0, dim)")
+    if weight_row < n:
+        raise ConfigError("explicit zeros are not allowed")
+    weights, which = np.unique(values, return_inverse=True)
+    indices = tuple(np.array(range(dim), dtype=object)[indices].tolist())
+    values = tuple(np.array(weights.tolist(), dtype=object)[which].tolist())
+    bounds = indptr.tolist()
+    build = SparseVector._checked_by_caller
+    return [build(dim, indices[a:b], values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
                      dim: int = DEFAULT_HASH_DIM,
                      min_doc_freq: int = 3) -> tuple[list[SparseVector], IdfModel]:
-    """``tfidf_rows`` with each document's row as a ``SparseVector``. The
-    vectors share one int object per slot and one float object per distinct
-    weight: weights are positive and finite, so equal values have equal bits."""
-    (indptr, indices, values), model = tfidf_rows(texts, stoplist, dim, min_doc_freq)
-    weights, which = np.unique(values, return_inverse=True)
-    indices = np.array(range(dim), dtype=object)[indices].tolist()
-    values = np.array(weights.tolist(), dtype=object)[which].tolist()
-    bounds = indptr.tolist()
-    return [SparseVector(dim, tuple(indices[a:b]), tuple(values[a:b]))
-            for a, b in zip(bounds[:-1], bounds[1:])], model
+    """``tfidf_rows`` with each document's row as a ``SparseVector``; the rows
+    are checked once for the whole corpus, not once per vector."""
+    rows, model = tfidf_rows(texts, stoplist, dim, min_doc_freq)
+    return _row_vectors(rows, dim), model
 
 
 def feature_matrix(frame: TabularFrame, text_columns, numeric_columns,

@@ -1,5 +1,6 @@
 """Round-trip and validation tests for model artifact serialization."""
 
+import base64
 import dataclasses
 import json
 
@@ -306,6 +307,20 @@ class TestDispatch:
                    "gbt": lambda: TestGbtArtifact().model()[0]}[model]()
         art = edited(artifacts.model_artifact(trained), path, value)
         with pytest.raises(DataFormatError, match=field):
+            artifacts.artifact_to_model(art)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["weights_b64", "out_w", "out_b", *artifacts.BLOCK_FIELDS])
+    def test_non_finite_weights_named(self, field, bad):
+        linear = field == "weights_b64"
+        art = artifacts.model_artifact(
+            TestLinearArtifact().model() if linear else TestMlpArtifact().model())
+        doc = (art if linear else
+               art["layers"]["blocks"][1] if field in artifacts.BLOCK_FIELDS else art["layers"])
+        values = np.frombuffer(base64.b64decode(doc[field]), dtype="<f8").copy()
+        values[-1] = bad
+        doc[field] = artifacts.f64_to_b64(values)
+        with pytest.raises(DataFormatError, match=f"'{field}' holds a non-finite"):
             artifacts.artifact_to_model(art)
 
     def test_model_artifact_dispatch(self):

@@ -743,6 +743,14 @@ class TestParseTabular:
         )
         assert [row[1] for row in frame.cells] == [None, None, "ok"]
 
+    @pytest.mark.parametrize("cell, missing", [
+        ("  N/A ", True), ("na", True), ("nA", True), (" \t", True), ("n/a\u00a0", True),
+        ("N/A.", False), (" nan ", False), ("n/ab", False), ("\u0130na", False), ("n a", False),
+    ])
+    def test_sentinel_cells(self, cell, missing):
+        frame = dataio.parse_tabular(as_stream(f"a\n{cell}\n"), [("a", "text")])
+        assert frame.cells[0][0] == (None if missing else cell)
+
     def test_missing_header_names_listed(self):
         with pytest.raises(DataFormatError, match=r"\['b', 'c'\]"):
             dataio.parse_tabular(

@@ -7,8 +7,7 @@ vocabulary ids as each document is tokenized, every distinct token is hashed
 once by a vectorized FNV-1a, and the per-(document, slot) counts and document
 frequencies come from ``np.unique`` and ``np.bincount``. Only this module reads
 its CSR arrays: ``dense_rows`` scatters rows of them into a dense matrix, and
-``vectorize_corpus`` slices them into ``SparseVector``s after checking all rows
-at once with numpy, instead of once per vector.
+``vectorize_corpus`` slices them into ``SparseVector``s.
 
 ``tokenize`` splits ASCII text with one byte translation table and
 ``str.split``; any other text goes through the Unicode regex."""
@@ -74,16 +73,6 @@ class SparseVector:
             raise ConfigError("indices must be strictly increasing in [0, dim)")
         if 0.0 in self.values:
             raise ConfigError("explicit zeros are not allowed")
-
-    @classmethod
-    def _checked_by_caller(cls, dim: int, indices: tuple, values: tuple) -> SparseVector:
-        """A vector built without ``__post_init__``, for callers that have
-        already checked its fields the same way."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "dim", dim)
-        object.__setattr__(vec, "indices", indices)
-        object.__setattr__(vec, "values", values)
-        return vec
 
     @property
     def nnz(self) -> int:
@@ -294,45 +283,19 @@ def dense_rows(rows: tuple, width: int, subset) -> np.ndarray:
     return dense
 
 
-def _row_vectors(rows: tuple, dim: int) -> list[SparseVector]:
-    """The CSR rows as ``SparseVector``s. One numpy pass over all rows raises
-    the ``ConfigError`` that ``__post_init__`` would raise first, building them
-    in order; the vectors are then built without it. They share one int object
-    per slot and one float object per distinct weight: equal finite nonzero
-    weights have equal bits."""
-    indptr, indices, values = rows
-    n = len(indptr) - 1
-    if n and dim < 1:
-        raise ConfigError("dim must be >= 1")
-
-    def first_row(bad: np.ndarray) -> int:  # the row of the first bad entry, or n
-        return np.searchsorted(indptr, bad.argmax(), side="right") - 1 if bad.any() else n
-
-    # each entry's predecessor in its row, -1 at a row's first entry
-    before = np.empty_like(indices)
-    before[1:] = indices[:-1]
-    before[indptr[:-1][np.diff(indptr) > 0]] = -1
-    slot_row = first_row((indices <= before) | (indices >= dim))
-    weight_row = first_row(values == 0.0)
-    if slot_row < n and slot_row <= weight_row:  # a row's slots are checked first
-        raise ConfigError("indices must be strictly increasing in [0, dim)")
-    if weight_row < n:
-        raise ConfigError("explicit zeros are not allowed")
-    weights, which = np.unique(values, return_inverse=True)
-    indices = tuple(np.array(range(dim), dtype=object)[indices].tolist())
-    values = tuple(np.array(weights.tolist(), dtype=object)[which].tolist())
-    bounds = indptr.tolist()
-    build = SparseVector._checked_by_caller
-    return [build(dim, indices[a:b], values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def vectorize_corpus(texts: list[str], stoplist: set[str] | None = None,
                      dim: int = DEFAULT_HASH_DIM,
                      min_doc_freq: int = 3) -> tuple[list[SparseVector], IdfModel]:
-    """``tfidf_rows`` with each document's row as a ``SparseVector``; the rows
-    are checked once for the whole corpus, not once per vector."""
-    rows, model = tfidf_rows(texts, stoplist, dim, min_doc_freq)
-    return _row_vectors(rows, dim), model
+    """``tfidf_rows`` with each document's row as a ``SparseVector``. The
+    vectors share one int object per slot and one float object per distinct
+    weight: weights are positive and finite, so equal values have equal bits."""
+    (indptr, indices, values), model = tfidf_rows(texts, stoplist, dim, min_doc_freq)
+    weights, which = np.unique(values, return_inverse=True)
+    indices = np.array(range(dim), dtype=object)[indices].tolist()
+    values = np.array(weights.tolist(), dtype=object)[which].tolist()
+    bounds = indptr.tolist()
+    return [SparseVector(dim, tuple(indices[a:b]), tuple(values[a:b]))
+            for a, b in zip(bounds[:-1], bounds[1:])], model
 
 
 def feature_matrix(frame: TabularFrame, text_columns, numeric_columns,

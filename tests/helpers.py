@@ -6,7 +6,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from deskbench import dataio, textfeat
+from deskbench import dataio
 from deskbench.errors import DataFormatError
 
 
@@ -31,19 +31,6 @@ def load_parts(manifest_path) -> tuple[dataio.DatasetManifest, list[dataio.Dense
 def in_parent(pid=os.getpid()):
     """True in the test process, False in a child it forked."""
     return os.getpid() == pid
-
-
-def count_sparse_vectors(monkeypatch) -> list:
-    """A list that gains each SparseVector built from now on, whether through
-    the per-object check or the constructor for rows checked by the caller."""
-    built = []
-    check = textfeat.SparseVector.__post_init__
-    build = textfeat.SparseVector._checked_by_caller.__func__
-    monkeypatch.setattr(textfeat.SparseVector, "__post_init__",
-                        lambda vec: check(vec) or built.append(vec))
-    monkeypatch.setattr(textfeat.SparseVector, "_checked_by_caller", classmethod(
-        lambda cls, *fields: built.append(build(cls, *fields)) or built[-1]))
-    return built
 
 
 LONG_WORDS = ("k" * 4000, "é" * 2000, "日" * 1334 + "z")  # 4000+ UTF-8 bytes each

@@ -29,7 +29,7 @@ from deskbench.prep import (
     ring_undersample,
 )
 
-from helpers import count_sparse_vectors, documents
+from helpers import documents
 from oracles import centroid_distances_oracle, rebalance_oracle, ring_undersample_oracle
 
 
@@ -566,12 +566,15 @@ class TestRebalance:
             assert dense.tobytes() == expected.tobytes()
 
     def test_builds_no_sparse_vectors(self, monkeypatch):
-        built = count_sparse_vectors(monkeypatch)
+        built = []
+        check = textfeat.SparseVector.__post_init__
+        monkeypatch.setattr(textfeat.SparseVector, "__post_init__",
+                            lambda vec: built.append(check(vec)))
         texts = [f"good movie {i}" for i in range(7)] + ["bad food"] * 3 + ["quiet place"]
         rebalance(texts, ["big"] * 7 + ["at"] * 3 + ["small"], 3, 3, 2, 0, 16, 1)
         assert built == []
-        vectors, _ = textfeat.vectorize_corpus(["good movie"], None, 16, 1)  # the counter counts
-        assert len(built) == 1 and built[0] is vectors[0]
+        textfeat.vectorize_corpus(["good movie"], None, 16, 1)  # the counter counts
+        assert built == [None]
 
     def test_classes_above_at_and_below_target(self):
         texts = [f"good movie {i}" for i in range(7)] + ["bad food"] * 3 + ["quiet place"]

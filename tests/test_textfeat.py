@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +9,7 @@ from deskbench import textfeat
 from deskbench.dataio import TabularFrame
 from deskbench.errors import ConfigError, DataFormatError
 
-from helpers import LONG_WORDS, STOPWORDS, count_sparse_vectors, documents
+from helpers import LONG_WORDS, STOPWORDS, documents
 from oracles import (all_text_column_oracle, feature_matrix_oracle, fnv1a_64_oracle,
                      sparse_to_dense_oracle, sparse_vector_check_oracle, tokenize_oracle,
                      vectorize_corpus_oracle)
@@ -370,51 +369,6 @@ class TestVectorizeCorpus:
 
 
 @st.composite
-def csr_rows(draw):
-    """(rows, dim): CSR rows whose slots may repeat, fall, go negative or reach
-    past dim, and whose weights may be 0.0 or -0.0."""
-    dim = draw(st.integers(-1, 8))
-    slots = st.integers(-2, 10)
-    row = st.one_of(st.lists(slots, max_size=5),
-                    st.lists(st.integers(0, 7), max_size=5, unique=True).map(sorted))
-    indices = draw(st.lists(row, max_size=6))
-    values = [draw(st.lists(st.sampled_from([1.0, 0.25, -3.0, 5e-324, 0.0, -0.0]),
-                            min_size=len(r), max_size=len(r))) for r in indices]
-    indptr = np.cumsum([0] + [len(r) for r in indices])
-    return (indptr, np.array(sum(indices, []), dtype=np.int64),
-            np.array(sum(values, []), dtype=np.float64)), dim
-
-
-def vectors_outcome(build):
-    """The vectors' JSON, or the ConfigError message."""
-    try:
-        return [vec.to_json() for vec in build()]
-    except ConfigError as exc:
-        return str(exc)
-
-
-class TestRowVectors:
-    @given(csr_rows())
-    @example(((np.array([0, 2, 4]), np.array([1, 1, 0, 1]), np.array([0.0, 1.0, 1.0, 1.0])), 4))
-    @example(((np.array([0, 2, 4]), np.array([0, 1, 1, 1]), np.array([1.0, -0.0, 1.0, 1.0])), 4))
-    @example(((np.array([0, 0, 1]), np.array([4]), np.array([1.0])), 4))
-    @example(((np.array([0, 1, 1]), np.array([-1]), np.array([1.0])), 0))
-    @example(((np.array([0]), np.array([], dtype=np.int64), np.array([])), 0))
-    @settings(max_examples=300, deadline=None)
-    def test_check_matches_per_vector_check(self, case):
-        (indptr, indices, values), dim = case
-        bounds = indptr.tolist()
-
-        def per_vector():
-            return [textfeat.SparseVector(dim, tuple(indices[a:b].tolist()),
-                                          tuple(values[a:b].tolist()))
-                    for a, b in zip(bounds[:-1], bounds[1:])]
-
-        assert vectors_outcome(lambda: textfeat._row_vectors((indptr, indices, values), dim)) \
-            == vectors_outcome(per_vector)
-
-
-@st.composite
 def feature_cases(draw):
     """(frame, text_columns, numeric_columns, stoplist, dim, min_doc_freq) with
     missing, zero and non-finite numeric cells."""
@@ -458,13 +412,16 @@ class TestFeatureMatrix:
             matrix_outcome(feature_matrix_oracle, *case)
 
     def test_builds_no_sparse_vectors(self, monkeypatch):
-        built = count_sparse_vectors(monkeypatch)
+        built = []
+        check = textfeat.SparseVector.__post_init__
+        monkeypatch.setattr(textfeat.SparseVector, "__post_init__",
+                            lambda vec: built.append(check(vec)))
         frame = TabularFrame([("t", "text"), ("n", "number")],
                              [["good movie", 1.0], ["bad film", None], ["", 2.0]])
         textfeat.feature_matrix(frame, ("t",), ("n",), None, 16, 1)
         assert built == []
-        vectors, _ = textfeat.vectorize_corpus(["good movie"], None, 16, 1)  # the counter counts
-        assert len(built) == 1 and built[0] is vectors[0]
+        textfeat.vectorize_corpus(["good movie"], None, 16, 1)  # the counter counts
+        assert built == [None]
 
     def test_text_block_then_numeric_columns(self):
         frame = TabularFrame([("t", "text"), ("year", "number"), ("gross", "number")],

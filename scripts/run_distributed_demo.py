@@ -1,19 +1,23 @@
 """Loopback distributed training demo: one master, three workers.
 
 Splits a synthetic dense dataset into three parts, trains the same
-linear model single-node and over the socket protocol (three worker
-threads on loopback), and prints the comparison table.
+linear model single-node and over the socket protocol, and prints the
+comparison table. The master runs on this thread and the workers are three
+`deskbench bench-worker` processes on loopback. Both sides of the comparison
+time the training rounds alone (see distbench.bench_compare).
 
-Usage: python3 scripts/run_distributed_demo.py [--algo logistic] [--rounds 10]
+Usage: python3 scripts/run_distributed_demo.py [--algo logistic] [--rounds 1000]
 """
 
 import argparse
+import os
+import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from deskbench import dataio, distbench, linmodels
 
@@ -23,7 +27,7 @@ def main():
     parser.add_argument("--algo", default="logistic", choices=["logistic", "svm"])
     parser.add_argument("--rows", type=int, default=6000)
     parser.add_argument("--features", type=int, default=100)
-    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--rounds", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--outdir", default="distributed-demo-out")
     args = parser.parse_args()
@@ -43,48 +47,38 @@ def main():
     print(f"local: wall {local.wall_clock_s:.2f}s auc {local.auc_roc:.4f}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        part_paths = []
-        for i, part in enumerate(parts):
-            path = Path(tmp) / f"part{i}.csv"
+        part_paths = [Path(tmp) / f"part{i}.csv" for i in range(3)]
+        for part, path in zip(parts, part_paths):
             dataio.save_dense(part, path)
-            part_paths.append(path)
 
         spec = distbench.ClusterSpec(
-            master_address="127.0.0.1:0",
-            workers=[(i + 1, 1, str(part_paths[i])) for i in range(3)],
-            round_timeout_s=30.0,
-            max_rounds=args.rounds,
-        )
-        bound = {}
-        ready = threading.Event()
+            "127.0.0.1:0", [(wid, 1, str(path)) for wid, path in enumerate(part_paths, 1)],
+            round_timeout_s=30.0, max_rounds=args.rounds)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        workers = []
 
         def on_listening(addr):
-            bound["addr"] = f"{addr[0]}:{addr[1]}"
-            ready.set()
+            for wid, _cores, path in spec.workers:
+                workers.append(subprocess.Popen(
+                    [sys.executable, "-m", "deskbench.cli", "bench-worker",
+                     "--connect", f"{addr[0]}:{addr[1]}", "--part", path,
+                     "--worker-id", str(wid), "--outdir", str(Path(tmp) / f"worker{wid}")],
+                    env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL))
 
-        result = {}
-
-        def master():
-            result["run"] = distbench.run_master(
+        try:
+            _dist_model, record = distbench.run_master(
                 spec, args.algo, cfg, args.rounds, holdout, "demo", on_listening)
+            for proc in workers:
+                proc.wait(timeout=30)  # each has its DONE frame and exits by itself
+        finally:
+            for proc in workers:
+                if proc.poll() is None:
+                    proc.kill()
+                proc.wait()
 
-        master_thread = threading.Thread(target=master)
-        master_thread.start()
-        ready.wait(timeout=10)
-        workers = [
-            threading.Thread(target=distbench.run_worker,
-                             args=(bound["addr"], str(part_paths[i]), i + 1))
-            for i in range(3)
-        ]
-        for t in workers:
-            t.start()
-        master_thread.join(timeout=120)
-        for t in workers:
-            t.join(timeout=10)
-
-    _dist_model, record = result["run"]
-    print(f"distributed: wall {record.wall_clock_s:.2f}s "
-          f"auc {record.holdout_auc:.4f} "
+    print(f"distributed: rounds {sum(record.round_wall_clock_s):.2f}s "
+          f"of a {record.wall_clock_s:.2f}s session, auc {record.holdout_auc:.4f} "
           f"({record.bytes_sent}B out, {record.bytes_received}B in)")
 
     rows = distbench.bench_compare(local, record)

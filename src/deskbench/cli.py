@@ -411,7 +411,7 @@ def _cmd_gridsearch(params, outdir):
         help="numeric columns appended after the text block"),
     Opt("dim", int, default=textfeat.DEFAULT_HASH_DIM, help="hashed text dimensions"),
     Opt("min-doc-freq", int, default=3, help="document-frequency cutoff"),
-    Opt("stoplist", is_path=True, help="one stopword per line"),
+    Opt("stoplist", is_path=True, help="stopword lines, each tokenized like a document"),
     Opt("out", default="features.csv", help="dense output name inside --outdir"),
 ))
 def _cmd_pipeline(params, outdir):
@@ -557,7 +557,8 @@ def _cmd_bench_worker(params, outdir):
 
 def _load_record(cls, path: str, auc_field: str):
     """One bench result written as dataclasses.asdict(cls(...)), with a finite
-    wall_clock_s and an auc_field that is null or finite."""
+    wall_clock_s, an auc_field that is null or finite and, in a BenchRecord,
+    a round_wall_clock_s list of finite, non-negative numbers."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     try:
@@ -570,6 +571,11 @@ def _load_record(cls, path: str, auc_field: str):
             continue
         if type(value) not in (int, float) or not math.isfinite(value):  # bool is not a number
             raise DataFormatError(f"{path}: {name} is not a finite number: {value!r}")
+    rounds = getattr(record, "round_wall_clock_s", [])  # a LocalBenchResult has none
+    if type(rounds) is not list or not all(
+            type(v) in (int, float) and math.isfinite(v) and v >= 0 for v in rounds):
+        raise DataFormatError(f"{path}: round_wall_clock_s is not a list of finite, "
+                              "non-negative numbers")
     return record
 
 

@@ -70,20 +70,23 @@ def run_local_bench(ds: DenseDataset, algo: str, cfg: SgdConfig, rounds: int,
 
 
 def bench_compare(local: LocalBenchResult, dist: BenchRecord) -> list:
-    """Build the two comparison rows from matching local/distributed runs."""
+    """Build the two comparison rows from matching local/distributed runs.
+
+    Both time the training rounds alone: the local wall_clock_s against the
+    distributed sum(round_wall_clock_s). The speedup is None when that is 0.
+    """
     if local.algo != dist.algo:
         raise DataFormatError(f"algorithm mismatch: {local.algo!r} vs {dist.algo!r}")
     if local.manifest != dist.manifest:
         raise DataFormatError(f"manifest mismatch: {local.manifest!r} vs {dist.manifest!r}")
-    speedup = None
-    if dist.wall_clock_s > 0:
-        speedup = local.wall_clock_s / dist.wall_clock_s
+    dist_train_s = sum(dist.round_wall_clock_s)
+    speedup = local.wall_clock_s / dist_train_s if dist_train_s > 0 else None
     return [
         {"algorithm": local.algo, "mode": "local",
          "wall_clock_s": local.wall_clock_s, "auc_roc": local.auc_roc,
          "speedup": None},
         {"algorithm": dist.algo, "mode": "distributed",
-         "wall_clock_s": dist.wall_clock_s, "auc_roc": dist.holdout_auc,
+         "wall_clock_s": dist_train_s, "auc_roc": dist.holdout_auc,
          "speedup": speedup},
     ]
 

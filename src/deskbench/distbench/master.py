@@ -66,7 +66,9 @@ class BenchRecord:
 
     handshake byte counters also cover the shutdown DONE frames; round
     counters cover exactly the PARAMS broadcasts and UPDATE replies of
-    each round, retries included.
+    each round, retries included. round_wall_clock_s times each round, PARAMS
+    broadcast to averaged update; wall_clock_s the session, listen to DONE
+    drain, which includes each worker parsing its part before HELLO.
     """
 
     algo: str
@@ -303,7 +305,6 @@ def run_master(spec: ClusterSpec, algo: str, cfg: SgdConfig, rounds: int,
         params = np.zeros(num_features + 1, dtype=np.float64)
         for round_ in range(rounds):
             t0 = time.perf_counter()
-            record.round_wall_clock_s.append(0.0)
             record.round_bytes_sent.append(0)
             record.round_bytes_received.append(0)
             params_frame = codec.pack_params(round_, params)
@@ -311,7 +312,7 @@ def run_master(spec: ClusterSpec, algo: str, cfg: SgdConfig, rounds: int,
             updates = _collect_round(spec, sel, conns, round_, params_frame,
                                      record, num_features + 1)
             params = _aggregate(updates)
-            record.round_wall_clock_s[round_] = time.perf_counter() - t0
+            record.round_wall_clock_s.append(time.perf_counter() - t0)
 
         record.handshake_bytes_sent += _broadcast(sel, conns, conns, codec.pack_done())
     finally:  # send what is queued (DONE, or a failed run's ERROR), then close

@@ -66,11 +66,10 @@ def _connect(address: str, attempts: int, delay_s: float) -> socket.socket:
 
 
 def _serve_once(sock: socket.socket, ds: DenseDataset, worker_id: int) -> int:
-    """One full conversation on an established connection."""
+    """The rest of the conversation after HELLO on an established connection."""
     sock.settimeout(None)  # rounds may be arbitrarily long; block on reads
     config = None
     with sock.makefile("rb") as stream:
-        sock.sendall(codec.pack_hello(worker_id, ds.num_rows, ds.num_features))
         while True:
             frame = codec.read_frame(stream)
             if frame is None:
@@ -114,25 +113,22 @@ def run_worker(connect: str, part_path, worker_id: int,
     except ValueError as exc:
         log.error("bad master address %r: %s", connect, exc)
         return EXIT_RUNTIME
+    ds = bad_part = None
     try:
         ds = load_dense(part_path)  # zero_one: a label other than 0/1 names its line
     except (DataFormatError, ValueError, OSError) as exc:
         log.error("cannot load part %s: %s", part_path, exc)
-        try:
-            sock = _connect(connect, reconnect_attempts, reconnect_delay_s)
-            with sock:
-                sock.sendall(codec.pack_error(f"worker {worker_id}: bad part: {exc}"))
-        except ProtocolError:
-            pass
-        return EXIT_DATA
+        bad_part = codec.pack_error(f"worker {worker_id}: bad part: {exc}")
 
     try:
-        sock = _connect(connect, reconnect_attempts, reconnect_delay_s)
-        with sock:
-            return _serve_once(sock, ds, worker_id)
-    except ProtocolError as exc:
+        greeting = bad_part or codec.pack_hello(worker_id, ds.num_rows, ds.num_features)
+        with _connect(connect, reconnect_attempts, reconnect_delay_s) as sock:
+            sock.sendall(greeting)
+            return EXIT_DATA if bad_part else _serve_once(sock, ds, worker_id)
+    except (ProtocolError, OSError) as exc:
+        if bad_part:
+            return EXIT_DATA  # already logged; the master may not have been told
         # unreachable master or malformed traffic: drop the connection, give up
-        log.error("protocol failure: %s", exc)
-    except OSError as exc:
-        log.error("connection lost: %s", exc)
-    return EXIT_RUNTIME
+        log.error("%s: %s", "protocol failure" if isinstance(exc, ProtocolError)
+                  else "connection lost", exc)
+        return EXIT_RUNTIME

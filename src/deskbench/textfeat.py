@@ -227,12 +227,11 @@ def all_text_column(frame: TabularFrame,
 
 
 def load_stoplist(path) -> set[str]:
-    """One lowercase token per line; blank lines ignored."""
+    """The tokens that tokenize gives for each line, as it would in a document:
+    ``Great`` stops ``great``, ``don't`` stops ``don``."""
     words = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        token = line.strip()
-        if token:
-            words.add(token)
+        words.update(tokenize(line))
     return words
 
 

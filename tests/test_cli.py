@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -426,6 +427,24 @@ class TestPipeline:
         assert rc == 2
         assert capsys.readouterr().err.strip() == "data error: column 'title' is not numeric"
 
+    def test_stoplist_lines_are_tokenized(self, tmp_path):
+        raw = tmp_path / "reviews.csv"
+        raw.write_text("review,score\nGreat fun movie,5\ngreat cast,4\ndull plot,2\n"
+                       "not great at all,3\n", encoding="utf-8")
+        features = {}
+        for name, stoplist in [("none", None), ("lower", "great\n"), ("capital", "Great\n")]:
+            flags = []
+            if stoplist is not None:
+                (tmp_path / f"{name}.txt").write_text(stoplist, encoding="utf-8")
+                flags = ["--stoplist", tmp_path / f"{name}.txt"]
+            assert run_cli("pipeline", "--data", raw,
+                           "--schema", json.dumps({"review": "text", "score": "number"}),
+                           "--target-column", "score", "--context-columns", "",
+                           "--text-columns", "review", "--dim", 16, "--min-doc-freq", 1,
+                           *flags, "--outdir", tmp_path / name) == 0
+            features[name] = (tmp_path / name / "features.csv").read_bytes()
+        assert features["capital"] == features["lower"] != features["none"]
+
 
 class TestBalance:
     def test_undersample_and_augment(self, tmp_path):
@@ -638,9 +657,13 @@ class TestExitCodes:
                        "--worker-id", 1, "--outdir", tmp_path) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("which", ["local", "dist"])
-    @pytest.mark.parametrize("change", ["extra-key", "missing-key", "string-wall-clock",
-                                        "null-wall-clock", "string-auc"])
+    @pytest.mark.parametrize("change, which", [
+        *itertools.product(["extra-key", "missing-key", "string-wall-clock", "null-wall-clock",
+                            "string-auc"], ["local", "dist"]),
+        # only a BenchRecord has round times
+        *[(change, "dist") for change in ["scalar-rounds", "string-round", "bool-round",
+                                          "negative-round", "inf-round", "null-round"]],
+    ])
     def test_report_rejects_bad_record(self, tmp_path, capsys, which, change):
         records = {
             "local": dataclasses.asdict(distbench.LocalBenchResult("logistic", "m", 2, 1.0)),
@@ -650,6 +673,12 @@ class TestExitCodes:
             "extra-key": ("extra", 1), "missing-key": ("algo", None),
             "string-wall-clock": ("wall_clock_s", "1.0"), "null-wall-clock": ("wall_clock_s", None),
             "string-auc": ("auc_roc" if which == "local" else "holdout_auc", "0.9"),
+            "scalar-rounds": ("round_wall_clock_s", 0.5),
+            "string-round": ("round_wall_clock_s", [0.5, "0.5"]),
+            "bool-round": ("round_wall_clock_s", [True]),
+            "negative-round": ("round_wall_clock_s", [0.5, -0.1]),
+            "inf-round": ("round_wall_clock_s", [float("inf")]),
+            "null-round": ("round_wall_clock_s", [None]),
         }[change]
         if change == "missing-key":
             del records[which][key]

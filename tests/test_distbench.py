@@ -681,9 +681,10 @@ class TestBenchCompare:
     def local(self, wall=300.0, auc=0.9402):
         return LocalBenchResult("svm", "m1", 10, wall, auc)
 
-    def dist(self, wall=150.0, auc=0.9504):
+    def dist(self, rounds=(100.0, 50.0), auc=0.9504, session=160.0):
         return BenchRecord(algo="svm", manifest="m1", num_workers=3,
-                           wall_clock_s=wall, holdout_auc=auc)
+                           round_wall_clock_s=list(rounds), wall_clock_s=session,
+                           holdout_auc=auc)
 
     def test_speedup_two(self):
         rows = bench_compare(self.local(), self.dist())
@@ -692,8 +693,19 @@ class TestBenchCompare:
         assert rows[1]["mode"] == "distributed"
 
     def test_identical_timings_speedup_one(self):
-        rows = bench_compare(self.local(wall=150.0), self.dist(wall=150.0))
+        rows = bench_compare(self.local(wall=150.0), self.dist(rounds=(150.0,)))
         assert rows[1]["speedup"] == pytest.approx(1.0)
+
+    def test_speedup_counts_rounds_not_session(self):
+        # most of a short session is the accept window, where workers parse their parts
+        rows = bench_compare(self.local(), self.dist(session=6000.0))
+        assert rows[1]["wall_clock_s"] == pytest.approx(150.0)
+        assert rows[1]["speedup"] == pytest.approx(2.0)
+
+    def test_zero_round_time_renders_empty_speedup(self):
+        rows = bench_compare(self.local(), self.dist(rounds=(0.0, 0.0)))
+        assert rows[1]["speedup"] is None
+        assert render_comparison_csv(rows).splitlines()[2] == "svm,distributed,0.00,0.9504,"
 
     def test_algorithm_mismatch(self):
         dist = self.dist()

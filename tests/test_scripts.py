@@ -5,8 +5,14 @@ were pinned when the flows moved into library functions."""
 import csv
 import hashlib
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from deskbench import distbench
+from deskbench.errors import ProtocolError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -69,3 +75,24 @@ def test_distributed_demo(monkeypatch, tmp_path):
     assert [line.split(",")[:2] for line in lines[1:3]] == \
         [["logistic", "local"], ["logistic", "distributed"]]
     assert len(lines) == 4 and lines[3].startswith("#")
+
+
+def test_distributed_demo_reaps_workers_when_master_fails(monkeypatch, tmp_path):
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    def failing_master(spec, algo, cfg, rounds, holdout, manifest, on_listening):
+        on_listening(("127.0.0.1", 9))
+        raise ProtocolError("master failed")
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    monkeypatch.setattr(distbench, "run_master", failing_master)
+    with pytest.raises(ProtocolError, match="master failed"):
+        run_script(monkeypatch, "run_distributed_demo.py", tmp_path,
+                   "--rows", 600, "--features", 20, "--rounds", 3)
+    assert len(started) == 3
+    assert all(proc.returncode is not None for proc in started)

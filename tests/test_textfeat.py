@@ -88,6 +88,11 @@ class TestStopwords:
     def test_all_stopped(self):
         assert textfeat.remove_stopwords(["a", "b"], {"a", "b"}) == []
 
+    def test_stoplist_lines_are_tokenized(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("Great\ndon't\n\n  the  \nx\nNOT bad\n", encoding="utf-8")
+        assert textfeat.load_stoplist(path) == {"great", "don", "the", "not", "bad"}
+
 
 class TestFnv1a:
     # reference vectors from the FNV specification

@@ -348,6 +348,7 @@ def _cmd_plan(params, outdir):
     Opt("grid", json_value, required=True,
         help="JSON object of hyperparameter flag -> list of values, "
              'e.g. {"lambda": [0.1, 0.01], "batch-size": [16, 64]}'),
+    LABEL_MAP_OPT,
 ))
 def _cmd_gridsearch(params, outdir):
     algo = _normalize_algo(params["algo"])
@@ -372,7 +373,7 @@ def _cmd_gridsearch(params, outdir):
 
     for point in ({key: value} for key, values in grid.items() for value in values):
         flag_values(point)  # a bad value fails before any training
-    ds = _load_for_algo(params["data"], algo, params.get("label_map"))
+    ds = _load_for_algo(params["data"], algo, params["label_map"])
 
     def factory(**point):
         return _trainer_for(algo, {**params, **flag_values(point)}, ds)[0]

@@ -101,41 +101,46 @@ def _as_int_labels(values, name: str) -> np.ndarray:
     return out
 
 
-def confusion_and_accuracy(labels, predictions) -> tuple[list[list[int]], float]:
+def _paired_labels(labels, predictions) -> tuple[np.ndarray, np.ndarray]:
     y = _as_int_labels(labels, "labels")
     p = _as_int_labels(predictions, "predictions")
     if y.shape != p.shape or y.ndim != 1 or y.size == 0:
         raise ValueError("labels and predictions must be equal-length 1-d and non-empty")
+    return y, p
+
+
+def _confusion(y: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
+    """k x k counts of (true class, predicted class) over ids in [0, k)."""
+    return np.bincount(k * y + p, minlength=k * k).reshape(k, k)
+
+
+def confusion_and_accuracy(labels, predictions) -> tuple[list[list[int]], float]:
+    y, p = _paired_labels(labels, predictions)
     if not (np.isin(y, (0, 1)).all() and np.isin(p, (0, 1)).all()):
         raise ValueError("confusion_and_accuracy expects binary 0/1 inputs")
-    confusion = np.bincount(2 * y + p, minlength=4).reshape(2, 2).tolist()
+    confusion = _confusion(y, p, 2).tolist()
     accuracy = (confusion[0][0] + confusion[1][1]) / y.size
     return confusion, accuracy
 
 
 def macro_prf(labels, predictions, num_classes: int) -> tuple[float, float, float]:
-    y = _as_int_labels(labels, "labels")
-    p = _as_int_labels(predictions, "predictions")
-    if y.shape != p.shape or y.ndim != 1 or y.size == 0:
-        raise ValueError("labels and predictions must be equal-length 1-d and non-empty")
+    """Unweighted means over num_classes classes of precision, recall and F1."""
+    y, p = _paired_labels(labels, predictions)
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
     for arr, name in ((y, "labels"), (p, "predictions")):
         if arr.min() < 0 or arr.max() >= num_classes:
             raise ValueError(f"{name} contain class ids outside [0, {num_classes})")
-    precisions, recalls, f1s = [], [], []
-    for c in range(num_classes):
-        tp = int(np.sum((y == c) & (p == c)))
-        fp = int(np.sum((y != c) & (p == c)))
-        fn = int(np.sum((y == c) & (p != c)))
-        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
-        rec = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
-    n = float(num_classes)
-    return sum(precisions) / n, sum(recalls) / n, sum(f1s) / n
+    confusion = _confusion(y, p, num_classes)
+    tp = np.diag(confusion)
+    hit = tp > 0  # else precision, recall and F1 are all 0
+    precision = np.divide(tp, confusion.sum(axis=0), out=np.zeros(num_classes), where=hit)
+    recall = np.divide(tp, confusion.sum(axis=1), out=np.zeros(num_classes), where=hit)
+    f1 = np.divide(2 * precision * recall, precision + recall,
+                   out=np.zeros(num_classes), where=hit)
+    # sum() adds in class order, which fixes the bits of each mean
+    return (sum(precision.tolist()) / num_classes, sum(recall.tolist()) / num_classes,
+            sum(f1.tolist()) / num_classes)
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -222,14 +227,13 @@ def evaluate_split(train_ds: DenseDataset, test_ds: DenseDataset, trainer) -> Ev
     fit_s, predict_s = fitted - start, time.perf_counter() - fitted
     report = EvalReport(wall_clock_s=fit_s + predict_s, fit_s=fit_s, predict_s=predict_s)
     if classify:
-        report.confusion, report.accuracy = confusion_and_accuracy(
-            test_ds.labels.astype(np.int64), predictions
-        )
+        y = test_ds.labels.astype(np.int64)
+        report.confusion, report.accuracy = confusion_and_accuracy(y, predictions)
         report.macro_precision, report.macro_recall, report.macro_f1 = macro_prf(
-            test_ds.labels.astype(np.int64), predictions, num_classes=2
+            y, predictions, num_classes=2
         )
         try:
-            report.auc_roc = auc_roc(test_ds.labels.astype(np.int64), scores)
+            report.auc_roc = auc_roc(y, scores)
         except ValueError:
             report.auc_roc = None  # single-class test fold
     else:
@@ -249,21 +253,16 @@ def make_folds(ds: DenseDataset, k: int, seed: int) -> list[np.ndarray]:
         raise ValueError("k must be >= 2")
     if k > ds.num_rows:
         raise ValueError("k exceeds the number of rows")
-    attempts = MAX_SHUFFLE_RETRIES if ds.is_binary() else 1
-    for attempt in range(attempts):
-        perm = np.random.default_rng(seed + attempt).permutation(ds.num_rows)
+    n = ds.num_rows
+    binary = ds.is_binary()
+    positives = np.count_nonzero(ds.labels)
+    for attempt in range(MAX_SHUFFLE_RETRIES if binary else 1):
+        perm = np.random.default_rng(seed + attempt).permutation(n)
         folds = np.array_split(perm, k)
-        if not ds.is_binary():
-            return folds
-        ok = True
-        for fold in folds:
-            mask = np.ones(ds.num_rows, dtype=bool)
-            mask[fold] = False
-            train_labels = ds.labels[mask]
-            if not (np.any(train_labels == 0) and np.any(train_labels == 1)):
-                ok = False
-                break
-        if ok:
+        # a training fold holds both classes when 0 < its positives < its size
+        if not binary or all(
+            0 < positives - np.count_nonzero(ds.labels[fold]) < n - len(fold) for fold in folds
+        ):
             return folds
     raise ValueError(
         f"no shuffle in {MAX_SHUFFLE_RETRIES} seeds gives every training fold both classes"
@@ -273,9 +272,7 @@ def make_folds(ds: DenseDataset, k: int, seed: int) -> list[np.ndarray]:
 def _run_folds(ds: DenseDataset, folds, trainer) -> list[EvalReport]:
     reports = []
     for fold in folds:
-        mask = np.ones(ds.num_rows, dtype=bool)
-        mask[fold] = False
-        train_ds = ds.take(np.flatnonzero(mask))
+        train_ds = ds.take(np.delete(np.arange(ds.num_rows), fold))
         test_ds = ds.take(np.sort(fold))
         reports.append(evaluate_split(train_ds, test_ds, trainer))
     return reports
@@ -415,18 +412,8 @@ def report_csv_rows(rows) -> str:
     """Rows of (run_id, algo, fold, EvalReport) to CSV text in the fixed column order."""
     lines = [",".join(CSV_COLUMNS)]
     for run_id, algo, fold, report in rows:
-        lines.append(",".join([
-            _csv_cell(run_id),
-            _csv_cell(algo),
-            _csv_cell(fold),
-            _csv_cell(report.accuracy),
-            _csv_cell(report.macro_f1),
-            _csv_cell(report.auc_roc),
-            _csv_cell(report.rmse),
-            _csv_cell(report.mae),
-            _csv_cell(report.r2),
-            _csv_cell(report.wall_clock_s),
-        ]))
+        cells = [run_id, algo, fold] + [getattr(report, name) for name in CSV_COLUMNS[3:]]
+        lines.append(",".join(_csv_cell(value) for value in cells))
     return "\n".join(lines) + "\n"
 
 

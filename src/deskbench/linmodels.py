@@ -169,16 +169,13 @@ def train_logistic(ds: DenseDataset, cfg: SgdConfig) -> LinearModel:
     return LinearModel(weights=w, bias=b, kind="logistic")
 
 
-def train_pegasos(ds: DenseDataset, cfg: SgdConfig, step_hook=None) -> LinearModel:
+def train_pegasos(ds: DenseDataset, cfg: SgdConfig) -> LinearModel:
     """Single-example projected sub-gradient SVM.
 
     The returned model averages the iterates of the last ceil(T/2) steps
     (suffix averaging): the 1/(lambda*t) schedule keeps late steps large,
     so the raw final iterate oscillates around the optimum while the
     suffix average lands within a couple percent of the batch objective.
-
-    step_hook(t, w) runs after each completed step for instrumentation
-    (norm-bound assertions in tests); it must not mutate w.
     """
     y01, X = _require_binary(ds)
     # per-row signs and class weights: lists of two shared float objects
@@ -213,23 +210,12 @@ def train_pegasos(ds: DenseDataset, cfg: SgdConfig, step_hook=None) -> LinearMod
             if t >= suffix_start:
                 w_sum += w
                 b_sum += b
-            if step_hook is not None:
-                step_hook(t, w)
     count = T - suffix_start + 1
     return LinearModel(weights=w_sum / count, bias=b_sum / count, kind="svm")
 
 
-def _scores(model: LinearModel, z: np.ndarray) -> np.ndarray:
-    """Logistic scores are probabilities; Pegasos scores stay raw margins."""
-    return sigmoid(z) if model.kind == "logistic" else z
-
-
 def decision_scores(model: LinearModel, ds: DenseDataset) -> np.ndarray:
-    if ds.num_features != model.num_features:
-        raise DataFormatError(
-            f"model expects {model.num_features} features, dataset has {ds.num_features}"
-        )
-    return _scores(model, ds.features @ model.weights + model.bias)
+    return LinearPredictor(model).score(ds.features)
 
 
 class LinearPredictor:
@@ -240,16 +226,20 @@ class LinearPredictor:
 
     def _raw(self, features) -> np.ndarray:
         X = np.asarray(features, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.model.num_features:
+        if X.ndim != 2:
+            raise DataFormatError("features must be a 2-d matrix")
+        if X.shape[1] != self.model.num_features:
             raise DataFormatError(
-                f"model expects {self.model.num_features} features")
+                f"model expects {self.model.num_features} features, dataset has {X.shape[1]}")
         return X @ self.model.weights + self.model.bias
 
     def predict(self, features) -> np.ndarray:
         return (self._raw(features) >= 0.0).astype(np.int64)
 
     def score(self, features) -> np.ndarray:
-        return _scores(self.model, self._raw(features))
+        """Logistic scores are probabilities; Pegasos scores stay raw margins."""
+        z = self._raw(features)
+        return sigmoid(z) if self.model.kind == "logistic" else z
 
 
 def make_trainer(kind: str, cfg: SgdConfig):

@@ -13,7 +13,8 @@ from deskbench.dataio import LABEL_MAPS, DenseDataset, _parse_label, _text_lines
 from deskbench.distbench.codec import Frame
 from deskbench.errors import ConfigError, DataFormatError, ProtocolError
 from deskbench.gbt import GbtModel
-from deskbench.evaluation import _as_int_labels, average_reports, evaluate_split, make_folds
+from deskbench.evaluation import (MAX_SHUFFLE_RETRIES, _as_int_labels, average_reports,
+                                  evaluate_split, make_folds)
 from deskbench.linmodels import LinearModel
 from deskbench.mlp import MlpModel
 from deskbench.textfeat import IdfModel, SparseVector, remove_stopwords
@@ -174,6 +175,34 @@ def gbt_fit_oracle(features, targets, cfg):
     return GbtModel(base_score=base, trees=trees, num_features=X.shape[1])
 
 
+def make_folds_oracle(ds, k, seed):
+    """evaluation.make_folds before it counted positives: a boolean mask and
+    a copy of the training labels per fold, each checked for a 0 and a 1."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if k > ds.num_rows:
+        raise ValueError("k exceeds the number of rows")
+    attempts = MAX_SHUFFLE_RETRIES if ds.is_binary() else 1
+    for attempt in range(attempts):
+        perm = np.random.default_rng(seed + attempt).permutation(ds.num_rows)
+        folds = np.array_split(perm, k)
+        if not ds.is_binary():
+            return folds
+        ok = True
+        for fold in folds:
+            mask = np.ones(ds.num_rows, dtype=bool)
+            mask[fold] = False
+            train_labels = ds.labels[mask]
+            if not (np.any(train_labels == 0) and np.any(train_labels == 1)):
+                ok = False
+                break
+        if ok:
+            return folds
+    raise ValueError(
+        f"no shuffle in {MAX_SHUFFLE_RETRIES} seeds gives every training fold both classes"
+    )
+
+
 def kfold_cv_oracle(ds, k, trainer, seed):
     """k-fold CV as one serial loop over make_folds: (reports, average)."""
     reports = []
@@ -284,6 +313,33 @@ def confusion_and_accuracy_oracle(labels, predictions):
     return confusion, accuracy
 
 
+def macro_prf_oracle(labels, predictions, num_classes):
+    """evaluation.macro_prf before it read one confusion matrix: three
+    boolean passes per class and Python float division."""
+    y = _as_int_labels(labels, "labels")
+    p = _as_int_labels(predictions, "predictions")
+    if y.shape != p.shape or y.ndim != 1 or y.size == 0:
+        raise ValueError("labels and predictions must be equal-length 1-d and non-empty")
+    if num_classes < 1:
+        raise ValueError("num_classes must be >= 1")
+    for arr, name in ((y, "labels"), (p, "predictions")):
+        if arr.min() < 0 or arr.max() >= num_classes:
+            raise ValueError(f"{name} contain class ids outside [0, {num_classes})")
+    precisions, recalls, f1s = [], [], []
+    for c in range(num_classes):
+        tp = int(np.sum((y == c) & (p == c)))
+        fp = int(np.sum((y != c) & (p == c)))
+        fn = int(np.sum((y == c) & (p != c)))
+        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
+        rec = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+        precisions.append(prec)
+        recalls.append(rec)
+        f1s.append(f1)
+    n = float(num_classes)
+    return sum(precisions) / n, sum(recalls) / n, sum(f1s) / n
+
+
 def sigmoid_oracle(z):
     """The logistic function as linmodels computed it before the lean step:
     a boolean mask and two scatters, one stable formula per sign."""
@@ -295,9 +351,10 @@ def sigmoid_oracle(z):
     return out
 
 
-def train_pegasos_oracle(ds, cfg):
+def train_pegasos_oracle(ds, cfg, step_hook=None):
     """linmodels.train_pegasos before its projection took the norm as
-    sqrt(w @ w): np.linalg.norm on every step. Returns (weights, bias)."""
+    sqrt(w @ w): np.linalg.norm on every step. Returns (weights, bias).
+    step_hook(t, w), if given, runs after each step and must not mutate w."""
     y01 = ds.labels.astype(np.int64)
     X = ds.features
     if cfg.class_weights is None:
@@ -331,6 +388,8 @@ def train_pegasos_oracle(ds, cfg):
         if t >= suffix_start:
             w_sum += w
             b_sum += b
+        if step_hook is not None:
+            step_hook(t, w)
     count = T - suffix_start + 1
     return w_sum / count, float(b_sum / count)
 

@@ -178,8 +178,10 @@ class TestTrain:
 
 
 class TestLabelMap:
-    @pytest.mark.parametrize("command", ["train", "cv"])
-    def test_help_names_accepted_values(self, tmp_path, gen_csv, capsys, command):
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ()), ("cv", ()), ("gridsearch", ("--grid", '{"lambda": [0.1]}')),
+    ], ids=["train", "cv", "gridsearch"])
+    def test_help_names_accepted_values(self, tmp_path, gen_csv, capsys, command, extra):
         assert run_cli(command, "--help") == 0
         help_text = " ".join(capsys.readouterr().out.split())
         values = re.search(r"override label mapping: (\S+)", help_text).group(1).split("|")
@@ -187,7 +189,7 @@ class TestLabelMap:
         for value in values:
             # a 0/1 file fails plus_minus_one as data (2), never as usage (1)
             rc = run_cli(command, "--algo", "logreg", "--data", gen_csv, "--label-map", value,
-                         "--epochs", 1, "--outdir", tmp_path / value)
+                         "--epochs", 1, *extra, "--outdir", tmp_path / value)
             assert rc == (2 if value == "plus_minus_one" else 0)
 
     def test_plus_minus_one_csv_trains(self, tmp_path, gen_csv):
@@ -197,6 +199,9 @@ class TestLabelMap:
         assert path.read_text().startswith(("-1", "1"))
         assert run_cli("train", "--algo", "logreg", "--data", path,
                        "--label-map", "plus_minus_one", "--outdir", tmp_path) == 0
+        assert run_cli("gridsearch", "--algo", "logreg", "--data", path, "--k", 2,
+                       "--grid", '{"lambda": [0.1]}', "--label-map", "plus_minus_one",
+                       "--outdir", tmp_path) == 0
 
 
 class TestPlan:

@@ -19,7 +19,8 @@ from deskbench import evaluation as ev
 from deskbench.dataio import DenseDataset, generate_synthetic
 
 from helpers import in_parent
-from oracles import average_ranks_oracle, confusion_and_accuracy_oracle, kfold_cv_oracle
+from oracles import (average_ranks_oracle, confusion_and_accuracy_oracle, kfold_cv_oracle,
+                     macro_prf_oracle, make_folds_oracle)
 
 
 class NearestCentroid:
@@ -204,6 +205,16 @@ SCORE_KINDS = {
 }
 
 
+FOLD_LABELS = {
+    "balanced": lambda rng, n: rng.integers(0, 2, size=n).astype(np.float64),
+    "two positives": lambda rng, n: np.isin(np.arange(n), rng.choice(n, 2, replace=False)) * 1.0,
+    "one positive": lambda rng, n: (np.arange(n) == rng.integers(n)) * 1.0,
+    "all negative": lambda rng, n: np.zeros(n),
+    "continuous": lambda rng, n: rng.normal(size=n),
+    "class ids": lambda rng, n: rng.integers(0, 4, size=n).astype(np.float64),
+}
+
+
 class TestMetricsMatchOracles:
     @given(st.sampled_from(sorted(SCORE_KINDS)), st.integers(2, 300),
            st.integers(0, 2**31 - 1))
@@ -231,6 +242,31 @@ class TestMetricsMatchOracles:
         assert confusion == expected_confusion and repr(acc) == repr(expected_acc)
         assert all(type(v) is int for row in confusion for v in row)
         assert type(acc) is float
+
+    @given(st.integers(1, 5), st.integers(1, 60), st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    @example(1, 1, 0)
+    @example(5, 3, 0)
+    def test_macro_prf_bit_identical(self, k, n, seed):
+        # labels and predictions each come from a random subset of the k
+        # classes, so some classes are never present or never predicted
+        rng = np.random.default_rng(seed)
+        present = rng.choice(k, size=rng.integers(1, k + 1), replace=False)
+        predicted = rng.choice(k, size=rng.integers(1, k + 1), replace=False)
+        labels, preds = rng.choice(present, size=n), rng.choice(predicted, size=n)
+        got = ev.macro_prf(labels, preds, k)
+        assert repr(got) == repr(macro_prf_oracle(labels, preds, k))
+        assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("labels, preds, k", [
+        ([0, 0, 1], [0, 0, 0], 2),        # class 1 never predicted
+        ([0, 1], [0, 1], 3),              # class 2 never present nor predicted
+        ([2, 2, 2], [0, 1, 1], 3),        # no true positive at all
+        ([0, 0, 0, 0, 1, 1, 2, 2, 2], [0, 0, 1, 2, 1, 1, 2, 0, 1], 3),
+        ([3, 1, 4, 1, 0], [3, 1, 4, 1, 0], 5),
+    ])
+    def test_macro_prf_hand_cases_bit_identical(self, labels, preds, k):
+        assert repr(ev.macro_prf(labels, preds, k)) == repr(macro_prf_oracle(labels, preds, k))
 
 
 class TestRegressionMetrics:
@@ -303,6 +339,37 @@ class TestKfoldCv:
         ds = DenseDataset(labels, np.random.default_rng(0).normal(size=(40, 3)))
         with pytest.raises(ValueError, match="both classes"):
             ev.make_folds(ds, 4, seed=0)
+
+    @given(st.sampled_from(sorted(FOLD_LABELS)), st.integers(2, 60), st.integers(2, 6),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_make_folds_match_oracle(self, kind, n, k, seed):
+        labels = FOLD_LABELS[kind](np.random.default_rng(seed), n)
+        ds = DenseDataset(labels, np.zeros((n, 1)))
+        k = min(k, n)
+        try:
+            expected = make_folds_oracle(ds, k, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                ev.make_folds(ds, k, seed)
+            assert str(raised.value) == str(exc)
+            return
+        folds = ev.make_folds(ds, k, seed)
+        assert [f.tolist() for f in folds] == [f.tolist() for f in expected]
+
+    def test_make_folds_reshuffles_match_oracle(self):
+        # 2 positives in 40 rows, 4 folds: about 1 shuffle in 4 puts both in one fold
+        labels = np.zeros(40)
+        labels[[3, 17]] = 1.0
+        ds = DenseDataset(labels, np.zeros((40, 1)))
+        reshuffled = 0
+        for seed in range(40):
+            folds = ev.make_folds(ds, 4, seed)
+            assert [f.tolist() for f in folds] == [
+                f.tolist() for f in make_folds_oracle(ds, 4, seed)]
+            first = np.array_split(np.random.default_rng(seed).permutation(40), 4)
+            reshuffled += not all(np.array_equal(a, b) for a, b in zip(folds, first))
+        assert reshuffled > 0
 
     def test_regression_reports(self):
         rng = np.random.default_rng(5)

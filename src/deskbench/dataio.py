@@ -82,6 +82,29 @@ class DenseDataset:
         return DenseDataset(self.labels[idx], self.features[idx])
 
 
+class RowView:
+    """The rows of base at the row numbers rows, read in place: trainers
+    gather them through matrix_rows. .features returns a fresh copy of them,
+    the matrix base.take(rows) holds, for code that reads a matrix."""
+
+    def __init__(self, base: DenseDataset, rows: np.ndarray):
+        self.base, self.rows, self.labels = base, rows, base.labels[rows]
+        self.num_rows, self.num_features = len(rows), base.num_features
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.base.features[self.rows]
+
+    is_binary = DenseDataset.is_binary
+
+
+def matrix_rows(ds) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix ds's rows are read from, and their row numbers in it."""
+    if isinstance(ds, RowView):
+        return ds.base.features, ds.rows
+    return ds.features, np.arange(ds.num_rows)
+
+
 @dataclass
 class DatasetManifest:
     """Bookkeeping for a dataset persisted as ordered parts."""

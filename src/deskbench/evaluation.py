@@ -3,6 +3,10 @@
 Trainers are callables ``trainer(train_ds) -> predictor`` where the predictor
 exposes ``predict(features) -> np.ndarray``. A classifier also exposes
 ``score(features)``, real-valued ranking scores for AUC; a regressor does not.
+train_ds may be a DenseDataset or a dataio.RowView: k-fold CV passes each
+fold's training rows as a view of the one dataset. The linear and MLP
+trainers gather their batches through it; ``.features`` on a view returns a
+copy of its rows, so gbt, which reads that, still copies each training fold.
 
 ``evaluate_split`` trains on one split and scores the other; k-fold CV and
 the dense benchmark script both go through it. It alone decides the task,
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forks
-from .dataio import DenseDataset
+from .dataio import DenseDataset, RowView
 
 CSV_COLUMNS = (
     "run_id",
@@ -215,8 +219,9 @@ def average_reports(reports: list[EvalReport]) -> EvalReport:
 
 
 def evaluate_split(train_ds: DenseDataset, test_ds: DenseDataset, trainer) -> EvalReport:
-    """Fit trainer on train_ds and score test_ds. fit_s times the trainer,
-    predict_s the predict and score calls; wall_clock_s is their sum."""
+    """Fit trainer on train_ds (a DenseDataset or a RowView) and score
+    test_ds. fit_s times the trainer, predict_s the predict and score calls;
+    wall_clock_s is their sum."""
     start = time.perf_counter()
     predictor = trainer(train_ds)
     fitted = time.perf_counter()
@@ -270,12 +275,9 @@ def make_folds(ds: DenseDataset, k: int, seed: int) -> list[np.ndarray]:
 
 
 def _run_folds(ds: DenseDataset, folds, trainer) -> list[EvalReport]:
-    reports = []
-    for fold in folds:
-        train_ds = ds.take(np.delete(np.arange(ds.num_rows), fold))
-        test_ds = ds.take(np.sort(fold))
-        reports.append(evaluate_split(train_ds, test_ds, trainer))
-    return reports
+    # a fold's training view and test copy live only for its evaluate_split call
+    return [evaluate_split(RowView(ds, np.delete(np.arange(ds.num_rows), fold)),
+                           ds.take(np.sort(fold)), trainer) for fold in folds]
 
 
 def _pickled_folds(ds: DenseDataset, folds, trainer):
@@ -287,6 +289,9 @@ def _pickled_folds(ds: DenseDataset, folds, trainer):
 def kfold_cv(ds: DenseDataset, k: int, trainer, seed: int) -> tuple[list[EvalReport], EvalReport]:
     """Per-fold reports over make_folds(ds, k, seed), in fold order, and their
     average_reports.
+
+    A fold's trainer gets a RowView of ds's training rows, and its test rows
+    are copied: a fold, here or in a forked child, adds one test fold to ds.
 
     Fold 0 runs here. If its fit took at least _MIN_FORK_FIT_S on about one
     core (not on a BLAS's several threads), this process may fork (POSIX, no

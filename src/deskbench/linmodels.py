@@ -11,7 +11,8 @@ run it once per round, for the logistic and the hinge loss alike. Its
 small-batch step is bound by numpy call overhead, so it makes few numpy
 calls, each floating-point operation kept in its order (bit-identical).
 Pegasos takes one example per step, on Python scalars: numpy sees only
-the vectors, and the bits are those of the oracle in the tests.
+the vectors, and the bits are those of the oracle in the tests. Both
+trainers read a dataio.RowView's rows in place, through its row numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DenseDataset
+from .dataio import DenseDataset, matrix_rows
 from .errors import ConfigError, DataFormatError
 
 MODEL_KINDS = ("logistic", "svm")
@@ -86,10 +87,10 @@ class LinearModel:
         return self.weights.shape[0]
 
 
-def _require_binary(ds: DenseDataset) -> tuple[np.ndarray, np.ndarray]:
+def _require_binary(ds: DenseDataset) -> np.ndarray:
     if not ds.is_binary():
         raise DataFormatError("trainer requires binary 0/1 labels")
-    return ds.labels.astype(np.int64), ds.features
+    return ds.labels.astype(np.int64)
 
 
 def _example_weights(y01: np.ndarray, class_weights) -> np.ndarray:
@@ -130,14 +131,15 @@ def _batch_gradient(kind, Xb, yb, cb, w, b, lambda_):
 
 
 def sgd_epoch(kind: str, w: np.ndarray, b: float, features, y01, lambda_: float,
-              lr: float, batch_size: int, rng, example_weights=None) -> float:
+              lr: float, batch_size: int, rng, example_weights=None, rows=None) -> float:
     """One constant-rate mini-batch pass over rng.permutation(n).
 
     kind "logistic" takes the cross-entropy step on 0/1 labels, weighted
     by example_weights when given; "svm" takes the unweighted hinge
     sub-gradient step on the same labels mapped to +-1. The trailing
     partial batch is included. Updates the float64 vector w in place and
-    returns the new bias.
+    returns the new bias. Example i is row rows[i] of features (row i
+    without rows), with label y01[i] and weight example_weights[i].
     """
     if kind not in MODEL_KINDS:
         raise ConfigError(f"kind must be one of {MODEL_KINDS}")
@@ -145,11 +147,12 @@ def sgd_epoch(kind: str, w: np.ndarray, b: float, features, y01, lambda_: float,
     y = np.asarray(y01, dtype=np.float64)
     if kind == "svm":
         y = 2.0 * y - 1.0
-    perm = rng.permutation(X.shape[0])
-    for start in range(0, X.shape[0], batch_size):
+    perm = rng.permutation(y.size)
+    picks = perm if rows is None else rows[perm]
+    for start in range(0, y.size, batch_size):
         idx = perm[start:start + batch_size]
         cb = None if example_weights is None else example_weights[idx]
-        Xb = X.take(idx, axis=0)
+        Xb = X.take(picks[start:start + batch_size], axis=0)
         grad_w, grad_b = _batch_gradient(kind, Xb, y[idx], cb, w, b, lambda_)
         grad_w *= lr
         w -= grad_w
@@ -158,14 +161,15 @@ def sgd_epoch(kind: str, w: np.ndarray, b: float, features, y01, lambda_: float,
 
 
 def train_logistic(ds: DenseDataset, cfg: SgdConfig) -> LinearModel:
-    y01, X = _require_binary(ds)
+    y01 = _require_binary(ds)
+    X, rows = matrix_rows(ds)
     c = None if cfg.class_weights is None else _example_weights(y01, cfg.class_weights)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs_or_iters):
         b = sgd_epoch("logistic", w, b, X, y01, cfg.lambda_, cfg.learning_rate,
-                      cfg.batch_size, rng, c)
+                      cfg.batch_size, rng, c, rows)
     return LinearModel(weights=w, bias=b, kind="logistic")
 
 
@@ -177,12 +181,13 @@ def train_pegasos(ds: DenseDataset, cfg: SgdConfig) -> LinearModel:
     so the raw final iterate oscillates around the optimum while the
     suffix average lands within a couple percent of the batch objective.
     """
-    y01, X = _require_binary(ds)
+    y01 = _require_binary(ds)
+    X, rows = matrix_rows(ds)
     # per-row signs and class weights: lists of two shared float objects
     w0, w1 = (1.0, 1.0) if cfg.class_weights is None else map(float, cfg.class_weights)
     y = [1.0 if v else -1.0 for v in y01.tolist()]
     c = [w1 if v else w0 for v in y01.tolist()]
-    n, f = X.shape
+    n, f = y01.size, X.shape[1]
     T = cfg.epochs_or_iters
     lam = cfg.lambda_
     radius = 1.0 / math.sqrt(lam)
@@ -194,8 +199,9 @@ def train_pegasos(ds: DenseDataset, cfg: SgdConfig) -> LinearModel:
     w_sum = np.zeros(f, dtype=np.float64)
     b_sum = 0.0
     for start in range(0, T, _PICK_BLOCK):
-        for t, i in enumerate(picks[start:start + _PICK_BLOCK].tolist(), start + 1):
-            x = X[i]
+        block = picks[start:start + _PICK_BLOCK]
+        for t, i, r in zip(range(start + 1, T + 1), block.tolist(), rows[block].tolist()):
+            x = X[r]
             eta = 1.0 / (lam * t)
             margin = y[i] * (np.dot(x, w) + b)
             w *= 1.0 - eta * lam

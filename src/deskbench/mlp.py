@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DenseDataset
+from .dataio import DenseDataset, matrix_rows
 from .errors import ConfigError, DataFormatError
 
 
@@ -145,12 +145,17 @@ def _normalize(d, var, block, eps):
 
 def forward(model: MlpModel, batch) -> np.ndarray:
     """Eval logits for a batch: BN with the running statistics, no dropout.
-    Never changes the model."""
+    Never changes the model. Each block works in place in one buffer, so at
+    most two activation buffers are alive at once."""
     h = _check_batch(model, batch)
     for block in model.blocks:
-        d = h @ block["w"] + block["b"] - block["run_mean"]
-        _, _, bn_out = _normalize(d, block["run_var"], block, model.bn_eps)
-        h = np.maximum(bn_out, 0.0, out=bn_out)
+        d = h @ block["w"]
+        d += block["b"]
+        d -= block["run_mean"]
+        d *= 1.0 / np.sqrt(block["run_var"] + model.bn_eps)
+        d *= block["gamma"]
+        d += block["beta"]
+        h = np.maximum(d, 0.0, out=d)
     return h @ model.out_w + model.out_b
 
 
@@ -270,6 +275,7 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
     batch of one row is skipped (batch-statistics BN is undefined there).
     """
     y = _check_labels(ds.labels, arch.output_size)
+    X, rows = matrix_rows(ds)
     if ds.num_features != arch.input_size:
         raise DataFormatError(
             f"architecture expects {arch.input_size} features, dataset has {ds.num_features}"
@@ -282,7 +288,8 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
     val_idx, train_idx = perm[:val_count], perm[val_count:]
     if cfg.batch_size > train_idx.size:
         raise ConfigError("batch_size exceeds the number of training rows")
-    X_val, y_val = ds.features[val_idx], y[val_idx]
+    train_rows, y_train = rows[train_idx], y[train_idx]
+    X_val, y_val = X[rows[val_idx]], y[val_idx]
 
     # One Adam update over one flat parameter vector, whose views the model's
     # arrays become; the gradient, m, v and a temporary are of its length.
@@ -304,12 +311,11 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
         epoch_loss = 0.0
         epoch_rows = 0
         for start in range(0, order.size, cfg.batch_size):
-            idx = train_idx[order[start:start + cfg.batch_size]]
-            if idx.size < 2:
+            batch = order[start:start + cfg.batch_size]
+            if batch.size < 2:
                 continue
-            loss, grads = _loss_and_gradients(
-                model, ds.features.take(idx, axis=0), y[idx], cfg.class_weights, rng
-            )
+            loss, grads = _loss_and_gradients(model, X.take(train_rows[batch], axis=0),
+                                              y_train[batch], cfg.class_weights, rng)
             t += 1
             grads = _flatten(**grads)
             for i in decayed:
@@ -326,8 +332,8 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
             denom += cfg.adam_eps
             np.multiply(np.divide(m, 1 - cfg.adam_beta1**t, out=tmp), cfg.learning_rate, out=tmp)
             param -= np.divide(tmp, denom, out=tmp)
-            epoch_loss += loss * idx.size
-            epoch_rows += idx.size
+            epoch_loss += loss * batch.size
+            epoch_rows += batch.size
         val_loss, _ = _weighted_ce(forward(model, X_val), y_val, cfg.class_weights)
         curve.append((epoch_loss / epoch_rows, val_loss))
     return model, curve

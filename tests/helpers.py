@@ -4,6 +4,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 from deskbench import dataio
@@ -26,6 +27,25 @@ def load_parts(manifest_path) -> tuple[dataio.DatasetManifest, list[dataio.Dense
             f"manifest declares {manifest.num_rows} rows, parts hold {total}"
         )
     return manifest, parts
+
+
+def embedded_view(ds, seed, order, extra=3) -> dataio.RowView:
+    """A RowView of ds's rows, in ds's order, placed at row numbers in
+    "ascending" or "unsorted" order among extra other random rows of a larger
+    dataset: view.base.take(view.rows) equals ds."""
+    n, f = ds.features.shape
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(n + extra)[:n]
+    if order == "ascending":
+        rows.sort()
+    features = rng.normal(size=(n + extra, f))
+    labels = rng.integers(0, 2, size=n + extra).astype(np.float64)
+    features[rows], labels[rows] = ds.features, ds.labels
+    return dataio.RowView(dataio.DenseDataset(labels, features), rows)
+
+
+def view_orders():
+    return st.sampled_from(["ascending", "unsorted"])
 
 
 def in_parent(pid=os.getpid()):

@@ -854,6 +854,27 @@ class TestTake:
         assert peak < 1.5 * ds.features.nbytes
 
 
+class TestRowView:
+    def test_reads_the_rows_of_take(self):
+        ds = dataio.generate_synthetic(50, 4, 1.0, seed=7)
+        rows = np.array([9, 2, 40, 3])
+        view, copy = dataio.RowView(ds, rows), ds.take(rows)
+        assert (view.num_rows, view.num_features) == (4, 4)
+        np.testing.assert_array_equal(view.labels, copy.labels)
+        np.testing.assert_array_equal(view.features, copy.features)
+        assert view.is_binary() and copy.is_binary()
+        assert not np.shares_memory(view.features, ds.features)
+        X, picked = dataio.matrix_rows(view)
+        assert X is ds.features and picked is rows
+        X, picked = dataio.matrix_rows(ds)
+        assert X is ds.features and picked.tolist() == list(range(50))
+
+    def test_is_binary_reads_only_its_rows(self):
+        ds = dataio.DenseDataset(np.array([0.0, 1.0, 2.5]), np.zeros((3, 2)))
+        assert dataio.RowView(ds, np.array([1, 0])).is_binary()
+        assert not dataio.RowView(ds, np.array([2])).is_binary()
+
+
 class TestCleanCurrency:
     @pytest.mark.parametrize(
         "raw,expected",

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deskbench
-from deskbench import cli, dataio, forks, gbt, linmodels
+from deskbench import cli, dataio, forks, gbt, linmodels, mlp
 from deskbench import evaluation as ev
 from deskbench.dataio import DenseDataset, generate_synthetic
 
@@ -641,6 +643,56 @@ class TestKfoldForks:
         trainer, _ = cli._trainer_for("mlp", params, ds)
         ref, _ = kfold_cv_oracle(ds, 3, trainer, seed=6)
         assert [untimed(f) for f in folds] == [untimed(asdict(r)) for r in ref]
+
+
+def reads_features(trainer):
+    """trainer, after reading train_ds.features: a trainer that copies its rows."""
+    def copying(train_ds):
+        train_ds.features
+        return trainer(train_ds)
+    return copying
+
+
+class TestCvMemory:
+    """A serial kfold_cv holds the dataset and one test fold: trainers read
+    their training rows in place, never from a copy of them."""
+
+    K = 4
+    # a trainer's own buffers (an MLP's validation rows, batches and layers)
+    ALLOWANCE = 768 << 10
+    TRAINERS = {
+        "logistic": linmodels.make_trainer("logistic", linmodels.SgdConfig(
+            lambda_=1e-4, epochs_or_iters=2, seed=1, class_weights=(1.0, 2.0))),
+        "svm": linmodels.make_trainer("svm", linmodels.SgdConfig(
+            lambda_=1e-3, epochs_or_iters=2000, seed=1, class_weights=(1.0, 2.0))),
+        "mlp": mlp.make_trainer(
+            mlp.MlpArchitecture(input_size=100, hidden_size=16, num_hidden_blocks=2,
+                                dropout_p=0.1),
+            mlp.MlpTrainConfig(learning_rate=1e-3, epochs=2, batch_size=64, seed=1,
+                               class_weights=(1.0, 2.0))),
+    }
+
+    def cv_over_bound(self, monkeypatch, trainer) -> int:
+        """Bytes by which a serial 2000x100 CV peaks above the matrix times
+        (1 + 1/K) plus ALLOWANCE; the matrix is allocated before tracing."""
+        monkeypatch.setattr(ev, "_MIN_FORK_FIT_S", math.inf)
+        ds = generate_synthetic(2000, 100, separation=1.0, seed=5)
+        tracemalloc.start()
+        try:
+            ev.kfold_cv(ds, self.K, trainer, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = ds.features.nbytes
+        return matrix + peak - (matrix * (1 + 1 / self.K) + self.ALLOWANCE)
+
+    @pytest.mark.parametrize("algo", sorted(TRAINERS))
+    def test_peak_below_matrix_and_one_test_fold(self, monkeypatch, algo):
+        assert self.cv_over_bound(monkeypatch, self.TRAINERS[algo]) < 0
+
+    @pytest.mark.parametrize("algo", sorted(TRAINERS))
+    def test_a_trainer_reading_features_breaks_the_bound(self, monkeypatch, algo):
+        assert self.cv_over_bound(monkeypatch, reads_features(self.TRAINERS[algo])) > 0
 
 
 class TestAssignmentPlan:

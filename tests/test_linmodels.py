@@ -10,6 +10,7 @@ from deskbench.distbench.bench import local_train_rounds
 from deskbench.distbench.worker import LOCAL_EPOCH_BATCH, epoch_rng, local_epoch
 from deskbench.errors import ConfigError, DataFormatError
 from deskbench.evaluation import auc_roc
+from helpers import embedded_view, view_orders
 from oracles import (local_epoch_oracle, sigmoid_oracle, svm_objective,
                      train_logistic_oracle, train_pegasos_oracle)
 
@@ -294,6 +295,46 @@ class TestTrainerAdapter:
             predictor.predict(np.ones((2, 7)))
         with pytest.raises(DataFormatError):
             predictor.predict(np.ones(4))
+
+
+class TestRowViewMatchesTake:
+    """Training on a RowView gathers through its row numbers; the model must
+    be the one trained on the copy base.take(rows), bit for bit."""
+
+    @given(sgd_cases(), view_orders(), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_logistic(self, case, order, extra, seed):
+        ds, cfg = case
+        view = embedded_view(ds, seed, order, extra)
+        model = lm.train_logistic(view, cfg)
+        ref = lm.train_logistic(view.base.take(view.rows), cfg)
+        assert bits(model.weights, model.bias) == bits(ref.weights, ref.bias)
+
+    @given(sgd_cases(), view_orders(), st.integers(0, 5), st.integers(0, 2**32 - 1),
+           st.integers(1, 400), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_svm(self, case, order, extra, seed, steps, project):
+        ds, cfg = case
+        cfg = lm.SgdConfig(lambda_=cfg.lambda_, epochs_or_iters=steps, seed=cfg.seed,
+                           class_weights=cfg.class_weights, project=project)
+        view = embedded_view(ds, seed, order, extra)
+        model = lm.train_pegasos(view, cfg)
+        ref = lm.train_pegasos(view.base.take(view.rows), cfg)
+        assert bits(model.weights, model.bias) == bits(ref.weights, ref.bias)
+
+    @pytest.mark.parametrize("features", [33, 200, 257])
+    @pytest.mark.parametrize("order", ["ascending", "unsorted"])
+    @pytest.mark.parametrize("kind", lm.MODEL_KINDS)
+    def test_wide(self, kind, order, features):
+        # rows of the widths the benchmarks train on, read in place from the
+        # base matrix rather than from a copy; Pegasos crosses a pick block
+        ds = generate_synthetic(120, features, separation=1.0, seed=features)
+        view = embedded_view(ds, features, order, extra=40)
+        cfg = lm.SgdConfig(lambda_=1e-3, epochs_or_iters=3 if kind == "logistic" else 1500,
+                           seed=3, class_weights=(1.0, 2.0))
+        train = lm.train_logistic if kind == "logistic" else lm.train_pegasos
+        model, ref = train(view, cfg), train(view.base.take(view.rows), cfg)
+        assert bits(model.weights, model.bias) == bits(ref.weights, ref.bias)
 
 
 class TestSgdEpochMatchesOracles:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from deskbench import mlp
 from deskbench.dataio import DenseDataset, generate_synthetic
 from deskbench.errors import ConfigError, DataFormatError
+from helpers import embedded_view, view_orders
 from oracles import mlp_eval_forward_oracle, mlp_train_oracle
 
 
@@ -133,6 +135,23 @@ class TestForward:
             total += mlp._train_forward(model, X, rng)[0]
         mean = total / 10_000
         assert np.all(np.abs(mean - target) <= 0.02 * np.abs(target))
+
+
+class TestForwardMemory:
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_two_activation_buffers(self, blocks):
+        # numpy's own ufunc buffers add a fixed 64 KiB or so
+        arch = mlp.MlpArchitecture(input_size=100, hidden_size=64, num_hidden_blocks=blocks,
+                                   dropout_p=0.0)
+        model = mlp.init_model(arch, np.random.default_rng(0))
+        X = np.random.default_rng(1).normal(size=(2000, 100))
+        tracemalloc.start()
+        try:
+            mlp.forward(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X.shape[0] * arch.hidden_size * 8 + (128 << 10)
 
 
 class TestSoftmax:
@@ -365,3 +384,31 @@ class TestTrainMatchesOracle:
         for rows in (ds.features[:1], ds.features):
             assert (mlp.forward(model, rows).tobytes()
                     == mlp_eval_forward_oracle(model, rows).tobytes())
+
+
+class TestRowViewMatchesTake:
+    """train on a RowView gathers its validation rows and batches through the
+    row numbers; model and curve must be those of base.take(rows), bit for bit."""
+
+    @given(mlp_cases(), view_orders(), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical(self, case, order, extra, seed):
+        ds, arch, cfg = case
+        view = embedded_view(ds, seed, order, extra)
+        model, curve = mlp.train(view, arch, cfg)
+        ref, ref_curve = mlp.train(view.base.take(view.rows), arch, cfg)
+        assert repr(curve) == repr(ref_curve)
+        assert model_bits(model) == model_bits(ref)
+
+    @pytest.mark.parametrize("order", ["ascending", "unsorted"])
+    def test_dense_benchmark_shape(self, order):
+        ds = generate_synthetic(285, 200, separation=1.0, seed=23)
+        view = embedded_view(ds, 25, order, extra=100)
+        arch = mlp.MlpArchitecture(input_size=200, hidden_size=64, num_hidden_blocks=2,
+                                   output_size=2, dropout_p=0.1)
+        cfg = mlp.MlpTrainConfig(learning_rate=3e-3, epochs=2, batch_size=128, seed=24,
+                                 class_weights=(1.0, 3.0))
+        model, curve = mlp.train(view, arch, cfg)
+        ref, ref_curve = mlp.train(view.base.take(view.rows), arch, cfg)
+        assert repr(curve) == repr(ref_curve)
+        assert model_bits(model) == model_bits(ref)

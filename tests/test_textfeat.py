@@ -116,6 +116,29 @@ class TestFnv1a:
         expected = [fnv1a_64_oracle(t.encode("utf-8")) for t in tokens]
         assert textfeat.hash_tokens(tokens).tolist() == expected
 
+    @given(st.lists(st.text(max_size=60), min_size=textfeat._SCALAR_TOKENS - 2,
+                    max_size=3 * textfeat._SCALAR_TOKENS))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_loop_across_the_handover(self, tokens):
+        # enough tokens that the byte positions run by numpy give way to the
+        # scalar finish at some position, or at none
+        expected = [fnv1a_64_oracle(t.encode("utf-8")) for t in tokens]
+        assert textfeat.hash_tokens(tokens).tolist() == expected
+
+    @pytest.mark.parametrize("long_tokens", [1, textfeat._SCALAR_TOKENS,
+                                             textfeat._SCALAR_TOKENS + 1])
+    def test_long_tokens_among_short_ones(self, long_tokens):
+        tokens = [f"w{i}" for i in range(1000)]
+        for i in range(long_tokens):
+            tokens[29 * i] = f"{i}" + "é" * (700 + i)
+        expected = [fnv1a_64_oracle(t.encode("utf-8")) for t in tokens]
+        assert textfeat.hash_tokens(tokens).tolist() == expected
+
+    def test_megabyte_token(self):
+        tokens = ["short", "k" * (1 << 20), "é" * 3000, ""]
+        expected = [fnv1a_64_oracle(t.encode("utf-8")) for t in tokens]
+        assert textfeat.hash_tokens(tokens).tolist() == expected
+
 
 class TestHashedTf:
     def test_empty_tokens(self):

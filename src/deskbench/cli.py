@@ -236,15 +236,15 @@ SGD_OPTS = (
 MLP_OPTS = (
     Opt("hidden-size", int, default=128, help="units per hidden block"),
     Opt("num-blocks", int, default=2, help="hidden blocks"),
-    Opt("dropout", float, default=0.8, help="dropout keep-out probability"),
+    Opt("dropout", float, default=0.8, help="chance to drop each hidden unit (0.8 drops 80%%)"),
     Opt("weight-decay", float, default=1e-4, help="coupled L2 on affine weights"),
 )
 
 GBT_OPTS = (
-    Opt("max-depth", int, default=10),
+    Opt("max-depth", int, default=10, help="most levels of splits in a tree"),
     Opt("eta", float, default=0.05, help="shrinkage per round"),
     Opt("num-round", int, default=300, help="boosting rounds"),
-    Opt("min-child-weight", float, default=5.0),
+    Opt("min-child-weight", float, default=5.0, help="fewest rows each child of a split must keep"),
     Opt("gamma", float, default=0.1, help="split gain threshold"),
 )
 

@@ -8,9 +8,11 @@ is just base_score plus leaf lookups.
 
 A fit ranks each column that varies over its rows once, in the smallest
 unsigned dtype that holds n - 1: a value's rank is its index among the
-column's distinct values (-0.0 == 0.0). A node gathers its rows' ranks in
-_COLUMN_BLOCK column blocks, one row per column, stable-sorts each row (a
-radix sort for 8- and 16-bit ranks) and cumsums the gradients in that order.
+column's distinct values (-0.0 == 0.0). That stable sort is the root's row
+order, so the fit holds it and the root's boundaries for every round. Other
+nodes gather their rows' ranks in blocks of max(_COLUMN_BLOCK, _BLOCK_CELLS //
+rows) columns and stable-sort each column. Every node cumsums the gradients
+in that order.
 A split can go only at a boundary: the sorted rank changes there and both
 children are heavy enough. A block with few boundaries (few-valued columns)
 is scored at them alone, a block with many (continuous columns) at every
@@ -67,8 +69,12 @@ class GbtModel:
     num_features: int
 
 
-# Columns ranked or searched together: bounds the (rows x block) temporaries.
+# _rank_columns ranks _COLUMN_BLOCK columns at a time; a node searches
+# max(_COLUMN_BLOCK, _BLOCK_CELLS // rows): few per-call costs on a small
+# node, bounded temporaries on a large one. Of 2**12 to 2**16 cells, 2**14
+# fitted 640 x 200 fastest.
 _COLUMN_BLOCK = 64
+_BLOCK_CELLS = 1 << 14
 # A block whose boundaries are at most this share of its positions is scored
 # at the boundaries alone. Gathering them costs more than scoring every
 # position from a share of about 0.35 (400 rows x 27 columns) to 0.5 (2000 x
@@ -77,38 +83,58 @@ _SPARSE_BOUNDARY_SHARE = 0.4
 
 
 def _rank_columns(X):
-    """(cand, ranks): the columns that vary over X's rows, and their ranks."""
+    """(cand, ranks, order): the columns that vary over X's rows, their ranks
+    and each column's stable row order, both one row per column."""
     cand = np.flatnonzero(X.min(axis=0) != X.max(axis=0))
-    ranks = np.empty((X.shape[0], cand.size), dtype=np.min_scalar_type(X.shape[0] - 1))
+    ranks = np.empty((cand.size, X.shape[0]), dtype=np.min_scalar_type(X.shape[0] - 1))
+    order = np.empty_like(ranks)
     for start in range(0, cand.size, _COLUMN_BLOCK):
-        values = X[:, cand[start:start + _COLUMN_BLOCK]]
-        order = np.argsort(values, axis=0)
-        sorted_vals = np.take_along_axis(values, order, axis=0)
+        block = slice(start, start + _COLUMN_BLOCK)
+        values = np.ascontiguousarray(X[:, cand[block]].T)
+        order[block] = np.argsort(values, axis=1, kind="stable")
+        sorted_vals = np.take_along_axis(values, order[block], axis=1)
         steps = np.zeros(values.shape, dtype=ranks.dtype)
-        steps[1:] = sorted_vals[1:] != sorted_vals[:-1]
-        np.put_along_axis(ranks[:, start:start + _COLUMN_BLOCK], order,
-                          np.cumsum(steps, axis=0, dtype=ranks.dtype), axis=0)
-    return cand, ranks
+        steps[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
+        np.put_along_axis(ranks[block], order[block],
+                          np.cumsum(steps, axis=1, dtype=ranks.dtype), axis=1)
+    return cand, ranks, order
 
 
-def _best_split(X, cand, ranks, g, rows, cfg, G):
-    """Exact greedy search at one node: (gain, feature, threshold, left_rows,
-    right_rows) or None. G is the node's gradient sum, float(g[rows].sum()).
-    A later block wins only on a strictly greater gain."""
-    g_node = g[rows]
+def _search_blocks(ranks, rows, cfg, order=None):
+    """Yield (first column, order, boundary, its count) per column block of a
+    node. order[c] lists the node's rows (as indices into rows) in stable rank
+    order; boundary[c, b] says a split can go after position b. The root
+    passes _rank_columns' order."""
+    h_left = np.arange(1, rows.size)
+    weight_ok = np.minimum(h_left, rows.size - h_left) >= cfg.min_child_weight
+    width = max(_COLUMN_BLOCK, _BLOCK_CELLS // rows.size)
+    # Distinct keys (rank above position) sort as the ranks sort stably. Under
+    # 32 bits numpy pages in more sort code (rating_gbt's RSS: +0.7 MB).
+    shift = (rows.size - 1).bit_length()
+    dtype = np.promote_types(np.uint32, np.min_scalar_type((ranks.shape[1] << shift) - 1))
+    for start in range(0, ranks.shape[0], width):
+        block = slice(start, start + width)
+        if order is None:
+            keys = ranks[block, rows].astype(dtype) << shift | np.arange(rows.size, dtype=dtype)
+            keys.sort(axis=1)
+            block_order = (keys & ((1 << shift) - 1)).astype(np.intp)
+            sorted_ranks = keys >> shift
+        else:
+            block_order = order[block]
+            sorted_ranks = np.take_along_axis(ranks[block], block_order, axis=1)
+        boundary = (sorted_ranks[:, :-1] != sorted_ranks[:, 1:]) & weight_ok
+        yield start, block_order, boundary, np.count_nonzero(boundary)
+
+
+def _best_split(X, cand, blocks, g_node, rows, cfg, G):
+    """Exact greedy search at one node over its _search_blocks: (gain,
+    feature, threshold, left_rows, right_rows) or None. g_node is g[rows] and
+    G its sum as a float. A later block wins only on a strictly greater gain."""
     H = float(rows.size)
     parent_term = G * G / (H + cfg.lambda_)
     h_left = np.arange(1, rows.size, dtype=np.float64)
-    weight_ok = (h_left >= cfg.min_child_weight) & (H - h_left >= cfg.min_child_weight)
     best = None
-    # flat index of row c's first element in a (block, rows) array
-    row_starts = (np.arange(_COLUMN_BLOCK) * rows.size)[:, None]
-    for start in range(0, cand.size, _COLUMN_BLOCK):
-        node_ranks = np.ascontiguousarray(ranks[rows, start:start + _COLUMN_BLOCK].T)
-        order = np.argsort(node_ranks, axis=1, kind="stable")
-        sorted_ranks = np.take(node_ranks, order + row_starts[:order.shape[0]])
-        boundary = (sorted_ranks[:, :-1] != sorted_ranks[:, 1:]) & weight_ok
-        count = np.count_nonzero(boundary)
+    for start, order, boundary, count in blocks:
         if count == 0:
             continue
         g_sum = np.cumsum(g_node[order], axis=1)
@@ -143,11 +169,14 @@ def _best_split(X, cand, ranks, g, rows, cfg, G):
     return best
 
 
-def _grow(X, cand, ranks, g, rows, depth, cfg, deltas):
-    G = float(g[rows].sum())
+def _grow(X, cand, ranks, g, rows, depth, cfg, deltas, blocks=None):
+    g_node = g[rows]
+    G = float(g_node.sum())
     H = float(rows.size)
     if depth < cfg.max_depth:
-        split = _best_split(X, cand, ranks, g, rows, cfg, G)
+        if blocks is None:
+            blocks = _search_blocks(ranks, rows, cfg)
+        split = _best_split(X, cand, blocks, g_node, rows, cfg, G)
         if split is not None:
             _, f, t, left, right = split
             return {"f": f, "t": t,
@@ -179,12 +208,13 @@ def fit(features, targets, cfg: GbtConfig) -> GbtModel:
     base = float(y.mean())
     preds = np.full(y.shape[0], base, dtype=np.float64)
     all_rows = np.arange(y.shape[0])
-    cand, ranks = _rank_columns(X)
+    cand, ranks, order = _rank_columns(X)
+    root = list(_search_blocks(ranks, all_rows, cfg, order))
     trees = []
     for _ in range(cfg.num_round):
         g = preds - y
         deltas = np.zeros_like(preds)
-        trees.append(_grow(X, cand, ranks, g, all_rows, 0, cfg, deltas))
+        trees.append(_grow(X, cand, ranks, g, all_rows, 0, cfg, deltas, root))
         preds += deltas
     return GbtModel(base_score=base, trees=trees, num_features=X.shape[1])
 

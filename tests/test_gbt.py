@@ -233,10 +233,17 @@ VALUES = (-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, 3.0)
 GRADIENTS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
+def blocks_of(width):
+    """Patch gbt to search every node, however few its rows, in blocks of
+    `width` columns."""
+    return mock.patch.multiple(gbt, _COLUMN_BLOCK=width, _BLOCK_CELLS=width)
+
+
 def best_split(X, g, rows, cfg):
     """gbt's split search at one node, on the ranks of the whole matrix."""
-    cand, ranks = gbt._rank_columns(X)
-    return gbt._best_split(X, cand, ranks, g, rows, cfg, float(g[rows].sum()))
+    cand, ranks, _ = gbt._rank_columns(X)
+    return gbt._best_split(X, cand, gbt._search_blocks(ranks, rows, cfg), g[rows], rows, cfg,
+                           float(g[rows].sum()))
 
 
 def assert_same_split(new, old):
@@ -296,18 +303,18 @@ class TestSplitSearchMatchesOracle:
     @settings(max_examples=400, deadline=None)
     def test_best_split_identical(self, case):
         X, g, rows, cfg, block = case
-        with mock.patch.object(gbt, "_COLUMN_BLOCK", block):
+        with blocks_of(block):
             new = best_split(X, g, rows, cfg)
         assert_same_split(new, exact_greedy_split_oracle(X, g, rows, cfg))
 
-    @given(node_cases(), st.integers(1, 4), st.integers(1, 3))
+    @given(node_cases(), st.integers(1, 6), st.integers(1, 10))
     @settings(max_examples=150, deadline=None)
     def test_fit_trees_identical(self, case, depth, rounds):
         X, y, _, cfg, block = case
         cfg = gbt.GbtConfig(max_depth=depth, eta=0.3, num_round=rounds,
                             min_child_weight=cfg.min_child_weight,
                             lambda_=cfg.lambda_, gamma=cfg.gamma)
-        with mock.patch.object(gbt, "_COLUMN_BLOCK", block):
+        with blocks_of(block):
             new = gbt.fit(X, y, cfg)
         assert_same_model(new, gbt_fit_oracle(X, y, cfg))
 
@@ -329,19 +336,27 @@ class TestSplitSearchMatchesOracle:
         cfg = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=3, min_child_weight=2.0)
         assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
 
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=5, deadline=None)
-    def test_dense_node_wider_than_one_block(self, seed):
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([(None, 1), (1, 3)]))
+    @settings(max_examples=10, deadline=None)
+    def test_dense_node_wider_than_one_block(self, seed, cells_blocks):
+        # 30 rows of 133 columns: one wide block within the cell budget, or
+        # three of _COLUMN_BLOCK columns when the budget buys no extra width
+        cells, blocks = cells_blocks
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 6, size=(40, 2 * gbt._COLUMN_BLOCK + 5)).astype(np.float64)
         X[:, 7] = X[:, 3]  # equal gains across features
+        X[:, 2 * gbt._COLUMN_BLOCK + 1] = X[:, 1]  # ... and across blocks
         g = rng.normal(size=40)
         rows = rng.permutation(40)[:30]
         cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=2, min_child_weight=1.0,
                             lambda_=0.0, gamma=0.0)
-        assert_same_split(best_split(X, g, rows, cfg),
-                          exact_greedy_split_oracle(X, g, rows, cfg))
-        assert_same_model(gbt.fit(X, g, cfg), gbt_fit_oracle(X, g, cfg))
+        with mock.patch.object(gbt, "_BLOCK_CELLS", cells or gbt._BLOCK_CELLS):
+            ranks = gbt._rank_columns(X)[1]
+            assert ranks.shape[0] == 2 * gbt._COLUMN_BLOCK + 5
+            assert len(list(gbt._search_blocks(ranks, rows, cfg))) == blocks
+            assert_same_split(best_split(X, g, rows, cfg),
+                              exact_greedy_split_oracle(X, g, rows, cfg))
+            assert_same_model(gbt.fit(X, g, cfg), gbt_fit_oracle(X, g, cfg))
 
     @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
     def test_rank_dtype_edges(self, n, dtype):
@@ -351,10 +366,11 @@ class TestSplitSearchMatchesOracle:
         X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
                              np.full(n, 2.0), rng.choice([-0.0, 0.0, 1.0], size=n)])
         y = X[:, 0] + X[:, 3] + rng.normal(size=n) * 0.1
-        cand, ranks = gbt._rank_columns(X)
-        assert cand.tolist() == [0, 1, 3] and ranks.dtype == dtype
+        cand, ranks, order = gbt._rank_columns(X)
+        assert cand.tolist() == [0, 1, 3] and ranks.dtype == order.dtype == dtype
         for j, f in enumerate(cand):
-            assert np.array_equal(ranks[:, j], np.unique(X[:, f], return_inverse=True)[1])
+            assert np.array_equal(ranks[j], np.unique(X[:, f], return_inverse=True)[1])
+            assert np.array_equal(order[j], np.argsort(ranks[j], kind="stable"))
         cfg = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=2, min_child_weight=1.0)
         assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
 
@@ -363,10 +379,81 @@ class TestSplitSearchMatchesOracle:
         rng = np.random.default_rng(65_537)
         X = rng.normal(size=(65_537, 1))
         y = np.sin(3.0 * X[:, 0]) + rng.normal(size=65_537) * 0.1
-        ranks = gbt._rank_columns(X)[1]
+        _, ranks, order = gbt._rank_columns(X)
         assert ranks.dtype == np.uint32 and int(ranks.max()) == 65_536
+        assert np.array_equal(order[0], np.argsort(ranks[0], kind="stable"))
         cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=1, min_child_weight=1.0)
         assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
+
+
+    @pytest.mark.parametrize("n", [65_536, 65_537])
+    def test_sort_key_width_edges(self, n):
+        # the keys of the node of the 40,000 largest values put a 16-bit
+        # position under ranks up to n - 1: 65,536 rows fill 32 bits exactly,
+        # 65,537 need 64
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 1))
+        g = np.sin(3.0 * X[:, 0]) + rng.normal(size=n) * 0.1
+        rows = rng.permutation(np.argsort(X[:, 0])[-40_000:])
+        cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=1, min_child_weight=1.0)
+        ranks = gbt._rank_columns(X)[1]
+        [(_, order, boundary, count)] = gbt._search_blocks(ranks, rows, cfg)
+        assert np.array_equal(order[0], np.argsort(ranks[0, rows], kind="stable"))
+        assert count == boundary.sum() == rows.size - 1  # all distinct
+        assert_same_split(best_split(X, g, rows, cfg),
+                          exact_greedy_split_oracle(X, g, rows, cfg))
+
+    @given(node_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_row_orders_are_stable_rank_sorts(self, case):
+        X, _, rows, cfg, block = case
+        cand, ranks, order = gbt._rank_columns(X)
+        for j in range(cand.size):
+            assert np.array_equal(order[j], np.argsort(ranks[j], kind="stable"))
+        h = np.arange(1, rows.size)
+        heavy = (h >= cfg.min_child_weight) & (rows.size - h >= cfg.min_child_weight)
+        with blocks_of(block):
+            for start, node_order, boundary, count in gbt._search_blocks(ranks, rows, cfg):
+                node_ranks = ranks[start:start + node_order.shape[0], rows]
+                want = np.argsort(node_ranks, axis=1, kind="stable")
+                assert np.array_equal(node_order, want)
+                sorted_ranks = np.take_along_axis(node_ranks, want, axis=1)
+                changes = sorted_ranks[:, 1:] != sorted_ranks[:, :-1]
+                assert np.array_equal(boundary, changes & heavy)
+                assert count == boundary.sum()
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["rating", "continuous"]),
+           st.integers(1, 6), st.integers(1, 10))
+    @settings(max_examples=12, deadline=None)
+    def test_many_rounds_identical(self, seed, shape, depth, rounds):
+        # every round reuses the root's order and boundaries
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 160))
+        if shape == "rating":
+            X = np.column_stack([few_valued(rng, n, int(rng.integers(2, 6))) for _ in range(12)]
+                                + [rng.integers(0, 63, size=n) / 62.0,
+                                   rng.integers(1, 250, size=n) * 1e5])
+        else:
+            X = rng.normal(size=(n, 12))
+        y = X[:, 0] * 2.0 + X[:, -1] / X[:, -1].max() + rng.normal(size=n)
+        cfg = gbt.GbtConfig(max_depth=depth, eta=0.3, num_round=rounds,
+                            min_child_weight=float(rng.integers(0, 6)))
+        assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
+
+    def test_root_sorted_once_per_fit(self):
+        # each round searches the root, but only the fit sorts its rows
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(80, 5))
+        y = X[:, 0] + rng.normal(size=80) * 0.1
+        cfg = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=7, min_child_weight=1.0)
+        with mock.patch.object(gbt, "_search_blocks", wraps=gbt._search_blocks) as sort, \
+                mock.patch.object(gbt, "_best_split", wraps=gbt._best_split) as search:
+            model = gbt.fit(X, y, cfg)
+        assert all("f" in tree for tree in model.trees)
+        sorted_rows = [call.args[1].size for call in sort.call_args_list]
+        searched_rows = [call.args[4].size for call in search.call_args_list]
+        assert sorted_rows.count(80) == 1 and searched_rows.count(80) == 7
+        assert len(sorted_rows) == len(searched_rows) - 6
 
 
 def boundary_share(X, rows, cfg):
@@ -458,7 +545,7 @@ class TestBoundaryScoring:
         blocks = [few, dense] if sparse_first else [dense, few]
         X = np.column_stack(blocks)
         rows = np.arange(n)
-        with mock.patch.object(gbt, "_COLUMN_BLOCK", 4):
+        with blocks_of(4):
             shares = [boundary_share(b, rows, self.CFG) for b in blocks]
             assert (shares[0] <= gbt._SPARSE_BOUNDARY_SHARE) == sparse_first
             assert (shares[1] <= gbt._SPARSE_BOUNDARY_SHARE) != sparse_first

@@ -84,16 +84,11 @@ class DenseDataset:
 
 class RowView:
     """The rows of base at the row numbers rows, read in place: trainers
-    gather them through matrix_rows. .features returns a fresh copy of them,
-    the matrix base.take(rows) holds, for code that reads a matrix."""
+    gather them through matrix_rows."""
 
     def __init__(self, base: DenseDataset, rows: np.ndarray):
         self.base, self.rows, self.labels = base, rows, base.labels[rows]
         self.num_rows, self.num_features = len(rows), base.num_features
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.base.features[self.rows]
 
     is_binary = DenseDataset.is_binary
 
@@ -639,8 +634,7 @@ def write_tabular(frame: TabularFrame, stream) -> None:
     with _text_lines(stream) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([name for name, _ in frame.columns])
-        for row in frame.cells:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerows(frame.cells)  # csv writes None as an empty field
         out.flush()
 
 

@@ -4,9 +4,8 @@ Trainers are callables ``trainer(train_ds) -> predictor`` where the predictor
 exposes ``predict(features) -> np.ndarray``. A classifier also exposes
 ``score(features)``, real-valued ranking scores for AUC; a regressor does not.
 train_ds may be a DenseDataset or a dataio.RowView: k-fold CV passes each
-fold's training rows as a view of the one dataset. The linear and MLP
-trainers gather their batches through it; ``.features`` on a view returns a
-copy of its rows, so gbt, which reads that, still copies each training fold.
+fold's training rows as a view of the one dataset, which deskbench's
+trainers read in place through dataio.matrix_rows.
 
 ``evaluate_split`` trains on one split and scores the other; k-fold CV and
 the dense benchmark script both go through it. It alone decides the task,

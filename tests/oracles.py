@@ -1,5 +1,6 @@
 """Independent reference implementations used only by the test suite."""
 
+import csv
 import dataclasses
 import json
 import re
@@ -175,6 +176,27 @@ def gbt_fit_oracle(features, targets, cfg):
     return GbtModel(base_score=base, trees=trees, num_features=X.shape[1])
 
 
+def apply_tree_oracle(node, X, rows, out):
+    """Add one tree's leaf weights to out[rows], recursing node by node: the
+    walk gbt.predict made before it walked the trees as arrays."""
+    if "w" in node:
+        out[rows] += node["w"]
+        return
+    go_left = X[rows, node["f"]] <= node["t"]
+    apply_tree_oracle(node["l"], X, rows[go_left], out)
+    apply_tree_oracle(node["r"], X, rows[~go_left], out)
+
+
+def gbt_predict_oracle(model, features):
+    """gbt.predict as one recursive walk per tree, for valid input."""
+    X = np.asarray(features, dtype=np.float64)
+    out = np.full(X.shape[0], model.base_score, dtype=np.float64)
+    rows = np.arange(X.shape[0])
+    for tree in model.trees:
+        apply_tree_oracle(tree, X, rows, out)
+    return out
+
+
 def make_folds_oracle(ds, k, seed):
     """evaluation.make_folds before it counted positives: a boolean mask and
     a copy of the training labels per fold, each checked for a 0 and a 1."""
@@ -281,6 +303,17 @@ def write_dense_oracle(ds, stream):
             fields.extend(repr(float(v)) for v in ds.features[i])
             out.write(",".join(fields))
             out.write("\n")
+        out.flush()
+
+
+def write_tabular_oracle(frame, stream):
+    """The tabular writer before it wrote the cells in one call: one row at a
+    time, each missing cell swapped for an empty string first."""
+    with _text_lines(stream) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([name for name, _ in frame.columns])
+        for row in frame.cells:
+            writer.writerow(["" if v is None else v for v in row])
         out.flush()
 
 

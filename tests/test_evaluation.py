@@ -25,12 +25,18 @@ from oracles import (average_ranks_oracle, confusion_and_accuracy_oracle, kfold_
                      macro_prf_oracle, make_folds_oracle)
 
 
+def fold_features(train_ds) -> np.ndarray:
+    """A copy of the rows a trainer reads (a DenseDataset's or a RowView's)."""
+    X, rows = dataio.matrix_rows(train_ds)
+    return X[rows]
+
+
 class NearestCentroid:
     """Deterministic stub classifier for CV plumbing tests."""
 
     def __init__(self, train_ds):
         self.centroids = {
-            c: train_ds.features[train_ds.labels == c].mean(axis=0)
+            c: fold_features(train_ds)[train_ds.labels == c].mean(axis=0)
             for c in (0.0, 1.0)
             if np.any(train_ds.labels == c)
         }
@@ -473,7 +479,8 @@ def numbered_ds(n=40, seed=3):
 
 def fold_of(train_ds, folds) -> int:
     """The fold a numbered_ds training set leaves out."""
-    held_out = set(range(sum(f.size for f in folds))) - set(train_ds.features[:, 0].astype(int))
+    kept = set(fold_features(train_ds)[:, 0].astype(int))
+    held_out = set(range(sum(f.size for f in folds))) - kept
     return next(i for i, fold in enumerate(folds) if held_out == set(fold.tolist()))
 
 
@@ -491,6 +498,17 @@ CLASSIFY = linmodels.make_trainer("logistic", linmodels.SgdConfig(
 REGRESS = gbt.make_trainer(gbt.GbtConfig(max_depth=2, eta=0.3, num_round=3,
                                          min_child_weight=1.0))
 
+GBT_CFG = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=4, min_child_weight=1.0)
+
+
+def gbt_ds(n=90):
+    """Regression targets over tied columns: -0.0 and 0.0, few values, a
+    constant column."""
+    rng = np.random.default_rng(n)
+    X = rng.choice([-0.0, 0.0, 1.0, 2.5], size=(n, 6))
+    X[:, 4], X[:, 5] = 7.0, rng.normal(size=n)
+    return DenseDataset(X[:, 0] * 2.0 - X[:, 2] + rng.normal(size=n) * 0.1, X)
+
 
 class TestKfoldForks:
     """Folds 1..k-1 in forked children once the first fit passes the gate:
@@ -506,6 +524,21 @@ class TestKfoldForks:
             trainer = REGRESS
         reports = assert_serial_result(ds, k, trainer, seed=k)
         assert len(reports) == k and len(fork_pids) == children
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_gbt_reports_equal_the_serial_oracle(self, request, monkeypatch, fork_pids,
+                                                 forked):
+        # fold 0 ranks the matrix; forked children inherit that ranking
+        if forked:
+            request.getfixturevalue("forced_forks")
+        else:
+            monkeypatch.setattr(ev, "_MIN_FORK_FIT_S", math.inf)
+        reports = assert_serial_result(gbt_ds(), 5, gbt.make_trainer(GBT_CFG), seed=4)
+        assert len(reports) == 5 and len(fork_pids) == (2 if forked else 0)
+
+    def test_gbt_fork_refused(self, forced_forks, refused_fork, fork_pids):
+        assert_serial_result(gbt_ds(), 5, gbt.make_trainer(GBT_CFG), seed=4)
+        assert len(fork_pids) == refused_fork
 
     def test_single_class_test_fold(self, forced_forks, fork_pids):
         labels = np.zeros(20)
@@ -646,9 +679,9 @@ class TestKfoldForks:
 
 
 def reads_features(trainer):
-    """trainer, after reading train_ds.features: a trainer that copies its rows."""
+    """trainer, after copying train_ds's rows."""
     def copying(train_ds):
-        train_ds.features
+        fold_features(train_ds)
         return trainer(train_ds)
     return copying
 

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deskbench import gbt
+from deskbench import evaluation, gbt
+from deskbench.dataio import DenseDataset, RowView
 from deskbench.errors import ConfigError, DataFormatError
 
-from oracles import brute_force_best_split, exact_greedy_split_oracle, gbt_fit_oracle
+from helpers import embedded_view, view_orders
+from oracles import (apply_tree_oracle, brute_force_best_split, exact_greedy_split_oracle,
+                     gbt_fit_oracle, gbt_predict_oracle)
 
 
 def walk_leaves(node, depth=0):
@@ -99,7 +102,7 @@ class TestFit:
         last = float(np.sqrt(np.mean((preds - y) ** 2)))
         for tree in model.trees:
             out = np.zeros(500)
-            gbt._apply_tree(tree, X, rows, out)
+            apply_tree_oracle(tree, X, rows, out)
             preds += out
             rmse = float(np.sqrt(np.mean((preds - y) ** 2)))
             assert rmse <= last + 1e-12
@@ -187,7 +190,7 @@ class TestPredict:
         rows = np.arange(150)
         for tree in model.trees:
             out = np.zeros(150)
-            gbt._apply_tree(tree, X, rows, out)
+            apply_tree_oracle(tree, X, rows, out)
             preds += out
         assert np.array_equal(gbt.predict(model, X), preds)
 
@@ -211,6 +214,64 @@ class TestPredict:
         a = gbt.fit(X, y, cfg)
         b = gbt.fit(X, y, cfg)
         assert a.trees == b.trees and a.base_score == b.base_score
+
+
+class TestPredictMatchesOracle:
+    """predict's array walk against the recursive walk, bit for bit."""
+
+    STUMP = {"f": 1, "t": 0.5, "l": {"w": -0.25}, "r": {"w": 0.75}}
+    DEEP = {"f": 0, "t": 0.0,
+            "l": {"w": 1.0},
+            "r": {"f": 1, "t": 1.0,
+                  "l": {"f": 0, "t": 2.0, "l": {"w": -0.0}, "r": {"w": 3.5}},
+                  "r": {"f": 2, "t": -1.0, "l": {"w": 0.125},
+                        "r": {"f": 1, "t": 1.0, "l": {"w": 7.0}, "r": {"w": -7.0}}}}}
+
+    def assert_same(self, model, X):
+        got, want = gbt.predict(model, X), gbt_predict_oracle(model, X)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_empty_model_and_no_rows(self):
+        for trees in ([], [self.STUMP]):
+            model = gbt.GbtModel(base_score=-1.5, trees=trees, num_features=3)
+            self.assert_same(model, np.zeros((4, 3)))
+            self.assert_same(model, np.zeros((0, 3)))
+
+    def test_leaves_stumps_and_deep_trees_together(self):
+        # trees of depth 0, 1 and 4 walk the same number of levels
+        rng = np.random.default_rng(1)
+        X = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0], size=(50, 3))
+        trees = [{"w": 0.1}, self.STUMP, self.DEEP, {"w": -0.0}, self.DEEP]
+        self.assert_same(gbt.GbtModel(0.3, trees, 3), X)
+
+    def test_ties_go_left(self):
+        # each row sits exactly on a threshold of the deep tree
+        X = np.array([[0.0, 1.0, -1.0], [-0.0, 1.0, 5.0], [1.0, 1.0, -1.0], [2.0, 1.0, 0.0],
+                      [2.0, 0.5, 0.0], [1.0, 2.0, -1.0]])
+        model = gbt.GbtModel(0.0, [self.DEEP], 3)
+        assert gbt.predict(model, X).tolist() == [1.0, 1.0, -0.0, -0.0, -0.0, 0.125]
+        self.assert_same(model, X)
+
+    @pytest.mark.parametrize("cells", [1, 2, 7, 30])
+    def test_across_row_chunks(self, cells):
+        # 3 trees in chunks of max(1, cells // 3) rows: 1, 1, 2 and 10
+        rng = np.random.default_rng(cells)
+        X = rng.normal(size=(41, 3))
+        y = X[:, 0] - X[:, 1] + rng.normal(size=41) * 0.1
+        model = gbt.fit(X, y, loose(max_depth=4, num_round=3))
+        with mock.patch.object(gbt, "_PREDICT_CELLS", cells):
+            self.assert_same(model, X)
+            self.assert_same(model, rng.normal(size=(10, 3)))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_fitted_models(self, seed, depth, rounds):
+        rng = np.random.default_rng(seed)
+        X = rng.choice(VALUES, size=(60, 4))
+        X[:, 0] = rng.normal(size=60)
+        model = gbt.fit(X, X[:, 0] + rng.normal(size=60), loose(max_depth=depth, num_round=rounds))
+        self.assert_same(model, X)
+        self.assert_same(model, rng.choice(VALUES, size=(30, 4)))
 
 
 class TestTrainerAdapter:
@@ -243,7 +304,7 @@ def best_split(X, g, rows, cfg):
     """gbt's split search at one node, on the ranks of the whole matrix."""
     cand, ranks, _ = gbt._rank_columns(X)
     return gbt._best_split(X, cand, gbt._search_blocks(ranks, rows, cfg), g[rows], rows, cfg,
-                           float(g[rows].sum()))
+                           float(g[rows].sum()), np.arange(1, X.shape[0], dtype=np.float64))
 
 
 def assert_same_split(new, old):
@@ -413,7 +474,10 @@ class TestSplitSearchMatchesOracle:
         h = np.arange(1, rows.size)
         heavy = (h >= cfg.min_child_weight) & (rows.size - h >= cfg.min_child_weight)
         with blocks_of(block):
-            for start, node_order, boundary, count in gbt._search_blocks(ranks, rows, cfg):
+            blocks = list(gbt._search_blocks(ranks, rows, cfg))
+            # a node no split can leave with two heavy children is not sorted
+            assert bool(blocks) == (heavy.any() and cand.size > 0)
+            for start, node_order, boundary, count in blocks:
                 node_ranks = ranks[start:start + node_order.shape[0], rows]
                 want = np.argsort(node_ranks, axis=1, kind="stable")
                 assert np.array_equal(node_order, want)
@@ -570,3 +634,95 @@ class TestBoundaryScoring:
                 for cols in ([0], [1], [0, 1]):
                     assert_same_split(best_split(X[:, cols], g, rows, self.CFG),
                                       exact_greedy_split_oracle(X[:, cols], g, rows, self.CFG))
+
+
+@st.composite
+def fold_cases(draw):
+    """(dataset, k, seed, cfg): few-valued columns with -0.0 and 0.0, a
+    constant column, a near-constant one and one that is constant on the
+    training rows of fold 0 alone."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, f = draw(st.integers(6, 60)), draw(st.integers(4, 9))
+    X = rng.choice(draw(st.sampled_from([VALUES[:2], VALUES[:3], VALUES])), size=(n, f))
+    if draw(st.booleans()):
+        X[:, 4:] = rng.normal(size=(n, f - 4))
+    X[:, 1] = 2.0  # constant
+    X[:, 2] = -0.0  # one 0.0 leaves it constant, one 1.0 makes it near-constant
+    X[rng.integers(n), 2] = draw(st.sampled_from([0.0, 1.0]))
+    y = rng.choice(GRADIENTS, size=n) if draw(st.booleans()) else rng.normal(size=n)
+    y[0] = 0.5  # not 0/1 targets, which make_folds would split by class
+    k, seed = draw(st.integers(2, min(5, n // 2))), draw(st.integers(0, 100))
+    fold = evaluation.make_folds(DenseDataset(y, X), k, seed)[0]
+    X[:, 3] = 0.5
+    X[fold, 3] = rng.normal(size=fold.size)  # varies only on fold 0's test rows
+    cfg = gbt.GbtConfig(max_depth=draw(st.integers(1, 5)), eta=0.3,
+                        num_round=draw(st.integers(1, 5)),
+                        min_child_weight=float(draw(st.integers(0, 4))),
+                        lambda_=draw(st.sampled_from([0.0, 1.5])),
+                        gamma=draw(st.sampled_from([0.0, 0.1])))
+    return DenseDataset(y, X), k, seed, cfg
+
+
+def fold_views(ds, k, seed):
+    """Each fold's training rows as a RowView, as kfold_cv makes them."""
+    return [RowView(ds, np.delete(np.arange(ds.num_rows), fold))
+            for fold in evaluation.make_folds(ds, k, seed)]
+
+
+class TestFoldsReadInPlace:
+    """A trainer fits each fold on the rows of its base matrix, ranked once,
+    to the trees of a fit on a copy of the fold."""
+
+    def assert_folds_match(self, ds, k, seed, cfg):
+        trainer = gbt.make_trainer(cfg)
+        for view in fold_views(ds, k, seed):
+            new = trainer(view).model
+            old = gbt_fit_oracle(ds.features[view.rows], view.labels, cfg)
+            assert_same_model(new, old)
+            assert repr(new.base_score) == repr(old.base_score)
+
+    @given(fold_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_fold_trees_identical(self, case):
+        with mock.patch.object(gbt, "_rank_columns", wraps=gbt._rank_columns) as rank:
+            self.assert_folds_match(*case)
+        assert rank.call_count == 1
+
+    @pytest.mark.parametrize("n", [256, 257, 65_536, 65_537])
+    def test_rank_dtype_edges_at_the_full_row_count(self, n):
+        # the base's ranks take the dtype of n rows, a fold's copy that of
+        # fewer; the keys of its largest nodes fill 32 bits or need 64
+        rng = np.random.default_rng(n)
+        X = np.column_stack([rng.normal(size=n), rng.choice([-0.0, 0.0, 1.0], size=n),
+                             np.full(n, 3.0)])
+        y = np.sin(3.0 * X[:, 0]) + X[:, 1] + rng.normal(size=n) * 0.1
+        assert gbt._rank_columns(X)[1].dtype == np.min_scalar_type(n - 1)
+        cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=2, min_child_weight=1.0)
+        self.assert_folds_match(DenseDataset(y, X), 5 if n < 1000 else 3, n, cfg)
+
+    @given(st.integers(0, 2**31 - 1), view_orders(), st.integers(0, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_any_view_equals_its_copy(self, seed, order, extra):
+        # rows that do not ascend are sorted at the root as any node is
+        rng = np.random.default_rng(seed)
+        X = rng.choice(VALUES, size=(40, 5))
+        ds = DenseDataset(rng.normal(size=40), X)
+        view = embedded_view(ds, seed, order, extra)
+        cfg = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=3, min_child_weight=1.0)
+        assert_same_model(gbt.make_trainer(cfg)(view).model, gbt_fit_oracle(X, ds.labels, cfg))
+
+    def test_ranked_once_per_matrix(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_MIN_FORK_FIT_S", np.inf)
+        rng = np.random.default_rng(3)
+        a = DenseDataset(rng.normal(size=50), rng.normal(size=(50, 4)))
+        b = DenseDataset(a.labels, a.features.copy())
+        trainer = gbt.make_trainer(gbt.GbtConfig(max_depth=2, eta=0.3, num_round=2))
+        with mock.patch.object(gbt, "_rank_columns", wraps=gbt._rank_columns) as rank:
+            evaluation.kfold_cv(a, 5, trainer, seed=1)
+            assert rank.call_count == 1
+            evaluation.kfold_cv(a, 3, trainer, seed=2)
+            assert rank.call_count == 1
+            evaluation.kfold_cv(b, 5, trainer, seed=1)  # equal values, another matrix
+            assert rank.call_count == 2
+            trainer(a)
+            assert rank.call_count == 3

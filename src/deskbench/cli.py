@@ -65,15 +65,29 @@ def csv_names(raw) -> tuple:
     return tuple(part for part in parts if part)
 
 
+def integer(raw) -> int:
+    """7, "7" or 7.0 as 7; a JSON bool or a number such as 2.9 is refused, not
+    truncated."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"needs an integer, got {raw!r}")
+    return int(raw)
+
+
+def number(raw) -> float:
+    if isinstance(raw, bool):
+        raise ValueError(f"needs a number, got {raw!r}")
+    return float(raw)
+
+
 def fold_count(raw) -> int:
-    k = int(raw)
+    k = integer(raw)
     if k < 2:
         raise ValueError("needs at least 2 folds")
     return k
 
 
 def worker_id(raw) -> int:
-    wid = int(raw)
+    wid = integer(raw)
     if not 0 <= wid < 2**32:
         raise ValueError("the HELLO frame carries ids in [0, 2**32)")
     return wid
@@ -223,29 +237,29 @@ def _command(name: str, help_text: str, opts: tuple):
 
 COMMON_OPTS = (
     Opt("outdir", default=".", is_path=True, help="directory for reports and artifacts"),
-    Opt("seed", int, default=0, help="RNG seed"),
+    Opt("seed", integer, default=0, help="RNG seed"),
 )
 
 SGD_OPTS = (
-    Opt("lambda", float, help="L2 strength (linear default 1e-4, gbt 1.5)"),
-    Opt("lr", float, help="learning rate (logistic 0.1, mlp 1e-3)"),
-    Opt("epochs", int, help="passes for logistic/mlp, total steps for svm"),
-    Opt("batch-size", int, help="mini-batch size (linear 32, mlp 128)"),
+    Opt("lambda", number, help="L2 strength (linear default 1e-4, gbt 1.5)"),
+    Opt("lr", number, help="learning rate (logistic 0.1, mlp 1e-3)"),
+    Opt("epochs", integer, help="passes for logistic/mlp, total steps for svm"),
+    Opt("batch-size", integer, help="mini-batch size (linear 32, mlp 128)"),
 )
 
 MLP_OPTS = (
-    Opt("hidden-size", int, default=128, help="units per hidden block"),
-    Opt("num-blocks", int, default=2, help="hidden blocks"),
-    Opt("dropout", float, default=0.8, help="chance to drop each hidden unit (0.8 drops 80%%)"),
-    Opt("weight-decay", float, default=1e-4, help="coupled L2 on affine weights"),
+    Opt("hidden-size", integer, default=128, help="units per hidden block"),
+    Opt("num-blocks", integer, default=2, help="hidden blocks"),
+    Opt("dropout", number, default=0.8, help="chance to drop each hidden unit (0.8 drops 80%%)"),
+    Opt("weight-decay", number, default=1e-4, help="coupled L2 on affine weights"),
 )
 
 GBT_OPTS = (
-    Opt("max-depth", int, default=10, help="most levels of splits in a tree"),
-    Opt("eta", float, default=0.05, help="shrinkage per round"),
-    Opt("num-round", int, default=300, help="boosting rounds"),
-    Opt("min-child-weight", float, default=5.0, help="fewest rows each child of a split must keep"),
-    Opt("gamma", float, default=0.1, help="split gain threshold"),
+    Opt("max-depth", integer, default=10, help="most levels of splits in a tree"),
+    Opt("eta", number, default=0.05, help="shrinkage per round"),
+    Opt("num-round", integer, default=300, help="boosting rounds"),
+    Opt("min-child-weight", number, default=5.0, help="fewest rows each child of a split must keep"),
+    Opt("gamma", number, default=0.1, help="split gain threshold"),
 )
 
 HYPER_OPTS = SGD_OPTS + MLP_OPTS + GBT_OPTS
@@ -253,9 +267,9 @@ LABEL_MAP_OPT = Opt("label-map", help="override label mapping: " + "|".join(data
 
 
 @_command("gen", "generate a synthetic dense binary dataset", COMMON_OPTS + (
-    Opt("rows", int, required=True, help="number of rows"),
-    Opt("features", int, required=True, help="number of feature columns"),
-    Opt("separation", float, default=2.0, help="class separation strength"),
+    Opt("rows", integer, required=True, help="number of rows"),
+    Opt("features", integer, required=True, help="number of feature columns"),
+    Opt("separation", number, default=2.0, help="class separation strength"),
     Opt("out", required=True, is_path=True, help="output CSV path"),
 ))
 def _cmd_gen(params, outdir):
@@ -267,7 +281,7 @@ def _cmd_gen(params, outdir):
 
 @_command("split", "shuffle and split a dense dataset into parts", COMMON_OPTS + (
     Opt("data", required=True, is_path=True, help="dense CSV to split"),
-    Opt("parts", int, required=True, help="number of parts"),
+    Opt("parts", integer, required=True, help="number of parts"),
     Opt("name", default="part", help="base name for part files"),
 ))
 def _cmd_split(params, outdir):
@@ -323,7 +337,7 @@ def _cmd_cv(params, outdir):
 
 
 @_command("plan", "emit the five-instance algorithm assignment plan", COMMON_OPTS + (
-    Opt("partitions", int, required=True, help="partition count (the plan needs 5)"),
+    Opt("partitions", integer, required=True, help="partition count (the plan needs 5)"),
     Opt("algos", csv_names, default=DEFAULT_PLAN_ALGOS,
         help="five distinct algorithm ids, comma separated"),
 ))
@@ -405,13 +419,13 @@ def _cmd_gridsearch(params, outdir):
         help="imputation context columns, most to least specific"),
     Opt("currency-columns", csv_names, default=(), help="columns like $1,234,567"),
     Opt("dedupe-column", help="drop exact duplicates / too-short rows on this text column"),
-    Opt("min-tokens", int, default=3, help="minimum whitespace tokens for dedupe"),
+    Opt("min-tokens", integer, default=3, help="minimum whitespace tokens for dedupe"),
     Opt("year-column", help="numeric column to min-max normalize"),
     Opt("text-columns", csv_names, help="columns joined into the hashed text block"),
     Opt("numeric-columns", csv_names, default=(),
         help="numeric columns appended after the text block"),
-    Opt("dim", int, default=textfeat.DEFAULT_HASH_DIM, help="hashed text dimensions"),
-    Opt("min-doc-freq", int, default=3, help="document-frequency cutoff"),
+    Opt("dim", integer, default=textfeat.DEFAULT_HASH_DIM, help="hashed text dimensions"),
+    Opt("min-doc-freq", integer, default=3, help="document-frequency cutoff"),
     Opt("stoplist", is_path=True, help="stopword lines, each tokenized like a document"),
     Opt("out", default="features.csv", help="dense output name inside --outdir"),
 ))
@@ -441,11 +455,11 @@ def _cmd_pipeline(params, outdir):
     Opt("data", required=True, is_path=True, help="CSV with text and label columns"),
     Opt("text-column", default="text"),
     Opt("label-column", default="label"),
-    Opt("target-size", int, required=True, help="per-class row budget"),
-    Opt("factor", int, default=1, help="augmentation factor for classes under budget"),
-    Opt("rings", int, default=10, help="distance rings per undersampled class"),
-    Opt("dim", int, default=textfeat.DEFAULT_HASH_DIM, help="hashed text dimensions"),
-    Opt("min-doc-freq", int, default=1, help="document-frequency cutoff"),
+    Opt("target-size", integer, required=True, help="per-class row budget"),
+    Opt("factor", integer, default=1, help="augmentation factor for classes under budget"),
+    Opt("rings", integer, default=10, help="distance rings per undersampled class"),
+    Opt("dim", integer, default=textfeat.DEFAULT_HASH_DIM, help="hashed text dimensions"),
+    Opt("min-doc-freq", integer, default=1, help="document-frequency cutoff"),
     Opt("out", default="balanced.csv", help="output name inside --outdir"),
 ))
 def _cmd_balance(params, outdir):
@@ -471,9 +485,9 @@ def _cmd_balance(params, outdir):
 
 BENCH_OPTS = (
     Opt("algo", required=True, help="logistic|logreg|svm (wire protocol models)"),
-    Opt("rounds", int, required=True, help="synchronous training rounds"),
-    Opt("lambda", float, help="L2 strength (default 1e-4)"),
-    Opt("lr", float, help="learning rate (default 0.1)"),
+    Opt("rounds", integer, required=True, help="synchronous training rounds"),
+    Opt("lambda", number, help="L2 strength (default 1e-4)"),
+    Opt("lr", number, help="learning rate (default 0.1)"),
     Opt("holdout", is_path=True, help="dense CSV scored for AUC after training"),
     Opt("manifest", help="dataset tag recorded for comparison matching"),
 )
@@ -503,9 +517,9 @@ def _cmd_bench_local(params, outdir):
 @_command("bench-master", "coordinate distributed training over sockets",
           COMMON_OPTS + BENCH_OPTS + (
     Opt("listen", default=DEFAULT_MASTER_ENDPOINT, help="host:port to bind"),
-    Opt("workers", int, help="expect worker ids 1..N"),
+    Opt("workers", integer, help="expect worker ids 1..N"),
     Opt("worker-ids", csv_names, help="explicit comma-separated worker ids"),
-    Opt("round-timeout", float, default=30.0, help="seconds per round and handshake"),
+    Opt("round-timeout", number, default=30.0, help="seconds per round and handshake"),
 ))
 def _cmd_bench_master(params, outdir):
     algo = _normalize_algo(params["algo"])
@@ -546,7 +560,7 @@ def _cmd_bench_master(params, outdir):
     Opt("connect", default=DEFAULT_MASTER_ENDPOINT, help="master host:port"),
     Opt("part", required=True, is_path=True, help="dense CSV part to train on"),
     Opt("worker-id", worker_id, required=True),
-    Opt("reconnect-attempts", int, default=3,
+    Opt("reconnect-attempts", integer, default=3,
         help="attempts to connect to the master; a connection lost after HELLO is final"),
 ))
 def _cmd_bench_worker(params, outdir):

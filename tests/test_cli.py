@@ -308,8 +308,12 @@ class TestGridsearch:
         ([0.1], ["parameter lists"]),
         ({"lambda": []}, ["at least one value"]),
         ({}, ["at least one parameter"]),
+        ({"num-round": [1, 2.5]}, ["'num-round': 2.5", "needs an integer"]),
+        ({"max-depth": [True]}, ["'max-depth': True", "needs an integer"]),
+        ({"eta": [0.1, False]}, ["'eta': False", "needs a number"]),
     ], ids=["dataclass-field", "several-unknown", "not-a-list", "bad-value", "not-an-object",
-            "empty-list", "empty-object"])
+            "empty-list", "empty-object", "fraction-for-integer", "bool-for-integer",
+            "bool-for-float"])
     def test_bad_grid_is_usage_error_before_training(self, tmp_path, gen_csv, built_configs,
                                                      capsys, grid, needles):
         rc = run_cli("gridsearch", "--algo", "logreg", "--data", gen_csv, "--k", 2,
@@ -621,6 +625,20 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--k" in err[0] and "'x'" in err[0]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 2.9, "needs an integer"), ("num-round", True, "needs an integer"),
+        ("seed", 1.5, "needs an integer"), ("eta", True, "needs a number"),
+    ])
+    def test_config_value_is_not_truncated(self, tmp_path, dense_csv, capsys, field, value,
+                                           message):
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps({"algo": "gbt", "data": str(dense_csv), field: value}),
+                       encoding="utf-8")
+        assert run_cli("cv", "--config", cfg, "--outdir", tmp_path / "out") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"for --{field}: {message}" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_worker_ids_recorded_as_given(self, tmp_path):
         assert run_cli("bench-master", "--worker-ids", "a,b", "--algo", "logistic",
                        "--rounds", 1, "--outdir", tmp_path) == 1
@@ -793,6 +811,24 @@ class TestMergeParams:
         ns = type("NS", (), {"doc_freq": None})()
         assert cli.merge_params(opts, ns, {"doc-freq": 2}, tmp_path) == {"doc_freq": 2}
         assert cli.merge_params(opts, ns, {"doc_freq": 4}, tmp_path) == {"doc_freq": 4}
+
+    @pytest.mark.parametrize("convert, raw", [
+        (cli.integer, 2.9), (cli.integer, True), (cli.integer, float("inf")),
+        (cli.fold_count, 2.5), (cli.fold_count, True), (cli.worker_id, 1.5),
+        (cli.worker_id, False), (cli.number, True),
+    ])
+    def test_bool_or_fraction_is_refused(self, tmp_path, convert, raw):
+        opts = (cli.Opt("alpha", convert),)
+        ns = type("NS", (), {"alpha": None})()
+        with pytest.raises(ConfigError, match="for --alpha: needs a"):
+            cli.merge_params(opts, ns, {"alpha": raw}, tmp_path)
+
+    @pytest.mark.parametrize("raw", [7, "7", 7.0])
+    def test_integer_accepts_integral_values(self, tmp_path, raw):
+        opts = (cli.Opt("alpha", cli.integer),)
+        ns = type("NS", (), {"alpha": None})()
+        params = cli.merge_params(opts, ns, {"alpha": raw}, tmp_path)
+        assert params == {"alpha": 7} and type(params["alpha"]) is int
 
 
 SGD = functools.partial(linmodels.SgdConfig, lambda_=1e-4, epochs_or_iters=1)

@@ -302,7 +302,7 @@ def blocks_of(width):
 
 def best_split(X, g, rows, cfg):
     """gbt's split search at one node, on the ranks of the whole matrix."""
-    cand, ranks, _ = gbt._rank_columns(X)
+    cand, ranks = gbt._rank_columns(X)
     return gbt._best_split(X, cand, gbt._search_blocks(ranks, rows, cfg), g[rows], rows, cfg,
                            float(g[rows].sum()), np.arange(1, X.shape[0], dtype=np.float64))
 
@@ -427,11 +427,10 @@ class TestSplitSearchMatchesOracle:
         X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
                              np.full(n, 2.0), rng.choice([-0.0, 0.0, 1.0], size=n)])
         y = X[:, 0] + X[:, 3] + rng.normal(size=n) * 0.1
-        cand, ranks, order = gbt._rank_columns(X)
-        assert cand.tolist() == [0, 1, 3] and ranks.dtype == order.dtype == dtype
+        cand, ranks = gbt._rank_columns(X)
+        assert cand.tolist() == [0, 1, 3] and ranks.dtype == dtype
         for j, f in enumerate(cand):
             assert np.array_equal(ranks[j], np.unique(X[:, f], return_inverse=True)[1])
-            assert np.array_equal(order[j], np.argsort(ranks[j], kind="stable"))
         cfg = gbt.GbtConfig(max_depth=3, eta=0.3, num_round=2, min_child_weight=1.0)
         assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
 
@@ -440,9 +439,8 @@ class TestSplitSearchMatchesOracle:
         rng = np.random.default_rng(65_537)
         X = rng.normal(size=(65_537, 1))
         y = np.sin(3.0 * X[:, 0]) + rng.normal(size=65_537) * 0.1
-        _, ranks, order = gbt._rank_columns(X)
+        _, ranks = gbt._rank_columns(X)
         assert ranks.dtype == np.uint32 and int(ranks.max()) == 65_536
-        assert np.array_equal(order[0], np.argsort(ranks[0], kind="stable"))
         cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=1, min_child_weight=1.0)
         assert_same_model(gbt.fit(X, y, cfg), gbt_fit_oracle(X, y, cfg))
 
@@ -468,9 +466,7 @@ class TestSplitSearchMatchesOracle:
     @settings(max_examples=100, deadline=None)
     def test_row_orders_are_stable_rank_sorts(self, case):
         X, _, rows, cfg, block = case
-        cand, ranks, order = gbt._rank_columns(X)
-        for j in range(cand.size):
-            assert np.array_equal(order[j], np.argsort(ranks[j], kind="stable"))
+        cand, ranks = gbt._rank_columns(X)
         h = np.arange(1, rows.size)
         heavy = (h >= cfg.min_child_weight) & (rows.size - h >= cfg.min_child_weight)
         with blocks_of(block):
@@ -518,6 +514,21 @@ class TestSplitSearchMatchesOracle:
         searched_rows = [call.args[4].size for call in search.call_args_list]
         assert sorted_rows.count(80) == 1 and searched_rows.count(80) == 7
         assert len(sorted_rows) == len(searched_rows) - 6
+
+    @pytest.mark.parametrize("n", [80, 300])
+    def test_root_orders_held_in_rank_dtype(self, n):
+        # the fit holds the root's orders for all its rounds, in ranks' dtype
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 70))
+        y = X[:, 0] + rng.normal(size=n) * 0.1
+        cfg = gbt.GbtConfig(max_depth=2, eta=0.3, num_round=4, min_child_weight=1.0)
+        with mock.patch.object(gbt, "_best_split", wraps=gbt._best_split) as search:
+            gbt.fit(X, y, cfg)
+        roots = [call.args[2] for call in search.call_args_list if call.args[4].size == n]
+        assert len(roots) == 4 and all(roots)
+        dtype = gbt._rank_columns(X)[1].dtype
+        assert dtype == np.min_scalar_type(n - 1)
+        assert all(order.dtype == dtype for blocks in roots for _, order, _, _ in blocks)
 
 
 def boundary_share(X, rows, cfg):

@@ -101,19 +101,20 @@ def _opts_by_key(opts) -> dict:
 def merge_params(opts, args, config_data: dict, config_dir: Path) -> dict:
     """Flags override config values override Opt defaults."""
     known = _opts_by_key(opts)
-    for key in config_data:
-        if key not in known:
+    config = {}  # the config values by dest
+    for key, raw in config_data.items():
+        opt = known.get(key)
+        if opt is None:
             raise ConfigError(f"unknown config key {key!r}")
+        if opt.dest in config:
+            raise ConfigError(f"config names --{opt.name} twice, as {opt.name!r} and {opt.dest!r}")
+        config[opt.dest] = raw
     params = {}
     for opt in opts:
         raw = getattr(args, opt.dest, None)
-        from_config = False
-        if raw is None:
-            for key in (opt.name, opt.dest):
-                if key in config_data and config_data[key] is not None:
-                    raw = config_data[key]
-                    from_config = True
-                    break
+        from_config = raw is None and config.get(opt.dest) is not None
+        if from_config:
+            raw = config[opt.dest]
         if raw is None:
             value = opt.default
         else:
@@ -203,7 +204,8 @@ def _gbt_config(params: dict) -> gbt.GbtConfig:
 
 
 def _trainer_for(algo: str, params: dict, ds: dataio.DenseDataset):
-    """Trainer callable plus the config object it was built from."""
+    """Trainer callable plus the config object it was built from: how train,
+    cv and gridsearch turn flags into a model."""
     if algo in linmodels.MODEL_KINDS:
         cfg = _sgd_config(params, algo, ds.num_rows)
         return linmodels.make_trainer(algo, cfg), cfg
@@ -263,6 +265,10 @@ GBT_OPTS = (
 )
 
 HYPER_OPTS = SGD_OPTS + MLP_OPTS + GBT_OPTS
+# the hyperparameter flags each algorithm trains with, the only ones a grid sweeps
+ALGO_FLAGS = {"logistic": ("lambda", "lr", "epochs", "batch-size"),
+              "svm": ("lambda", "epochs"), "gbt": ("lambda", *(opt.name for opt in GBT_OPTS)),
+              "mlp": ("lr", "epochs", "batch-size", *(opt.name for opt in MLP_OPTS))}
 LABEL_MAP_OPT = Opt("label-map", help="override label mapping: " + "|".join(dataio.LABEL_MAPS))
 
 
@@ -299,15 +305,12 @@ def _cmd_split(params, outdir):
 def _cmd_train(params, outdir):
     algo = _normalize_algo(params["algo"])
     ds = _load_for_algo(params["data"], algo, params["label_map"])
+    trainer, cfg = _trainer_for(algo, params, ds)
+    predictor = trainer(ds)
     if algo == "mlp":
-        arch, cfg = _mlp_configs(params, ds.num_features)
-        model, curve = mlp.train(ds, arch, cfg)
-        mlp.save_learning_curve(outdir / "learning-curve.csv", curve)
-    else:
-        trainer, cfg = _trainer_for(algo, params, ds)
-        model = trainer(ds).model
+        mlp.save_learning_curve(outdir / "learning-curve.csv", predictor.curve)
     path = outdir / "model.json"
-    artifacts.save_artifact(path, artifacts.model_artifact(model, config=cfg))
+    artifacts.save_artifact(path, artifacts.model_artifact(predictor.model, config=cfg))
     print(f"wrote {path}")
 
 
@@ -387,6 +390,13 @@ def _cmd_gridsearch(params, outdir):
 
     for point in ({key: value} for key, values in grid.items() for value in values):
         flag_values(point)  # a bad value fails before any training
+    for key in grid:
+        opt = hyper[key]
+        if key != opt.name and opt.name in grid:
+            raise ConfigError(f"--grid names --{opt.name} twice, as {opt.name!r} and {opt.dest!r}")
+        if opt.name not in ALGO_FLAGS[algo]:
+            raise ConfigError(f"--grid key {key!r}: {algo} does not train with "
+                              f"--{opt.name}; its flags are {list(ALGO_FLAGS[algo])}")
     ds = _load_for_algo(params["data"], algo, params["label_map"])
 
     def factory(**point):
@@ -493,25 +503,34 @@ BENCH_OPTS = (
 )
 
 
+def _bench_setup(params) -> tuple:
+    """The algorithm a bench command trains, refused unless it travels the
+    wire, its one-epoch-per-round SgdConfig and the manifest tag."""
+    algo = _normalize_algo(params["algo"])
+    if algo not in distbench.ALGO_CODES:
+        raise ConfigError(f"only {sorted(distbench.ALGO_CODES)} travel the wire")
+    # with epochs set the row count is unused
+    cfg = _sgd_config({**params, "epochs": 1}, algo, 0)
+    return algo, cfg, _first(params["manifest"], "")
+
+
+def _bench_output(outdir, name: str, record, auc, model, cfg) -> None:
+    write_json(outdir / name, dataclasses.asdict(record))
+    artifacts.save_artifact(outdir / "model.json", artifacts.model_artifact(model, config=cfg))
+    auc = "n/a" if auc is None else f"{auc:.4f}"
+    print(f"wrote {outdir / name} (wall {record.wall_clock_s:.2f}s, auc {auc})")
+
+
 @_command("bench-local", "time single-node training with the round schedule",
           COMMON_OPTS + BENCH_OPTS + (
     Opt("data", required=True, is_path=True, help="dense CSV training set"),
 ))
 def _cmd_bench_local(params, outdir):
-    algo = _normalize_algo(params["algo"])
+    algo, cfg, manifest = _bench_setup(params)
     ds = dataio.load_dense(params["data"], label_map="zero_one")
-    holdout = None
-    if params["holdout"]:
-        holdout = dataio.load_dense(params["holdout"], label_map="zero_one")
-    # one local epoch per round
-    cfg = _sgd_config({**params, "epochs": 1}, algo, ds.num_rows)
-    model, result = distbench.run_local_bench(
-        ds, algo, cfg, params["rounds"], holdout, _first(params["manifest"], ""))
-    write_json(outdir / "local-bench.json", dataclasses.asdict(result))
-    artifacts.save_artifact(outdir / "model.json", artifacts.model_artifact(model, config=cfg))
-    auc = "n/a" if result.auc_roc is None else f"{result.auc_roc:.4f}"
-    print(f"wrote {outdir / 'local-bench.json'} "
-          f"(wall {result.wall_clock_s:.2f}s, auc {auc})")
+    holdout = params["holdout"] and dataio.load_dense(params["holdout"], label_map="zero_one")
+    model, result = distbench.run_local_bench(ds, algo, cfg, params["rounds"], holdout, manifest)
+    _bench_output(outdir, "local-bench.json", result, result.auc_roc, model, cfg)
 
 
 @_command("bench-master", "coordinate distributed training over sockets",
@@ -522,9 +541,7 @@ def _cmd_bench_local(params, outdir):
     Opt("round-timeout", number, default=30.0, help="seconds per round and handshake"),
 ))
 def _cmd_bench_master(params, outdir):
-    algo = _normalize_algo(params["algo"])
-    if algo not in distbench.ALGO_CODES:
-        raise ConfigError(f"only {sorted(distbench.ALGO_CODES)} travel the wire")
+    algo, cfg, manifest = _bench_setup(params)
     if params["worker_ids"] is not None:
         try:
             ids = [int(v) for v in params["worker_ids"]]
@@ -542,18 +559,9 @@ def _cmd_bench_master(params, outdir):
         round_timeout_s=params["round_timeout"],
         max_rounds=params["rounds"],
     )
-    holdout = None
-    if params["holdout"]:
-        holdout = dataio.load_dense(params["holdout"], label_map="zero_one")
-    # one local epoch per round; with epochs set the row count is unused
-    cfg = _sgd_config({**params, "epochs": 1}, algo, 0)
-    model, record = distbench.run_master(
-        spec, algo, cfg, params["rounds"], holdout, _first(params["manifest"], ""))
-    write_json(outdir / "dist-bench.json", dataclasses.asdict(record))
-    artifacts.save_artifact(outdir / "model.json", artifacts.model_artifact(model, config=cfg))
-    auc = "n/a" if record.holdout_auc is None else f"{record.holdout_auc:.4f}"
-    print(f"wrote {outdir / 'dist-bench.json'} "
-          f"(wall {record.wall_clock_s:.2f}s, auc {auc})")
+    holdout = params["holdout"] and dataio.load_dense(params["holdout"], label_map="zero_one")
+    model, record = distbench.run_master(spec, algo, cfg, params["rounds"], holdout, manifest)
+    _bench_output(outdir, "dist-bench.json", record, record.holdout_auc, model, cfg)
 
 
 @_command("bench-worker", "serve one data part to a benchmark master", COMMON_OPTS + (

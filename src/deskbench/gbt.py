@@ -178,7 +178,7 @@ def _best_split(X, cand, blocks, g_node, rows, cfg, G, steps):
     return best
 
 
-def _grow(X, cand, ranks, steps, g, rows, depth, cfg, deltas, blocks=None):
+def _grow(X, cand, ranks, steps, g, rows, depth, cfg, preds, blocks=None):
     g_node = g[rows]
     G = float(g_node.sum())
     H = float(rows.size)
@@ -189,10 +189,10 @@ def _grow(X, cand, ranks, steps, g, rows, depth, cfg, deltas, blocks=None):
         if split is not None:
             _, f, t, left, right = split
             return {"f": f, "t": t,
-                    "l": _grow(X, cand, ranks, steps, g, left, depth + 1, cfg, deltas),
-                    "r": _grow(X, cand, ranks, steps, g, right, depth + 1, cfg, deltas)}
+                    "l": _grow(X, cand, ranks, steps, g, left, depth + 1, cfg, preds),
+                    "r": _grow(X, cand, ranks, steps, g, right, depth + 1, cfg, preds)}
     weight = cfg.eta * (-G / (H + cfg.lambda_))
-    deltas[rows] = weight
+    preds[rows] += weight
     return {"w": weight}
 
 
@@ -228,7 +228,7 @@ def fit(features, targets, cfg: GbtConfig) -> GbtModel:
         fold.ranked[:] = fold.base, X, _rank_columns(X)
     cand, ranks = fold.ranked[2]
     base = float(y.mean())
-    targets_at = np.zeros(X.shape[0])  # by row number, as preds, g and deltas
+    targets_at = np.zeros(X.shape[0])  # by row number, as preds and g
     targets_at[rows] = y
     preds = np.full(X.shape[0], base, dtype=np.float64)
     steps = np.arange(1, rows.size, dtype=np.float64)
@@ -237,10 +237,8 @@ def fit(features, targets, cfg: GbtConfig) -> GbtModel:
             for start, order, boundary, count in _search_blocks(ranks, rows, cfg)]
     trees = []
     for _ in range(cfg.num_round):
-        g = preds - targets_at
-        deltas = np.zeros_like(preds)
-        trees.append(_grow(X, cand, ranks, steps, g, rows, 0, cfg, deltas, root))
-        preds += deltas
+        g = preds - targets_at  # taken before this round's leaves add to preds
+        trees.append(_grow(X, cand, ranks, steps, g, rows, 0, cfg, preds, root))
     return GbtModel(base_score=base, trees=trees, num_features=X.shape[1])
 
 

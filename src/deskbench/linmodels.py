@@ -93,13 +93,6 @@ def _require_binary(ds: DenseDataset) -> np.ndarray:
     return ds.labels.astype(np.int64)
 
 
-def _example_weights(y01: np.ndarray, class_weights) -> np.ndarray:
-    if class_weights is None:
-        return np.ones(y01.size, dtype=np.float64)
-    w0, w1 = class_weights
-    return np.where(y01 == 1, float(w1), float(w0))
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below: neither exp overflows.
 
@@ -163,7 +156,8 @@ def sgd_epoch(kind: str, w: np.ndarray, b: float, features, y01, lambda_: float,
 def train_logistic(ds: DenseDataset, cfg: SgdConfig) -> LinearModel:
     y01 = _require_binary(ds)
     X, rows = matrix_rows(ds)
-    c = None if cfg.class_weights is None else _example_weights(y01, cfg.class_weights)
+    weights = cfg.class_weights
+    c = None if weights is None else np.where(y01 == 1, float(weights[1]), float(weights[0]))
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
     rng = np.random.default_rng(cfg.seed)

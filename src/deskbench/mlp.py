@@ -340,10 +340,11 @@ def train(ds: DenseDataset, arch: MlpArchitecture, cfg: MlpTrainConfig):
 
 
 class MlpPredictor:
-    """Adapter exposing the trainer-interface predict/score pair."""
+    """The trainer-interface predict/score pair, and the model's learning curve."""
 
-    def __init__(self, model: MlpModel):
+    def __init__(self, model: MlpModel, curve=()):
         self.model = model
+        self.curve = curve
 
     def predict(self, features) -> np.ndarray:
         logits = forward(self.model, features)
@@ -356,8 +357,7 @@ class MlpPredictor:
 
 def make_trainer(arch: MlpArchitecture, cfg: MlpTrainConfig):
     def trainer(train_ds: DenseDataset) -> MlpPredictor:
-        model, _ = train(train_ds, arch, cfg)
-        return MlpPredictor(model)
+        return MlpPredictor(*train(train_ds, arch, cfg))
 
     return trainer
 

@@ -163,6 +163,17 @@ class TestTrain:
         assert artifacts.load_artifact(tmp_path / "model.json")["kind"] == "mlp"
         curve = (tmp_path / "learning-curve.csv").read_text().splitlines()
         assert len(curve) == 3  # header + 2 epochs
+        # the bytes of a direct mlp.train with the configs the flags build
+        params = json.loads((tmp_path / "effective-config.json").read_text())
+        ds = dataio.load_dense(dense_csv, label_map="zero_one")
+        arch, cfg = cli._mlp_configs(params, ds.num_features)
+        model, direct = mlp.train(ds, arch, cfg)
+        mlp.save_learning_curve(tmp_path / "direct-curve.csv", direct)
+        artifacts.save_artifact(tmp_path / "direct.json",
+                                artifacts.model_artifact(model, config=cfg))
+        for ours, theirs in [("model.json", "direct.json"),
+                             ("learning-curve.csv", "direct-curve.csv")]:
+            assert (tmp_path / ours).read_bytes() == (tmp_path / theirs).read_bytes()
 
     def test_gbt_artifact_predicts(self, tmp_path, regression_csv):
         rc = run_cli("train", "--algo", "gbt", "--data", regression_csv,
@@ -259,6 +270,8 @@ class TestGridsearch:
         ("logreg", "lr", [0.05, 0.2], "learning_rate"),
         ("logreg", "epochs", [1, 2], "epochs_or_iters"),
         ("logreg", "batch-size", [16, 32], "batch_size"),
+        ("svm", "lambda", [1e-3, 1e-2], "lambda_"),
+        ("svm", "epochs", [1, 2], "epochs_or_iters"),
         ("mlp", "lr", [1e-3, 3e-3], "learning_rate"),
         ("mlp", "epochs", [1, 2], "epochs"),
         ("mlp", "batch-size", [8, 16], "batch_size"),
@@ -289,6 +302,22 @@ class TestGridsearch:
         first, second = built_configs
         assert {k for k in first if first[k] != second[k]} == {field}
 
+    # every other (algorithm, hyperparameter flag) pair: a flag the algorithm never reads
+    REFUSED = sorted(set(itertools.product(["logreg", "svm", "mlp", "gbt"],
+                                           [opt.name for opt in cli.HYPER_OPTS]))
+                     - {(a, f) for a, f, _, _ in FAMILY_FLAGS})
+
+    @pytest.mark.parametrize("algo, flag", REFUSED, ids=[f"{a}-{f}" for a, f in REFUSED])
+    def test_flag_the_algorithm_never_reads_is_refused(self, tmp_path, gen_csv, built_configs,
+                                                       capsys, algo, flag):
+        rc = run_cli("gridsearch", "--algo", algo, "--data", gen_csv, "--k", 2,
+                     "--grid", json.dumps({flag: [1, 2]}), "--outdir", tmp_path)
+        assert rc == 1
+        assert built_configs == []
+        assert not (tmp_path / "gridsearch.json").exists()
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and f"--{flag}" in err
+
     def test_underscored_key_accepted(self, tmp_path, gen_csv, built_configs):
         rc = run_cli("gridsearch", "--algo", "logreg", "--data", gen_csv, "--k", 2,
                      "--grid", json.dumps({"batch_size": [8, 16]}), "--outdir", tmp_path)
@@ -311,9 +340,11 @@ class TestGridsearch:
         ({"num-round": [1, 2.5]}, ["'num-round': 2.5", "needs an integer"]),
         ({"max-depth": [True]}, ["'max-depth': True", "needs an integer"]),
         ({"eta": [0.1, False]}, ["'eta': False", "needs a number"]),
+        ({"batch_size": [16], "batch-size": [8, 64]},
+         ["--batch-size twice, as 'batch-size' and 'batch_size'"]),
     ], ids=["dataclass-field", "several-unknown", "not-a-list", "bad-value", "not-an-object",
             "empty-list", "empty-object", "fraction-for-integer", "bool-for-integer",
-            "bool-for-float"])
+            "bool-for-float", "flag-named-twice"])
     def test_bad_grid_is_usage_error_before_training(self, tmp_path, gen_csv, built_configs,
                                                      capsys, grid, needles):
         rc = run_cli("gridsearch", "--algo", "logreg", "--data", gen_csv, "--k", 2,
@@ -511,6 +542,16 @@ class TestConfigFile:
                                    "bogus_knob": 1}), encoding="utf-8")
         assert run_cli("cv", "--config", cfg) == 1
 
+    @pytest.mark.parametrize("keys", [("batch-size", "batch_size"), ("batch_size", "batch-size")])
+    def test_flag_named_twice_is_usage_error(self, tmp_path, dense_csv, capsys, keys):
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps({"algo": "logreg", "data": str(dense_csv),
+                                   keys[0]: 8, keys[1]: 64}), encoding="utf-8")
+        assert run_cli("cv", "--config", cfg, "--outdir", tmp_path / "out") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--batch-size twice, as 'batch-size' and 'batch_size'" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_command_mismatch_is_usage_error(self, tmp_path, dense_csv):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"command": "gen", "rows": 5}), encoding="utf-8")
@@ -551,6 +592,18 @@ class TestExitCodes:
     def test_unknown_algorithm(self, tmp_path, dense_csv):
         assert run_cli("cv", "--algo", "tree", "--data", dense_csv,
                        "--outdir", tmp_path) == 1
+
+    @pytest.mark.parametrize("algo", ["gbt", "mlp"])
+    def test_bench_local_refuses_wire_less_algo_before_loading(self, tmp_path, capsys, algo):
+        # the data file does not exist, so a check after loading would exit 2
+        rc = run_cli("bench-local", "--algo", algo, "--data", tmp_path / "missing.csv",
+                     "--rounds", 1, "--outdir", tmp_path / "local")
+        assert rc == 1
+        local = capsys.readouterr().err
+        assert run_cli("bench-master", "--algo", algo, "--workers", 1, "--rounds", 1,
+                       "--outdir", tmp_path / "master") == 1
+        assert len(local.strip().splitlines()) == 1
+        assert local == capsys.readouterr().err and "travel the wire" in local
 
     @pytest.mark.parametrize("k", [1, 0])
     @pytest.mark.parametrize("command, extra", [
